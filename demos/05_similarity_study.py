@@ -5,8 +5,8 @@ initialization and once on a trained checkpoint, prunes both to the
 same FLOPS budget, trains both structures from scratch, and then
 correlates the per-layer keep ratios across all runs.
 
-Scaled down to finish in about half a minute; the shipped defaults of
-run_pretrain_effect_study() run the full five-seed version.
+Scaled down to finish in about half a minute; the full five-seed
+version is `prunekit study --seeds 0,1,2,3,4`.
 
     python3 demos/05_similarity_study.py
 """
@@ -14,19 +14,21 @@ run_pretrain_effect_study() run the full five-seed version.
 import tempfile
 
 from prunekit import analysis as AN
+from prunekit import arch as A
 from prunekit import data as D
 from prunekit import gates as G
+from prunekit import train as TR
 
 bundle = AN.run_pretrain_effect_study(
-    arch="vgg-small",
-    checkpoint_epochs=(10,),
-    seeds=(0, 1, 2),
-    budget_ratio=0.5,
+    arch=A.preset("vgg-small"),
     data=D.synth_suite(D.SynthSpec(classes=3, per_class=100, image_size=8,
                                    channels=3, noise=4.0), seed=0),
     importance=G.ImportanceConfig(gamma=1.0, target_sparsity=0.5,
                                   epochs=10, lr=0.02, batch_size=32),
-    scratch_base_epochs=14,
+    schedule=TR.TrainSchedule(base_epochs=14, lr0=0.05, batch_size=32),
+    checkpoint_epochs=(10,),
+    seeds=(0, 1, 2),
+    budget_ratio=0.5,
     progress=print)
 
 print("\nfrom-scratch test accuracy by gate source:")

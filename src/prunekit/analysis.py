@@ -9,7 +9,7 @@ structures grown from trained checkpoints, across seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -143,16 +143,9 @@ def study_summary(bundle: StudyBundle) -> list[tuple[str, float, float, float]]:
 
 
 def run_pretrain_effect_study(
-        arch: str | A.ArchSpec = "vgg-small",
-        checkpoint_epochs=(10, 20),
-        seeds=(0, 1, 2, 3, 4),
-        budget_ratio: float = 0.5,
-        data: dict[str, D.Dataset] | None = None,
-        importance: G.ImportanceConfig | None = None,
-        baseline_schedule: TR.TrainSchedule | None = None,
-        scratch_base_epochs: int = 20,
-        scratch_lr0: float = 0.05,
-        batch_size: int = 32,
+        arch: A.ArchSpec, data: dict[str, D.Dataset],
+        importance: G.ImportanceConfig, schedule: TR.TrainSchedule,
+        checkpoint_epochs, seeds, budget_ratio: float,
         progress=None) -> StudyBundle:
     """Prune from random weights and from checkpoints, then compare.
 
@@ -161,34 +154,21 @@ def run_pretrain_effect_study(
     bisect each gate set to the FLOPS budget, and train every resulting
     structure from scratch under budget scaling. Structures are compared
     by keep-ratio correlation and by from-scratch test accuracy.
+
+    Every run trains under ``schedule``: the baseline up to the last
+    checkpoint, each structure for its budget-scaled epochs.
     """
-    spec = A.preset(arch) if isinstance(arch, str) else arch
     if not 0.0 < budget_ratio <= 1.0:
         raise ConfigError("budget_ratio must lie in (0, 1]")
     epochs = tuple(sorted({int(e) for e in checkpoint_epochs if int(e) > 0}))
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ConfigError("study needs at least one seed")
-    if data is None:
-        # noise 4.0 keeps baseline accuracy off the ceiling so checkpoint
-        # gradients stay informative; saturated tasks invert the trend
-        data = D.synth_suite(D.SynthSpec(classes=3, per_class=100,
-                                         image_size=8, channels=3,
-                                         noise=4.0), seed=0)
-    if importance is None:
-        importance = G.ImportanceConfig(gamma=1.0, target_sparsity=0.5,
-                                        epochs=10, lr=0.02,
-                                        batch_size=batch_size)
-    if baseline_schedule is None:
-        baseline_schedule = TR.TrainSchedule(
-            base_epochs=max(epochs, default=0), lr0=0.05,
-            batch_size=batch_size)
-    if epochs and baseline_schedule.epochs < max(epochs):
-        raise ConfigError("baseline schedule is shorter than the last "
-                          "requested checkpoint")
+    baseline_schedule = replace(schedule, base_epochs=max(epochs, default=0),
+                                effective_epochs=None)
     say = progress if progress is not None else (lambda msg: None)
 
-    full = A.count_flops(spec)
+    full = A.count_flops(arch)
     budget = int(round(budget_ratio * full))
     wanted = {0, *epochs}
     features: list[StructureFeature] = []
@@ -197,8 +177,8 @@ def run_pretrain_effect_study(
     flops_ratios: dict[str, float] = {}
     per_seed: dict[int, SimilarityMatrix] = {}
     channel_rows: list[tuple[str, str, int, int]] = []
-    gated_ids = A.place_gates(spec).gated_layer_ids
-    widths = A.gated_channel_counts(spec)
+    gated_ids = A.place_gates(arch).gated_layer_ids
+    widths = A.gated_channel_counts(arch)
 
     for seed in seeds:
         states: dict[int, dict[str, np.ndarray]] = {}
@@ -209,7 +189,7 @@ def run_pretrain_effect_study(
 
         say(f"seed {seed}: training baseline ({baseline_schedule.epochs} "
             "epochs)")
-        baseline = A.Model(spec, None, D.derive_seed(seed, "study-baseline"))
+        baseline = A.Model(arch, None, D.derive_seed(seed, "study-baseline"))
         TR.fit(baseline, data, baseline_schedule, seed, checkpoint_sink=sink)
 
         seed_features = []
@@ -217,38 +197,35 @@ def run_pretrain_effect_study(
             label = feature_label(seed, epoch)
             say(f"seed {seed}: gates from "
                 + ("random init" if epoch == 0 else f"epoch {epoch}"))
-            source = A.Model(spec, None, seed=0)
+            source = A.Model(arch, None, seed=0)
             source.load_state(states[epoch])
             snaps = G.learn_channel_importance(
                 source, data["train"], data["val"], importance,
                 D.derive_seed(seed, "study-gates", str(epoch)))
             best = G.select_best_gates(snaps, importance.target_sparsity)
-            result = S.search_structure(best, spec,
+            result = S.search_structure(best, arch,
                                         S.SearchConfig(budget=budget))
             config = result.config
             configs[label] = config
-            feat = structure_feature(config, spec, label)
+            feat = structure_feature(config, arch, label)
             features.append(feat)
             seed_features.append(feat)
-            pruned = A.count_flops(spec, config)
+            pruned = A.count_flops(arch, config)
             flops_ratios[label] = pruned / full
             for lid, kept, orig in zip(gated_ids, config.kept_counts,
                                        widths):
                 channel_rows.append((lid, label, kept, orig))
-            eff = TR.budget_epochs(scratch_base_epochs, full, pruned)
+            eff = TR.budget_epochs(schedule.base_epochs, full, pruned)
             say(f"seed {seed}: scratch-training {label} ({eff} epochs)")
-            sched = TR.TrainSchedule(base_epochs=scratch_base_epochs,
-                                     effective_epochs=eff, lr0=scratch_lr0,
-                                     batch_size=batch_size)
             rep = TR.train_from_scratch(
-                spec, config, data, sched,
+                arch, config, data, replace(schedule, effective_epochs=eff),
                 D.derive_seed(seed, "study-scratch", label))
             accuracies[label] = rep.test_accuracy
         if len(seed_features) >= 2:
             per_seed[seed] = correlation_matrix(seed_features)
 
     cross = correlation_matrix(features)
-    return StudyBundle(arch_name=spec.name, budget_ratio=budget_ratio,
+    return StudyBundle(arch_name=arch.name, budget_ratio=budget_ratio,
                        checkpoint_epochs=epochs, seeds=seeds,
                        features=features, configs=configs,
                        accuracies=accuracies, flops_ratios=flops_ratios,

@@ -24,7 +24,7 @@ from .errors import ArchError, ConfigError, GeometryError, MigrationError
 
 LAYER_KINDS = ("conv", "depthwise-conv", "batchnorm", "relu", "pool",
                "global-pool", "linear", "add-join")
-BLOCK_KINDS = ("plain", "residual", "depthwise", "inverted")
+BLOCK_KINDS = ("plain", "residual", "depthwise")
 
 ARCH_SCHEMA = "prunekit/arch/v1"
 
@@ -206,8 +206,8 @@ def place_gates(arch: ArchSpec) -> GatePlacement:
 
     Plain blocks gate every batch norm; residual blocks gate only batch
     norms off the join group (the middle of the block); depthwise blocks
-    gate their second batch norm; inverted-residual blocks gate their
-    first. Layers outside any block are never gated.
+    gate their second batch norm. Layers outside any block are never
+    gated.
     """
     groups, _ = _channel_groups(arch)
     by_id = {l.id: l for l in arch.layers}
@@ -235,11 +235,6 @@ def place_gates(arch: ArchSpec) -> GatePlacement:
                     f"norms, found {len(bns)}")
             gated.append(bns[1])
             tags.append("depthwise-second-BN")
-        elif b.kind == "inverted":
-            if not bns:
-                raise ArchError(f"{arch.name}: inverted block has no batch norm")
-            gated.append(bns[0])
-            tags.append("inverted-first-BN")
     if not gated:
         raise ArchError(f"{arch.name}: no gated layers")
     gate_groups = [groups[lid] for lid in gated]
@@ -449,8 +444,7 @@ class Model:
 
     def forward(self, x, train: bool = False,
                 gates: dict[str, T.Tensor] | None = None,
-                tape: T.Tape | None = None,
-                trace: list | None = None) -> T.Tensor:
+                tape: T.Tape | None = None) -> T.Tensor:
         """Run the network; returns logits [N, num_classes].
 
         ``gates`` maps gated batch-norm layer ids to per-channel vectors
@@ -470,9 +464,6 @@ class Model:
                 groups = w.shape[0] if l.kind == "depthwise-conv" else 1
                 out = T.conv2d(inp(l), w, stride=l.stride, padding=l.padding,
                                groups=groups, tape=tape)
-                if trace is not None:
-                    trace.append({"op": "conv2d", "w_shape": w.shape,
-                                  "out_shape": out.shape, "groups": groups})
             elif l.kind == "batchnorm":
                 out = T.batchnorm(inp(l), self.params[f"{l.id}.gamma"],
                                   self.params[f"{l.id}.beta"],
@@ -489,10 +480,6 @@ class Model:
             elif l.kind == "linear":
                 out = T.linear(inp(l), self.params[f"{l.id}.w"],
                                self.params[f"{l.id}.b"], tape=tape)
-                if trace is not None:
-                    trace.append({"op": "linear",
-                                  "w_shape": self.params[f"{l.id}.w"].shape,
-                                  "out_shape": out.shape})
             elif l.kind == "add-join":
                 out = T.add(acts[l.inputs[0]], acts[l.inputs[1]], tape=tape)
             acts[l.id] = out

@@ -9,8 +9,10 @@ array blobs, and a trailing CRC32 over everything before it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -278,7 +280,11 @@ def _canonical_json(obj) -> bytes:
 
 def write_container(path, magic: bytes, meta: dict,
                     arrays: dict[str, np.ndarray]) -> None:
-    """magic | meta length (LE u64) | canonical JSON | f32 LE blobs | CRC32."""
+    """magic | meta length (LE u64) | canonical JSON | f32 LE blobs | CRC32.
+
+    The bytes go to a temporary file beside ``path`` that replaces it
+    only once complete, so a crash never leaves a truncated container.
+    """
     order = sorted(arrays)
     meta = dict(meta)
     meta["arrays"] = [
@@ -291,9 +297,18 @@ def write_container(path, magic: bytes, meta: dict,
             arrays[k], dtype="<f4").tobytes())
     payload = b"".join(parts)
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(crc.to_bytes(4, "little"))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.write(crc.to_bytes(4, "little"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
@@ -311,18 +326,43 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     stored_crc = int.from_bytes(blob[-4:], "little")
     if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
         raise CorruptionError(f"{path}: checksum mismatch")
+    end = len(blob) - 4
     off = len(magic)
     mlen = int.from_bytes(blob[off:off + 8], "little")
     off += 8
-    meta = json.loads(blob[off:off + mlen].decode("utf-8"))
+    if mlen > end - off:
+        raise FormatError(f"{path}: metadata length {mlen} runs past the "
+                          f"payload end at byte {end}", offset=off - 8)
+    try:
+        meta = json.loads(blob[off:off + mlen].decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"{path}: metadata is not valid JSON: {exc}",
+                          offset=off) from exc
+    entries = meta.pop("arrays", []) if isinstance(meta, dict) else None
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: metadata is not a container header",
+                          offset=off)
     off += mlen
     arrays: dict[str, np.ndarray] = {}
-    for entry in meta.pop("arrays", []):
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry in entries:
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if (not isinstance(shape, list)
+                or not isinstance(entry.get("name"), str)
+                or not all(isinstance(d, int) and d >= 0 for d in shape)):
+            raise FormatError(f"{path}: malformed array entry {entry!r}",
+                              offset=off)
+        count = math.prod(shape)
+        if 4 * count > end - off:
+            raise FormatError(
+                f"{path}: array {entry['name']!r} of shape {shape} needs "
+                f"{4 * count} bytes at offset {off}, {end - off} remain",
+                offset=off)
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
         arrays[entry["name"]] = arr.reshape(shape).astype(np.float32)
         off += count * 4
+    if off != end:
+        raise FormatError(f"{path}: {end - off} bytes follow the last array",
+                          offset=off)
     return meta, arrays
 
 

@@ -22,14 +22,8 @@ class SearchConfig:
     budget: int
     max_iters: int = 20
     rel_tolerance: float = 0.02
-    tau_min: float = 0.0
-    tau_max: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.tau_min < self.tau_max <= 1.0:
-            raise ConfigError(
-                f"need 0 <= tau_min < tau_max <= 1, got "
-                f"[{self.tau_min}, {self.tau_max}]")
         if self.rel_tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         if self.max_iters < 1:
@@ -71,7 +65,7 @@ def search_structure(gates, arch: ArchSpec,
     if cfg.budget <= 0:
         raise BudgetError(f"budget must be positive, got {cfg.budget}")
 
-    lo, hi = cfg.tau_min, cfg.tau_max
+    lo, hi = 0.0, 1.0  # gates live in [0, 1]
     history: list[SearchStep] = []
     best: tuple[float, float, ChannelConfig, int] | None = None
     for t in range(1, cfg.max_iters + 1):

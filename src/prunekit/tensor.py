@@ -1,7 +1,7 @@
 """Dense tensors with reverse-mode differentiation on an explicit tape.
 
 The operator set is the minimum needed for small convolutional
-classifiers: conv2d (grouped and depthwise included), batch norm,
+classifiers: conv2d (dense and depthwise), batch norm,
 channel gating, ReLU, average pooling, global average pooling, linear,
 residual add, and label-smoothed cross-entropy. Convolution uses im2col
 with plain numpy matmul; correctness wins over throughput.
@@ -12,7 +12,7 @@ exactly the requested targets. Tensors never store gradients, so
 parameters that are not targets are guaranteed untouched by backward.
 
 Every op validates that its output is finite; NaN/Inf raises
-``NonFiniteError`` (disable via ``finite_checks`` for benchmarking).
+``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
 )
 
 _DEFAULT_DTYPE: type = np.float32
-finite_checks: bool = True
 
 
 def set_default_dtype(dtype) -> None:
@@ -151,7 +150,7 @@ class Tape:
 
 def _emit(tape: Tape | None, op: str, inputs: tuple[Tensor, ...],
           data: np.ndarray, backward: BackwardFn) -> Tensor:
-    if finite_checks and not np.isfinite(data).all():
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values in output of {op}")
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -196,8 +195,9 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, groups: int = 1,
            tape: Tape | None = None) -> Tensor:
     """2-d cross-correlation of [N,Cin,H,W] with [Cout,Cin/groups,kh,kw].
 
-    Differentiable w.r.t. both input and weight. ``groups == Cin == Cout``
-    selects the depthwise fast path.
+    Differentiable w.r.t. both input and weight. Two forms exist: dense
+    (``groups == 1``) and depthwise (``groups == Cin == Cout``); any
+    other ``groups`` raises ``ShapeError``.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/weight, got {x.shape}/{w.shape}")
@@ -205,8 +205,9 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, groups: int = 1,
     cout, cin_g, kh, kw = w.shape
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    if groups < 1 or cin % groups or cout % groups:
-        raise ShapeError(f"groups={groups} does not divide Cin={cin}, Cout={cout}")
+    if groups != 1 and not groups == cin == cout:
+        raise ShapeError(f"groups={groups} with Cin={cin}, Cout={cout} is "
+                         "neither dense nor depthwise")
     if cin_g != cin // groups:
         raise ShapeError(f"weight expects Cin/groups={cin_g}, input gives {cin // groups}")
     ho = (h + 2 * ph - kh) // sh + 1
@@ -237,63 +238,23 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, groups: int = 1,
 
         return _emit(tape, "conv2d", (x, w), out, bwd)
 
-    def plain(xg, wg):
-        # xg [N, cg_in, H, W] already padded; wg [cg_out, cg_in, kh, kw]
-        cg_out = wg.shape[0]
-        win = _windows(xg, kh, kw, sh, sw)
-        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-        cols = cols.reshape(n, ho * wo, -1)
-        wm = wg.reshape(cg_out, -1)
-        og = (cols @ wm.T).transpose(0, 2, 1).reshape(n, cg_out, ho, wo)
-        return og, cols, wm
-
-    if groups == 1:
-        out, cols, wm = plain(xp, w.data)
-
-        def bwd(gout, needs):
-            g2 = gout.transpose(0, 2, 3, 1).reshape(n, ho * wo, cout)
-            dx = dw = None
-            if needs[0]:
-                dcols = (g2 @ wm).reshape(n, ho, wo, cin, kh, kw)
-                dx = _scatter_windows(
-                    xp.shape,
-                    lambda i, j: dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2),
-                    kh, kw, sh, sw, ho, wo, ph, pw, h, wd)
-            if needs[1]:
-                dw = np.tensordot(g2, cols, axes=((0, 1), (0, 1))).reshape(w.shape)
-            return dx, dw
-
-        return _emit(tape, "conv2d", (x, w), out, bwd)
-
-    # general grouped convolution: per-group im2col
-    cg_in, cg_out = cin // groups, cout // groups
-    parts, saved = [], []
-    for g in range(groups):
-        og, cols, wm = plain(xp[:, g * cg_in:(g + 1) * cg_in],
-                             w.data[g * cg_out:(g + 1) * cg_out])
-        parts.append(og)
-        saved.append((cols, wm))
-    out = np.concatenate(parts, axis=1)
+    win = _windows(xp, kh, kw, sh, sw)
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+    cols = cols.reshape(n, ho * wo, -1)
+    wm = w.data.reshape(cout, -1)
+    out = (cols @ wm.T).transpose(0, 2, 1).reshape(n, cout, ho, wo)
 
     def bwd(gout, needs):
-        dx = np.zeros(xp.shape, dtype=gout.dtype) if needs[0] else None
-        dw = np.zeros(w.shape, dtype=gout.dtype) if needs[1] else None
-        for g in range(groups):
-            cols, wm = saved[g]
-            gg = gout[:, g * cg_out:(g + 1) * cg_out]
-            g2 = gg.transpose(0, 2, 3, 1).reshape(n, ho * wo, cg_out)
-            if needs[0]:
-                dcols = (g2 @ wm).reshape(n, ho, wo, cg_in, kh, kw)
-                for i in range(kh):
-                    for j in range(kw):
-                        dx[:, g * cg_in:(g + 1) * cg_in,
-                           i:i + ho * sh:sh, j:j + wo * sw:sw] += \
-                            dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            if needs[1]:
-                dw[g * cg_out:(g + 1) * cg_out] = np.tensordot(
-                    g2, cols, axes=((0, 1), (0, 1))).reshape(cg_out, cg_in, kh, kw)
-        if dx is not None:
-            dx = dx[:, :, ph:ph + h, pw:pw + wd]
+        g2 = gout.transpose(0, 2, 3, 1).reshape(n, ho * wo, cout)
+        dx = dw = None
+        if needs[0]:
+            dcols = (g2 @ wm).reshape(n, ho, wo, cin, kh, kw)
+            dx = _scatter_windows(
+                xp.shape,
+                lambda i, j: dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2),
+                kh, kw, sh, sw, ho, wo, ph, pw, h, wd)
+        if needs[1]:
+            dw = np.tensordot(g2, cols, axes=((0, 1), (0, 1))).reshape(w.shape)
         return dx, dw
 
     return _emit(tape, "conv2d", (x, w), out, bwd)

@@ -20,7 +20,7 @@ from . import tensor as T
 from .data import Dataset, augment_batch, derive_rng, derive_seed
 from .errors import BudgetError, ConfigError, DivergenceError, NonFiniteError
 
-OPTIMIZERS = ("sgd", "adam")
+OPTIMIZERS = ("sgd",)
 LR_POLICIES = ("step-decay", "cosine")
 
 
@@ -28,9 +28,10 @@ LR_POLICIES = ("step-decay", "cosine")
 class TrainSchedule:
     """Optimizer and schedule settings for one training run.
 
-    ``effective_epochs`` is the number actually run; None means run the
-    base count. Budget-scaled runs pass the output of ``budget_epochs``
-    here.
+    The optimizer is SGD with momentum and weight decay; ``optimizer``
+    names it so stored configs stay explicit. ``effective_epochs`` is the
+    number actually run; None means run the base count. Budget-scaled
+    runs pass the output of ``budget_epochs`` here.
     """
     base_epochs: int
     effective_epochs: int | None = None
@@ -110,14 +111,6 @@ def epoch_lr(schedule: TrainSchedule, epoch: int, total_epochs: int) -> float:
     return schedule.lr0 * schedule.decay_factor ** passed
 
 
-def label_smooth_loss(logits: T.Tensor, labels: np.ndarray, eps: float = 0.0,
-                      tape: T.Tape | None = None) -> T.Tensor:
-    """Cross-entropy against (1-eps) true-class + eps/K uniform targets."""
-    if not 0.0 <= eps < 1.0:
-        raise ConfigError("smoothing must lie in [0, 1)")
-    return T.cross_entropy(logits, labels, smoothing=eps, tape=tape)
-
-
 # ---------------------------------------------------------------------------
 # lottery-ticket slicing
 
@@ -178,8 +171,6 @@ def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
     for t in tensors:
         t.requires_grad = True
     vel = [np.zeros_like(t.data) for t in tensors]
-    m1 = [np.zeros_like(t.data) for t in tensors]
-    m2 = [np.zeros_like(t.data) for t in tensors]
     total = schedule.epochs
     losses: list[float] = []
     accs: list[float] = []
@@ -204,27 +195,17 @@ def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
                 tape = T.Tape()
                 try:
                     logits = model.forward(xb, train=True, tape=tape)
-                    loss = label_smooth_loss(logits, train.labels[idx],
-                                             schedule.label_smoothing, tape)
+                    loss = T.cross_entropy(logits, train.labels[idx],
+                                           schedule.label_smoothing, tape)
                 except NonFiniteError as exc:
-                    raise DivergenceError(str(exc), step=epoch) from exc
+                    raise DivergenceError(str(exc), step=step) from exc
                 lval = loss.item()
-                if not np.isfinite(lval):
-                    raise DivergenceError("training loss is not finite",
-                                          step=epoch)
                 grads = tape.backward(loss, tensors)
                 step += 1
                 for j, t in enumerate(tensors):
                     g = grads[t] + schedule.weight_decay * t.data
-                    if schedule.optimizer == "sgd":
-                        vel[j] = schedule.momentum * vel[j] + g
-                        t.data -= lr * vel[j]
-                    else:
-                        m1[j] = 0.9 * m1[j] + 0.1 * g
-                        m2[j] = 0.999 * m2[j] + 0.001 * g * g
-                        mhat = m1[j] / (1.0 - 0.9 ** step)
-                        vhat = m2[j] / (1.0 - 0.999 ** step)
-                        t.data -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+                    vel[j] = schedule.momentum * vel[j] + g
+                    t.data -= lr * vel[j]
                 loss_sum += lval * len(idx)
                 seen += len(idx)
             losses.append(loss_sum / seen)

@@ -6,6 +6,7 @@ code that shares no implementation with the library.
 """
 
 import contextlib
+import zlib
 
 import numpy as np
 
@@ -127,6 +128,16 @@ def pearson_oracle(a, b):
     return float(num / den)
 
 
+def checksummed_container(magic, meta_bytes, payload=b"", meta_len=None):
+    """Container bytes around arbitrary metadata and payload, with a
+    valid trailing CRC32, so only the layout checks can reject them.
+    ``meta_len`` overrides the declared metadata length."""
+    if meta_len is None:
+        meta_len = len(meta_bytes)
+    body = magic + meta_len.to_bytes(8, "little") + meta_bytes + payload
+    return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+
+
 def random_config(arch_mod, arch, rng):
     """Random valid ChannelConfig for an architecture."""
     counts = []
@@ -140,27 +151,37 @@ def random_config(arch_mod, arch, rng):
 
 
 def model_flops_oracle(model, input_shape):
-    """Count MACs by executing a forward pass and reading actual shapes."""
-    x = np.zeros((1,) + tuple(input_shape), dtype=np.float32)
-    trace = []
-    model.forward(x, train=False, trace=trace)
-    return flops_from_trace(trace)
+    """Count MACs by executing a forward pass and reading actual shapes.
 
-
-def flops_from_trace(trace):
-    """Multiply-accumulate count from a recorded forward trace.
-
-    Counts convolution and linear layers only, using the activation
-    shapes the forward pass actually produced.
+    ``tensor.conv2d`` and ``tensor.linear`` are wrapped for the duration
+    of the pass to record every (weight shape, output shape) pair they
+    execute; convolution and linear layers are the only ones counted.
     """
+    x = np.zeros((1,) + tuple(input_shape), dtype=np.float32)
+    executed = []
+    originals = {"conv2d": T.conv2d, "linear": T.linear}
+
+    def recording(fn):
+        def run(inp, w, *args, **kwargs):
+            out = fn(inp, w, *args, **kwargs)
+            executed.append((w.shape, out.shape))
+            return out
+        return run
+
+    try:
+        for name, fn in originals.items():
+            setattr(T, name, recording(fn))
+        model.forward(x, train=False)
+    finally:
+        for name, fn in originals.items():
+            setattr(T, name, fn)
     total = 0
-    for entry in trace:
-        kind = entry["op"]
-        if kind == "conv2d":
-            cout, cin_g, kh, kw = entry["w_shape"]
-            _, _, ho, wo = entry["out_shape"]
+    for w_shape, out_shape in executed:
+        if len(w_shape) == 4:
+            cout, cin_g, kh, kw = w_shape
+            _, _, ho, wo = out_shape
             total += cout * cin_g * kh * kw * ho * wo
-        elif kind == "linear":
-            out_f, in_f = entry["w_shape"]
+        else:
+            out_f, in_f = w_shape
             total += out_f * in_f
     return total

@@ -235,18 +235,16 @@ STUDY_BUDGET_S = 900.0
 def study(tmp_path_factory):
     t0 = time.perf_counter()
     bundle = AN.run_pretrain_effect_study(
-        arch="vgg-small",
-        checkpoint_epochs=(10, 20),
-        seeds=(0, 1, 2, 3, 4),
-        budget_ratio=0.5,
+        arch=A.preset("vgg-small"),
         data=D.synth_suite(D.SynthSpec(classes=3, per_class=100,
                                        image_size=8, channels=3,
                                        noise=4.0), seed=0),
         importance=G.ImportanceConfig(gamma=1.0, target_sparsity=0.5,
                                       epochs=10, lr=0.02, batch_size=32),
-        scratch_base_epochs=20,
-        scratch_lr0=0.05,
-        batch_size=32)
+        schedule=TR.TrainSchedule(base_epochs=20, lr0=0.05, batch_size=32),
+        checkpoint_epochs=(10, 20),
+        seeds=(0, 1, 2, 3, 4),
+        budget_ratio=0.5)
     elapsed = time.perf_counter() - t0
     report = AN.emit_report(bundle, tmp_path_factory.mktemp("study-report"))
     return bundle, report, elapsed

@@ -7,6 +7,7 @@ from prunekit import analysis as AN
 from prunekit import arch as A
 from prunekit import data as D
 from prunekit import gates as G
+from prunekit import train as TR
 from prunekit.errors import ConfigError, DegenerateFeatureError
 
 from helpers import pearson_oracle
@@ -143,13 +144,14 @@ def test_matrix_csv_round_trip():
 # ---------------------------------------------------------------------------
 # the study
 
-def tiny_study_kwargs(tmp=None):
+def tiny_study_kwargs():
     data = D.synth_suite(D.SynthSpec(classes=3, per_class=12, image_size=8,
                                      channels=3, noise=0.5), seed=0)
     importance = G.ImportanceConfig(gamma=1.0, target_sparsity=0.5, epochs=2,
                                     lr=0.05, batch_size=12)
-    return dict(arch="vgg-small", seeds=(0, 1), budget_ratio=0.5, data=data,
-                importance=importance, scratch_base_epochs=2, batch_size=12)
+    schedule = TR.TrainSchedule(base_epochs=2, lr0=0.05, batch_size=12)
+    return dict(arch=A.preset("vgg-small"), seeds=(0, 1), budget_ratio=0.5,
+                data=data, importance=importance, schedule=schedule)
 
 
 def test_smallest_study_is_random_only():
@@ -214,14 +216,3 @@ def test_report_is_deterministic(tmp_path, small_bundle):
     AN.emit_report(small_bundle, tmp_path / "b")
     for f in sorted((tmp_path / "a").iterdir()):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
-
-
-def test_baseline_must_cover_checkpoints():
-    from prunekit import train as TR
-    kwargs = tiny_study_kwargs()
-    with pytest.raises(ConfigError):
-        AN.run_pretrain_effect_study(
-            checkpoint_epochs=[5],
-            baseline_schedule=TR.TrainSchedule(base_epochs=2, lr0=0.05,
-                                               batch_size=12),
-            **kwargs)

@@ -15,31 +15,6 @@ def any_arch(request):
     return A.preset(request.param)
 
 
-def inverted_arch():
-    """Inline inverted-residual block for placement coverage."""
-    layers = (
-        A.LayerSpec("stem.conv", "conv", channels=8, kernel=3, padding=1),
-        A.LayerSpec("stem.bn", "batchnorm", inputs=("stem.conv",)),
-        A.LayerSpec("stem.relu", "relu", inputs=("stem.bn",)),
-        A.LayerSpec("inv.expand", "conv", inputs=("stem.relu",),
-                    channels=24, kernel=1),
-        A.LayerSpec("inv.bn1", "batchnorm", inputs=("inv.expand",)),
-        A.LayerSpec("inv.relu1", "relu", inputs=("inv.bn1",)),
-        A.LayerSpec("inv.dw", "depthwise-conv", inputs=("inv.relu1",),
-                    kernel=3, padding=1),
-        A.LayerSpec("inv.bn2", "batchnorm", inputs=("inv.dw",)),
-        A.LayerSpec("inv.relu2", "relu", inputs=("inv.bn2",)),
-        A.LayerSpec("inv.project", "conv", inputs=("inv.relu2",),
-                    channels=8, kernel=1),
-        A.LayerSpec("inv.bn3", "batchnorm", inputs=("inv.project",)),
-        A.LayerSpec("inv.add", "add-join", inputs=("inv.bn3", "stem.relu")),
-        A.LayerSpec("gap", "global-pool", inputs=("inv.add",)),
-        A.LayerSpec("fc", "linear", inputs=("gap",), channels=3),
-    )
-    blocks = (A.Block("inverted", tuple(l.id for l in layers[3:12])),)
-    return A.ArchSpec("inv-test", layers, blocks, (3, 8, 8), 3)
-
-
 # ---------------------------------------------------------------------------
 # spec validation
 
@@ -107,12 +82,6 @@ def test_depthwise_gates_second_bn():
     p = A.place_gates(A.preset("depthwise-tiny"))
     assert p.gated_layer_ids == ("dw1.bn2", "dw2.bn2", "dw3.bn2", "dw4.bn2")
     assert set(p.rationale) == {"depthwise-second-BN"}
-
-
-def test_inverted_gates_first_bn():
-    p = A.place_gates(inverted_arch())
-    assert p.gated_layer_ids == ("inv.bn1",)
-    assert p.rationale == ("inverted-first-BN",)
 
 
 def test_gates_always_point_at_batchnorms(any_arch):

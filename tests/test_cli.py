@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ import pytest
 from prunekit import arch as A
 from prunekit import cli as CLI
 from prunekit import data as D
+from prunekit import train as TR
 from prunekit.errors import ConfigError, PipelineError
+
+from helpers import checksummed_container
 
 TINY = {
     "budget": 0.5,
@@ -180,6 +184,17 @@ def test_inspect_missing_file_exits_nonzero(tmp_path):
     assert CLI.main(["inspect", str(tmp_path / "nope.pkrun")]) == 1
 
 
+@pytest.mark.parametrize("meta", [
+    b'{"schema": "prunekit/run/v1", ',
+    b'{"arrays": [{"name": "gate_blob", "shape": [4, 4]}]}',
+], ids=["truncated-json", "shape-past-payload"])
+def test_inspect_malformed_record_exits_nonzero(tmp_path, capsys, meta):
+    bad = tmp_path / "bad.pkrun"
+    bad.write_bytes(checksummed_container(D.RUN_MAGIC, meta))
+    assert CLI.main(["inspect", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # study and baseline
 
@@ -196,6 +211,31 @@ def test_study_emits_reports(tmp_path):
     for name in sorted(names):
         assert ((tmp_path / "study" / name).read_bytes()
                 == (tmp_path / "study2" / name).read_bytes())
+
+
+def test_study_trains_under_the_config_schedule(tmp_path, monkeypatch):
+    # baseline and scratch runs differ from cfg.schedule only in length
+    schedules = []
+    real_fit = TR.fit
+
+    def recording_fit(model, data, schedule, seed, **kwargs):
+        schedules.append(schedule)
+        return real_fit(model, data, schedule, seed, **kwargs)
+
+    monkeypatch.setattr(TR, "fit", recording_fit)
+    cfg = tiny_config(tmp_path, seeds=[0], checkpoint_epochs=[1],
+                      schedule={"base_epochs": 2, "lr0": 0.05,
+                                "batch_size": 12, "lr_policy": "cosine",
+                                "augment": True, "momentum": 0.8,
+                                "weight_decay": 1e-3, "milestones": [0.4],
+                                "label_smoothing": 0.1})
+    CLI.cmd_study(cfg)
+    assert len(schedules) == 3  # baseline, then rand and e1 structures
+    assert schedules[0].epochs == 1
+    for sched in schedules:
+        assert sched == replace(cfg.schedule, base_epochs=sched.base_epochs,
+                                effective_epochs=sched.effective_epochs)
+    assert [s.base_epochs for s in schedules[1:]] == [2, 2]
 
 
 def test_train_baseline_saves_checkpoints(tmp_path):

@@ -1,5 +1,7 @@
 """Synthetic data, splits, CIFAR-10 parsing, and persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from prunekit.errors import (
     MigrationError,
     SplitError,
 )
+
+from helpers import checksummed_container
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +237,69 @@ def test_container_version_vs_alien_magic(tmp_path):
     p2.write_bytes(b"GIF89a" + b"\x00" * 64)
     with pytest.raises(FormatError):
         D.read_container(p2, D.WEIGHTS_MAGIC)
+
+
+META_AT = len(D.WEIGHTS_MAGIC) + 8
+SHORT_ARRAY = json.dumps({"arrays": [{"name": "x", "shape": [2, 3]}]}).encode()
+
+
+@pytest.mark.parametrize("meta,payload,offset", [
+    (b'{"meta": ', b"", META_AT),
+    (b"\xff\xfe", b"", META_AT),
+    (b"[1, 2]", b"", META_AT),
+    (SHORT_ARRAY, np.zeros(4, "<f4").tobytes(), META_AT + len(SHORT_ARRAY)),
+    (SHORT_ARRAY, np.zeros(7, "<f4").tobytes(),
+     META_AT + len(SHORT_ARRAY) + 24),
+], ids=["truncated-json", "not-utf8", "not-an-object", "shape-past-payload",
+        "trailing-bytes"])
+def test_container_malformed_layout_rejected(tmp_path, meta, payload,
+                                             offset):
+    p = tmp_path / "box.bin"
+    p.write_bytes(checksummed_container(D.WEIGHTS_MAGIC, meta, payload))
+    with pytest.raises(FormatError) as err:
+        D.read_container(p, D.WEIGHTS_MAGIC)
+    assert err.value.offset == offset
+
+
+def test_container_metadata_length_past_payload(tmp_path):
+    p = tmp_path / "box.bin"
+    p.write_bytes(checksummed_container(D.WEIGHTS_MAGIC, b"{}", meta_len=200))
+    with pytest.raises(FormatError) as err:
+        D.read_container(p, D.WEIGHTS_MAGIC)
+    assert err.value.offset == len(D.WEIGHTS_MAGIC)
+
+
+def test_container_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    p = tmp_path / "box.bin"
+    D.write_container(p, D.WEIGHTS_MAGIC, {"v": 1},
+                      {"x": np.ones(8, np.float32)})
+    before = p.read_bytes()
+    real_open = open
+
+    class DiesMidWrite:
+        """Writable file whose first write stores half, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(D, "open", lambda *a, **k: DiesMidWrite(
+        real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        D.write_container(p, D.WEIGHTS_MAGIC, {"v": 2},
+                          {"x": np.zeros(8, np.float32)})
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [p]
 
 
 def _sample_record(tmp_path, with_blob=True):

@@ -19,8 +19,6 @@ def single_conv_arch(cout=4):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        S.SearchConfig(budget=10, tau_min=0.5, tau_max=0.5)
-    with pytest.raises(ConfigError):
         S.SearchConfig(budget=10, rel_tolerance=0.0)
     with pytest.raises(ConfigError):
         S.SearchConfig(budget=10, max_iters=0)

