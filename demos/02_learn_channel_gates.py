@@ -17,10 +17,10 @@ from prunekit import gates as G
 suite = D.synth_suite(D.SynthSpec(classes=3, per_class=60, image_size=8,
                                   channels=3, noise=1.0), seed=0)
 arch = A.preset("vgg-small")
-model = A.generate_model(arch, None, seed=7)
+model = A.Model(arch, None, seed=7)
 
 print("architecture:", arch.name)
-print("gated layers:", list(model.placement.gated_layer_ids))
+print("gated layers:", list(model.gated_ids))
 print("channels per gated layer:", A.gated_channel_counts(arch))
 
 before = model.weight_hash()

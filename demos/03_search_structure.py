@@ -35,8 +35,7 @@ print(f"achieved:  {res.achieved_flops:,} "
 
 widths = A.gated_channel_counts(arch)
 print("\nlayer   kept / original")
-for lid, k, c in zip(A.place_gates(arch).gated_layer_ids,
-                     res.config.kept_counts, widths):
+for lid, k, c in zip(A.place_gates(arch), res.config.kept_counts, widths):
     bar = "#" * k + "." * (c - k)
     print(f"{lid:>6}  {k:4d} / {c:<4d}  {bar}")
 

@@ -22,7 +22,7 @@ arch = A.preset("vgg-small")
 full_flops = A.count_flops(arch)
 
 # gates from frozen random weights, then a structure at half the FLOPS
-model = A.generate_model(arch, None, seed=7)
+model = A.Model(arch, None, seed=7)
 cfg = G.ImportanceConfig(gamma=2.0, target_sparsity=0.5, epochs=14,
                          lr=0.05, batch_size=32)
 snaps = G.learn_channel_importance(model, suite["train"], suite["val"],

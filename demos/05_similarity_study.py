@@ -29,6 +29,8 @@ bundle = AN.run_pretrain_effect_study(
     checkpoint_epochs=(10,),
     seeds=(0, 1, 2),
     budget_ratio=0.5,
+    tolerance=0.02,
+    max_iters=20,
     progress=print)
 
 print("\nfrom-scratch test accuracy by gate source:")

@@ -44,7 +44,6 @@ from .arch import (
     expand_channels,
     full_config,
     gated_channel_counts,
-    generate_model,
     place_gates,
     preset,
     prune_by_threshold,
@@ -133,7 +132,6 @@ __all__ = [
     "fit",
     "full_config",
     "gated_channel_counts",
-    "generate_model",
     "init_gates",
     "learn_channel_importance",
     "load_cifar10",

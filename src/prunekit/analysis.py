@@ -146,14 +146,17 @@ def run_pretrain_effect_study(
         arch: A.ArchSpec, data: dict[str, D.Dataset],
         importance: G.ImportanceConfig, schedule: TR.TrainSchedule,
         checkpoint_epochs, seeds, budget_ratio: float,
-        progress=None) -> StudyBundle:
+        tolerance: float, max_iters: int, progress=None) -> StudyBundle:
     """Prune from random weights and from checkpoints, then compare.
 
     For every seed: train a baseline (checkpointing at the given epochs),
     learn gates from the epoch-0 weights and from every checkpoint,
     bisect each gate set to the FLOPS budget, and train every resulting
     structure from scratch under budget scaling. Structures are compared
-    by keep-ratio correlation and by from-scratch test accuracy.
+    by keep-ratio correlation and by from-scratch test accuracy. Each
+    search bisects for at most ``max_iters`` steps towards a relative
+    FLOPS gap of ``tolerance``; one that stops outside it is reported
+    through ``progress``.
 
     Every run trains under ``schedule``: the baseline up to the last
     checkpoint, each structure for its budget-scaled epochs.
@@ -169,7 +172,8 @@ def run_pretrain_effect_study(
     say = progress if progress is not None else (lambda msg: None)
 
     full = A.count_flops(arch)
-    budget = int(round(budget_ratio * full))
+    search = S.SearchConfig(budget=int(round(budget_ratio * full)),
+                            max_iters=max_iters, rel_tolerance=tolerance)
     wanted = {0, *epochs}
     features: list[StructureFeature] = []
     configs: dict[str, A.ChannelConfig] = {}
@@ -177,7 +181,7 @@ def run_pretrain_effect_study(
     flops_ratios: dict[str, float] = {}
     per_seed: dict[int, SimilarityMatrix] = {}
     channel_rows: list[tuple[str, str, int, int]] = []
-    gated_ids = A.place_gates(arch).gated_layer_ids
+    gated_ids = A.place_gates(arch)
     widths = A.gated_channel_counts(arch)
 
     for seed in seeds:
@@ -203,15 +207,17 @@ def run_pretrain_effect_study(
                 source, data["train"], data["val"], importance,
                 D.derive_seed(seed, "study-gates", str(epoch)))
             best = G.select_best_gates(snaps, importance.target_sparsity)
-            result = S.search_structure(best, arch,
-                                        S.SearchConfig(budget=budget))
+            result = S.search_structure(best, arch, search)
             config = result.config
             configs[label] = config
             feat = structure_feature(config, arch, label)
             features.append(feat)
             seed_features.append(feat)
-            pruned = A.count_flops(arch, config)
+            pruned = result.achieved_flops
             flops_ratios[label] = pruned / full
+            if not result.converged:
+                say(f"seed {seed}: search for {label} stopped outside "
+                    f"tolerance at flops ratio {pruned / full:.3f}")
             for lid, kept, orig in zip(gated_ids, config.kept_counts,
                                        widths):
                 channel_rows.append((lid, label, kept, orig))

@@ -14,19 +14,16 @@ linear layers only.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ArchError, ConfigError, GeometryError, MigrationError
+from .errors import ArchError, ConfigError, GeometryError
 
 LAYER_KINDS = ("conv", "depthwise-conv", "batchnorm", "relu", "pool",
                "global-pool", "linear", "add-join")
 BLOCK_KINDS = ("plain", "residual", "depthwise")
-
-ARCH_SCHEMA = "prunekit/arch/v1"
 
 
 @dataclass(frozen=True)
@@ -111,50 +108,27 @@ class ArchSpec:
         consumed = {ref for l in self.layers for ref in l.inputs}
         return next(l.id for l in self.layers if l.id not in consumed)
 
-    def layer(self, lid: str) -> LayerSpec:
-        for l in self.layers:
-            if l.id == lid:
-                return l
-        raise ArchError(f"{self.name}: no layer {lid!r}")
-
-
-@dataclass(frozen=True)
-class GatePlacement:
-    """Which batch-norm layers carry gates, with a reason tag per id."""
-    gated_layer_ids: tuple[str, ...]
-    rationale: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gated_layer_ids",
-                           tuple(self.gated_layer_ids))
-        object.__setattr__(self, "rationale", tuple(self.rationale))
-        if len(self.gated_layer_ids) != len(self.rationale):
-            raise ArchError("placement ids and rationale differ in length")
-
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Surviving channels per gated layer, in placement order."""
-    kept_counts: tuple[int, ...]
+    """Surviving channel indices per gated layer, in gate order."""
     kept_indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "kept_counts", tuple(self.kept_counts))
         object.__setattr__(self, "kept_indices",
                            tuple(tuple(ix) for ix in self.kept_indices))
-        if len(self.kept_counts) != len(self.kept_indices):
-            raise ConfigError("kept_counts and kept_indices differ in length")
-        for j, (n, ix) in enumerate(zip(self.kept_counts, self.kept_indices)):
-            if n < 1:
-                raise ConfigError(f"gated layer {j}: kept count must be >= 1")
-            if len(ix) != n:
-                raise ConfigError(
-                    f"gated layer {j}: {len(ix)} indices for count {n}")
+        for j, ix in enumerate(self.kept_indices):
+            if not ix:
+                raise ConfigError(f"gated layer {j}: must keep a channel")
             if list(ix) != sorted(set(ix)):
                 raise ConfigError(
                     f"gated layer {j}: indices must be sorted and unique")
-            if ix and ix[0] < 0:
+            if ix[0] < 0:
                 raise ConfigError(f"gated layer {j}: negative channel index")
+
+    @property
+    def kept_counts(self) -> tuple[int, ...]:
+        return tuple(len(ix) for ix in self.kept_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +175,9 @@ def _channel_groups(arch: ArchSpec) -> tuple[dict[str, int], dict[int, int]]:
     return {lid: find(g) for lid, g in out_group.items()}, width
 
 
-def place_gates(arch: ArchSpec) -> GatePlacement:
-    """Attach one gate per prunable channel group.
+def place_gates(arch: ArchSpec) -> tuple[str, ...]:
+    """Ids of the batch norms that carry a gate, one per prunable
+    channel group.
 
     Plain blocks gate every batch norm; residual blocks gate only batch
     norms off the join group (the middle of the block); depthwise blocks
@@ -212,12 +187,10 @@ def place_gates(arch: ArchSpec) -> GatePlacement:
     groups, _ = _channel_groups(arch)
     by_id = {l.id: l for l in arch.layers}
     gated: list[str] = []
-    tags: list[str] = []
     for b in arch.blocks:
         bns = [lid for lid in b.layers if by_id[lid].kind == "batchnorm"]
         if b.kind == "plain":
             gated.extend(bns)
-            tags.extend("post-BN" for _ in bns)
         elif b.kind == "residual":
             joins = [lid for lid in b.layers if by_id[lid].kind == "add-join"]
             if len(joins) != 1:
@@ -225,37 +198,31 @@ def place_gates(arch: ArchSpec) -> GatePlacement:
                     f"{arch.name}: residual block needs exactly one "
                     f"add-join, found {len(joins)}")
             jg = groups[joins[0]]
-            mids = [lid for lid in bns if groups[lid] != jg]
-            gated.extend(mids)
-            tags.extend("residual-middle" for _ in mids)
+            gated.extend(lid for lid in bns if groups[lid] != jg)
         elif b.kind == "depthwise":
             if len(bns) != 2:
                 raise ArchError(
                     f"{arch.name}: depthwise block needs exactly two batch "
                     f"norms, found {len(bns)}")
             gated.append(bns[1])
-            tags.append("depthwise-second-BN")
     if not gated:
         raise ArchError(f"{arch.name}: no gated layers")
     gate_groups = [groups[lid] for lid in gated]
     if len(set(gate_groups)) != len(gate_groups):
         raise ArchError(f"{arch.name}: two gates share a channel group")
-    return GatePlacement(tuple(gated), tuple(tags))
+    return tuple(gated)
 
 
-def gated_channel_counts(arch: ArchSpec,
-                         placement: GatePlacement | None = None) -> tuple[int, ...]:
-    """Full channel width of each gated layer, in placement order."""
-    placement = placement or place_gates(arch)
+def gated_channel_counts(arch: ArchSpec) -> tuple[int, ...]:
+    """Full channel width of each gated layer, in gate order."""
     groups, width = _channel_groups(arch)
-    return tuple(width[groups[lid]] for lid in placement.gated_layer_ids)
+    return tuple(width[groups[lid]] for lid in place_gates(arch))
 
 
-def full_config(arch: ArchSpec,
-                placement: GatePlacement | None = None) -> ChannelConfig:
+def full_config(arch: ArchSpec) -> ChannelConfig:
     """The keep-everything ChannelConfig."""
-    counts = gated_channel_counts(arch, placement)
-    return ChannelConfig(counts, tuple(tuple(range(c)) for c in counts))
+    return ChannelConfig(tuple(tuple(range(c))
+                               for c in gated_channel_counts(arch)))
 
 
 @dataclass(frozen=True)
@@ -268,23 +235,21 @@ class LayerWidths:
     out_idx: tuple[int, ...] | None
 
 
-def resolve_widths(arch: ArchSpec, config: ChannelConfig | None = None,
-                   placement: GatePlacement | None = None) -> dict[str, LayerWidths]:
+def resolve_widths(arch: ArchSpec, config: ChannelConfig | None = None
+                   ) -> dict[str, LayerWidths]:
     """Per-layer effective channel widths under ``config`` (None = full)."""
     groups, width = _channel_groups(arch)
 
     kept: dict[int, tuple[int, ...]] = {}
     if config is not None:
-        placement = placement or place_gates(arch)
-        n_gates = len(placement.gated_layer_ids)
-        if len(config.kept_counts) != n_gates:
+        gated = place_gates(arch)
+        if len(config.kept_indices) != len(gated):
             raise ConfigError(
-                f"config has {len(config.kept_counts)} entries for "
-                f"{n_gates} gated layers")
-        for lid, cnt, idx in zip(placement.gated_layer_ids,
-                                 config.kept_counts, config.kept_indices):
+                f"config has {len(config.kept_indices)} entries for "
+                f"{len(gated)} gated layers")
+        for lid, idx in zip(gated, config.kept_indices):
             g = groups[lid]
-            if cnt > width[g] or (idx and idx[-1] >= width[g]):
+            if idx[-1] >= width[g]:
                 raise ConfigError(
                     f"gated layer {lid!r}: config exceeds width {width[g]}")
             kept[g] = idx
@@ -335,17 +300,14 @@ def prune_by_threshold(gates, tau: float) -> ChannelConfig:
     """
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"threshold must be in [0, 1], got {tau}")
-    vectors = getattr(gates, "lam", gates)
-    counts: list[int] = []
     indices: list[tuple[int, ...]] = []
-    for v in vectors:
+    for v in getattr(gates, "lam", gates):
         v = np.asarray(v)
         idx = np.flatnonzero(v > tau)
         if idx.size == 0:
             idx = np.array([int(np.argmax(v))])
-        counts.append(int(idx.size))
         indices.append(tuple(int(i) for i in idx))
-    return ChannelConfig(tuple(counts), tuple(indices))
+    return ChannelConfig(tuple(indices))
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +371,15 @@ class Model:
 
     Weights are freshly drawn from ``seed`` (He-normal for conv/linear,
     identity affine for batch norm). Gate vectors are not part of the
-    model; pass them to ``forward`` keyed by gated layer id.
+    model; pass them to ``forward`` keyed by the ids in ``gated_ids``.
     """
 
     def __init__(self, arch: ArchSpec, config: ChannelConfig | None,
                  seed: int):
         self.arch = arch
         self.config = config
-        self.placement = place_gates(arch)
-        self.widths = resolve_widths(arch, config, self.placement)
+        self.gated_ids = place_gates(arch)
+        self.widths = resolve_widths(arch, config)
         self.params: dict[str, T.Tensor] = {}
         self.stats: dict[str, T.RunningStats] = {}
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -521,12 +483,6 @@ class Model:
                                  dtype=rs.mean.dtype).copy()
             rs.var = np.asarray(state[f"{lid}.running_var"],
                                 dtype=rs.var.dtype).copy()
-
-
-def generate_model(arch: ArchSpec, config: ChannelConfig | None,
-                   seed: int) -> Model:
-    """Build an executable model for ``config`` with seeded fresh weights."""
-    return Model(arch, config, seed)
 
 
 def evaluate_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
@@ -675,47 +631,3 @@ def preset(name: str, input_shape=(3, 8, 8), num_classes=3) -> ArchSpec:
             f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     return PRESETS[name](input_shape, num_classes)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def arch_to_dict(arch: ArchSpec) -> dict:
-    return {
-        "schema": ARCH_SCHEMA,
-        "name": arch.name,
-        "input_shape": list(arch.input_shape),
-        "num_classes": arch.num_classes,
-        "layers": [
-            {"id": l.id, "kind": l.kind, "inputs": list(l.inputs),
-             "channels": l.channels, "kernel": l.kernel,
-             "stride": l.stride, "padding": l.padding}
-            for l in arch.layers
-        ],
-        "blocks": [
-            {"kind": b.kind, "layers": list(b.layers)} for b in arch.blocks
-        ],
-    }
-
-
-def arch_from_dict(d: dict) -> ArchSpec:
-    if d.get("schema") != ARCH_SCHEMA:
-        raise MigrationError(
-            f"expected schema {ARCH_SCHEMA!r}, got {d.get('schema')!r}")
-    layers = tuple(
-        LayerSpec(x["id"], x["kind"], tuple(x["inputs"]), x["channels"],
-                  x["kernel"], x["stride"], x["padding"])
-        for x in d["layers"])
-    blocks = tuple(Block(x["kind"], tuple(x["layers"])) for x in d["blocks"])
-    return ArchSpec(d["name"], layers, blocks, tuple(d["input_shape"]),
-                    d["num_classes"])
-
-
-def save_arch(arch: ArchSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(arch_to_dict(arch), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_arch(path) -> ArchSpec:
-    with open(path, encoding="utf-8") as fh:
-        return arch_from_dict(json.load(fh))

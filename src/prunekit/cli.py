@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -80,6 +80,9 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
+    missing = [f.name for f in fields(PipelineConfig) if f.name not in d]
+    if missing:
+        raise ConfigError(f"config lacks {', '.join(map(repr, missing))}")
     d = dict(d)
     sched = dict(d.pop("schedule"))
     sched["milestones"] = tuple(sched.get("milestones", (0.5, 0.75)))
@@ -177,7 +180,7 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
         record.search = S.result_to_dict(result)
 
         stage = "train"
-        pruned_flops = A.count_flops(arch, result.config)
+        pruned_flops = result.achieved_flops
         sched = replace(cfg.schedule,
                         effective_epochs=TR.budget_epochs(
                             cfg.schedule.base_epochs, full, pruned_flops))
@@ -228,7 +231,8 @@ def cmd_study(cfg: PipelineConfig, progress=None) -> list[Path]:
     data = resolve_dataset(cfg)
     bundle = AN.run_pretrain_effect_study(
         _pipeline_arch(cfg, data), data, cfg.importance, cfg.schedule,
-        cfg.checkpoint_epochs, cfg.seeds, cfg.budget, progress=progress)
+        cfg.checkpoint_epochs, cfg.seeds, cfg.budget, cfg.tolerance,
+        cfg.max_iters, progress=progress)
     files = AN.emit_report(bundle, cfg.out)
     for level, acc, std, ratio in AN.study_summary(bundle):
         print(f"{level}: accuracy {acc:.3f} +/- {std:.3f} "
@@ -258,7 +262,7 @@ def cmd_inspect(record_path, out_dir=None) -> int:
         return 1
     cfg = config_from_dict(record.config)
     arch = A.expand_channels(A.preset(cfg.arch), cfg.expand)
-    gated = A.place_gates(arch).gated_layer_ids
+    gated = A.place_gates(arch)
     widths = A.gated_channel_counts(arch)
     print("kept channels per gated layer:")
     for lid, orig, kept in zip(gated, widths,

@@ -444,6 +444,12 @@ def load_run(path) -> RunRecord:
     if meta.get("schema") != RUN_SCHEMA:
         raise MigrationError(
             f"{path}: schema {meta.get('schema')!r}, expected {RUN_SCHEMA!r}")
+    missing = [k for k in ("config", "seed", "tool_version", "status",
+                           "snapshots", "search", "train_reports",
+                           "artifacts") if k not in meta]
+    if missing:
+        raise FormatError(f"{path}: record metadata lacks "
+                          + ", ".join(map(repr, missing)))
     stored = meta.get("config_hash")
     rec = RunRecord(
         config=meta["config"],

@@ -122,14 +122,14 @@ def project_gates(gates: GateState) -> GateState:
 def init_gates(model: Model) -> GateState:
     """All-ones gates (identity modulation) sized to the gated layers."""
     lam = [np.ones(model.widths[lid].cout, dtype=T.default_dtype())
-           for lid in model.placement.gated_layer_ids]
+           for lid in model.gated_ids]
     return GateState(lam)
 
 
 def as_gate_dict(model: Model, gates) -> dict[str, T.Tensor]:
     """Wrap gate vectors as tensors keyed by gated layer id."""
     vectors = _vectors(gates)
-    ids = model.placement.gated_layer_ids
+    ids = model.gated_ids
     if len(vectors) != len(ids):
         raise ConfigError(
             f"{len(vectors)} gate vectors for {len(ids)} gated layers")
@@ -161,7 +161,7 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
         raise ConfigError("importance learning must not touch the test split")
     state = init_gates(model)
     gate_ts = [T.Tensor(v, requires_grad=True) for v in state.lam]
-    gate_map = dict(zip(model.placement.gated_layer_ids, gate_ts))
+    gate_map = dict(zip(model.gated_ids, gate_ts))
     m = [np.zeros_like(v) for v in state.lam]
     v2 = [np.zeros_like(v) for v in state.lam]
     snapshots: list[GateSnapshot] = []
@@ -256,16 +256,3 @@ def snapshot_dump(snapshots: list[GateSnapshot]) -> tuple[list[dict],
         blob = np.zeros((0, 0), dtype=np.float32)
     return meta, blob
 
-
-def gates_from_dump(blob_row: np.ndarray, widths: list[int]) -> GateState:
-    """Rebuild a GateState from one flattened dump row."""
-    if blob_row.size != sum(widths):
-        raise ConfigError(
-            f"dump row has {blob_row.size} values for widths {widths}")
-    lam = []
-    off = 0
-    for w in widths:
-        lam.append(np.asarray(blob_row[off:off + w],
-                              dtype=T.default_dtype()).copy())
-        off += w
-    return GateState(lam)

@@ -55,8 +55,8 @@ def search_structure(gates, arch: ArchSpec,
                      cfg: SearchConfig) -> SearchResult:
     """Find a threshold whose pruned structure meets ``cfg.budget`` MACs.
 
-    ``gates`` is a GateState or a sequence of per-layer gate vectors for
-    the architecture's gate placement. Deterministic in its inputs.
+    ``gates`` is a GateState or a sequence of per-layer gate vectors, one
+    per id of ``place_gates(arch)``. Deterministic in its inputs.
     """
     full = count_flops(arch)
     if cfg.budget > full:
@@ -103,8 +103,3 @@ def result_to_dict(result: SearchResult) -> dict:
         ],
     }
 
-
-def config_from_dict(d: dict) -> ChannelConfig:
-    """Rebuild the ChannelConfig stored by ``result_to_dict``."""
-    return ChannelConfig(tuple(d["kept_counts"]),
-                         tuple(tuple(ix) for ix in d["kept_indices"]))

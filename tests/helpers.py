@@ -140,14 +140,12 @@ def checksummed_container(magic, meta_bytes, payload=b"", meta_len=None):
 
 def random_config(arch_mod, arch, rng):
     """Random valid ChannelConfig for an architecture."""
-    counts = []
     indices = []
     for c in arch_mod.gated_channel_counts(arch):
         k = int(rng.integers(1, c + 1))
         idx = np.sort(rng.choice(c, size=k, replace=False))
-        counts.append(k)
         indices.append(tuple(int(i) for i in idx))
-    return arch_mod.ChannelConfig(tuple(counts), tuple(indices))
+    return arch_mod.ChannelConfig(tuple(indices))
 
 
 def model_flops_oracle(model, input_shape):

@@ -79,7 +79,7 @@ def test_criterion_01_gate_gradients():
         worst = 0.0
         with float64_mode():
             arch = _two_conv()
-            model = A.generate_model(arch, None, seed=0)
+            model = A.Model(arch, None, seed=0)
             frozen = model.weight_hash()
             rng = np.random.default_rng(10)
             x = rng.standard_normal((4, 2, 6, 6))
@@ -87,7 +87,7 @@ def test_criterion_01_gate_gradients():
             for _setting in range(10):
                 lam = [rng.random(4), rng.random(5)]
                 gate_ts = [T.Tensor(v, requires_grad=True) for v in lam]
-                gmap = dict(zip(model.placement.gated_layer_ids, gate_ts))
+                gmap = dict(zip(model.gated_ids, gate_ts))
                 tape = T.Tape()
                 logits = model.forward(x, train=False, gates=gmap, tape=tape)
                 ce = T.cross_entropy(logits, y, tape=tape)
@@ -184,18 +184,15 @@ def test_criterion_05_masked_equals_sliced():
         for name in sorted(A.PRESETS):
             arch = A.preset(name)
             full = A.Model(arch, None, seed=11)
-            placement = A.place_gates(arch)
             widths = A.gated_channel_counts(arch)
-            counts, indices = [], []
+            indices = []
             for c in widths:
                 k = int(rng.integers(1, c + 1))
                 indices.append(tuple(sorted(
                     rng.choice(c, size=k, replace=False))))
-                counts.append(k)
-            config = A.ChannelConfig(tuple(counts), tuple(indices))
+            config = A.ChannelConfig(tuple(indices))
             gates = {}
-            for lid, c, kept in zip(placement.gated_layer_ids, widths,
-                                    indices):
+            for lid, c, kept in zip(A.place_gates(arch), widths, indices):
                 v = np.zeros(c)
                 v[list(kept)] = 1.0
                 gates[lid] = T.Tensor(v)
@@ -213,7 +210,7 @@ def test_criterion_06_weights_frozen():
         spec = D.SynthSpec(classes=3, per_class=16, image_size=6,
                            channels=2, noise=0.4)
         suite = D.synth_suite(spec, seed=0)
-        model = A.generate_model(_two_conv(), None, seed=3)
+        model = A.Model(_two_conv(), None, seed=3)
         before = model.weight_hash()
         cfg = G.ImportanceConfig(gamma=1.0, target_sparsity=0.5, epochs=3,
                                  lr=0.05, batch_size=16)
@@ -244,7 +241,9 @@ def study(tmp_path_factory):
         schedule=TR.TrainSchedule(base_epochs=20, lr0=0.05, batch_size=32),
         checkpoint_epochs=(10, 20),
         seeds=(0, 1, 2, 3, 4),
-        budget_ratio=0.5)
+        budget_ratio=0.5,
+        tolerance=0.02,
+        max_iters=20)
     elapsed = time.perf_counter() - t0
     report = AN.emit_report(bundle, tmp_path_factory.mktemp("study-report"))
     return bundle, report, elapsed

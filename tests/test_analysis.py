@@ -26,8 +26,7 @@ def test_full_config_gives_all_ones():
 def test_uniform_half_pruning():
     arch = A.preset("vgg-small")
     widths = A.gated_channel_counts(arch)
-    config = A.ChannelConfig(tuple(c // 2 for c in widths),
-                             tuple(tuple(range(c // 2)) for c in widths))
+    config = A.ChannelConfig(tuple(tuple(range(c // 2)) for c in widths))
     feat = AN.structure_feature(config, arch)
     assert feat.ratios == (0.5,) * len(widths)
 
@@ -35,7 +34,7 @@ def test_uniform_half_pruning():
 def test_resnet_feature_length_matches_gated_layers():
     arch = A.preset("resnet-tiny")
     feat = AN.structure_feature(A.full_config(arch), arch)
-    assert len(feat.ratios) == len(A.place_gates(arch).gated_layer_ids)
+    assert len(feat.ratios) == len(A.place_gates(arch))
 
 
 def test_threshold_zero_yields_ones():
@@ -59,7 +58,7 @@ def test_feature_rejects_out_of_range_ratios():
 def test_feature_validates_config_against_arch():
     arch = A.preset("vgg-small")
     with pytest.raises(ConfigError):
-        AN.structure_feature(A.ChannelConfig((1,), ((0,),)), arch)
+        AN.structure_feature(A.ChannelConfig(((0,),)), arch)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,8 @@ def tiny_study_kwargs():
                                     lr=0.05, batch_size=12)
     schedule = TR.TrainSchedule(base_epochs=2, lr0=0.05, batch_size=12)
     return dict(arch=A.preset("vgg-small"), seeds=(0, 1), budget_ratio=0.5,
-                data=data, importance=importance, schedule=schedule)
+                tolerance=0.02, max_iters=20, data=data,
+                importance=importance, schedule=schedule)
 
 
 def test_smallest_study_is_random_only():
@@ -178,7 +178,7 @@ def test_study_bookkeeping(small_bundle):
     assert b.cross.labels == ("s0:rand", "s0:e2", "s1:rand", "s1:e2")
     assert set(b.per_seed) == {0, 1}
     assert b.per_seed[0].labels == ("s0:rand", "s0:e2")
-    gated = len(A.place_gates(A.preset("vgg-small")).gated_layer_ids)
+    gated = len(A.place_gates(A.preset("vgg-small")))
     assert len(b.channel_rows) == 4 * gated
     for label, ratio in b.flops_ratios.items():
         assert 0.0 < ratio <= 0.52, label

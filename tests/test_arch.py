@@ -5,7 +5,7 @@ import pytest
 
 from prunekit import arch as A
 from prunekit import tensor as T
-from prunekit.errors import ArchError, ConfigError, MigrationError
+from prunekit.errors import ArchError, ConfigError
 
 from helpers import model_flops_oracle, random_config
 
@@ -13,6 +13,10 @@ from helpers import model_flops_oracle, random_config
 @pytest.fixture(params=["vgg-small", "resnet-tiny", "depthwise-tiny"])
 def any_arch(request):
     return A.preset(request.param)
+
+
+def layer(arch, lid):
+    return next(l for l in arch.layers if l.id == lid)
 
 
 # ---------------------------------------------------------------------------
@@ -62,33 +66,29 @@ def test_unknown_block_kind_rejected():
 
 def test_vgg_gates_every_bn():
     arch = A.preset("vgg-small")
-    p = A.place_gates(arch)
-    assert p.gated_layer_ids == tuple(f"bn{i}" for i in range(1, 9))
-    assert set(p.rationale) == {"post-BN"}
+    assert A.place_gates(arch) == tuple(f"bn{i}" for i in range(1, 9))
 
 
 def test_resnet_gates_only_middle_bns():
     arch = A.preset("resnet-tiny")
-    p = A.place_gates(arch)
-    assert len(p.gated_layer_ids) == 6
-    assert all(g.endswith(".bn1") for g in p.gated_layer_ids)
-    assert set(p.rationale) == {"residual-middle"}
+    gated = A.place_gates(arch)
+    assert len(gated) == 6
+    assert all(g.endswith(".bn1") for g in gated)
     # block-output and projection norms never carry gates
     assert not any(g.endswith(".bn2") or g.endswith(".projbn")
-                   for g in p.gated_layer_ids)
+                   for g in gated)
 
 
 def test_depthwise_gates_second_bn():
-    p = A.place_gates(A.preset("depthwise-tiny"))
-    assert p.gated_layer_ids == ("dw1.bn2", "dw2.bn2", "dw3.bn2", "dw4.bn2")
-    assert set(p.rationale) == {"depthwise-second-BN"}
+    assert A.place_gates(A.preset("depthwise-tiny")) == (
+        "dw1.bn2", "dw2.bn2", "dw3.bn2", "dw4.bn2")
 
 
 def test_gates_always_point_at_batchnorms(any_arch):
-    p = A.place_gates(any_arch)
-    assert len(p.gated_layer_ids) >= 1
-    for lid in p.gated_layer_ids:
-        assert any_arch.layer(lid).kind == "batchnorm"
+    gated = A.place_gates(any_arch)
+    assert len(gated) >= 1
+    for lid in gated:
+        assert layer(any_arch, lid).kind == "batchnorm"
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +112,13 @@ def test_expand_rounding(base, mult, want):
         A.LayerSpec("fc", "linear", inputs=("g",), channels=5),
     ), (A.Block("plain", ("c", "b")),), (3, 8, 8), 5)
     out = A.expand_channels(arch, mult)
-    assert out.layer("c").channels == want
-    assert out.layer("fc").channels == 5  # classifier untouched
+    assert layer(out, "c").channels == want
+    assert layer(out, "fc").channels == 5  # classifier untouched
 
 
 def test_expand_classifier_unchanged(any_arch):
     out = A.expand_channels(any_arch, 1.25)
-    assert out.layer(out.output_layer).channels == any_arch.num_classes
+    assert layer(out, out.output_layer).channels == any_arch.num_classes
 
 
 def test_expand_round_trip_within_one(any_arch):
@@ -137,12 +137,19 @@ def test_expand_rejects_nonpositive():
 def test_expanded_residual_joins_stay_consistent():
     # widths on both sides of every add-join must scale together
     out = A.expand_channels(A.preset("resnet-tiny"), 1.25)
-    assert out.layer("s1b1.conv1").channels == 10
+    assert layer(out, "s1b1.conv1").channels == 10
     A.count_flops(out)  # group resolution re-validates joins
 
 
 # ---------------------------------------------------------------------------
 # threshold pruning
+
+def test_channel_config_counts_its_indices():
+    assert A.ChannelConfig(((0, 2), (1,))).kept_counts == (2, 1)
+    for bad in (((),), ((1, 0),), ((0, 0),), ((-1, 0),)):
+        with pytest.raises(ConfigError):
+            A.ChannelConfig(bad)
+
 
 def test_prune_keep_all_at_zero(any_arch):
     widths = A.gated_channel_counts(any_arch)
@@ -208,7 +215,7 @@ def test_count_flops_known_conv():
     ), (A.Block("plain", ("c", "b")),), (3, 32, 32), 10)
     # 3*16*3*3*32*32 = 442368 conv MACs, plus 160 classifier MACs
     assert A.count_flops(arch) == 442368 + 160
-    cfg = A.ChannelConfig((8,), (tuple(range(8)),))
+    cfg = A.ChannelConfig((tuple(range(8)),))
     assert A.count_flops(arch, cfg) == 442368 // 2 + 80
 
 
@@ -224,7 +231,7 @@ def test_count_flops_halving_two_conv_chain():
     ), (A.Block("plain", ("c1", "b1")), A.Block("plain", ("c2", "b2"))),
         (3, 8, 8), 2)
     full = A.count_flops(arch)
-    half = A.ChannelConfig((4, 4), (tuple(range(4)), tuple(range(4))))
+    half = A.ChannelConfig((tuple(range(4)), tuple(range(4))))
     pruned = A.count_flops(arch, half)
     # boundary convs halve once, the interior conv quarters
     c1, c2, fc = 3 * 8 * 9 * 64, 8 * 8 * 9 * 64, 8 * 2
@@ -234,12 +241,12 @@ def test_count_flops_halving_two_conv_chain():
 
 def test_count_flops_matches_execution_oracle(any_arch):
     rng = np.random.default_rng(33)
-    full_model = A.generate_model(any_arch, None, seed=0)
+    full_model = A.Model(any_arch, None, seed=0)
     assert A.count_flops(any_arch) == model_flops_oracle(
         full_model, any_arch.input_shape)
     for _ in range(5):
         cfg = random_config(A, any_arch, rng)
-        model = A.generate_model(any_arch, cfg, seed=0)
+        model = A.Model(any_arch, cfg, seed=0)
         assert A.count_flops(any_arch, cfg) == model_flops_oracle(
             model, any_arch.input_shape)
 
@@ -255,13 +262,10 @@ def test_count_flops_monotone_under_threshold(any_arch):
 
 def test_count_flops_rejects_inconsistent_config(any_arch):
     widths = A.gated_channel_counts(any_arch)
-    too_many = A.ChannelConfig(
-        tuple(c + 1 for c in widths),
-        tuple(tuple(range(c + 1)) for c in widths))
+    too_many = A.ChannelConfig(tuple(tuple(range(c + 1)) for c in widths))
     with pytest.raises(ConfigError):
         A.count_flops(any_arch, too_many)
-    wrong_len = A.ChannelConfig((1,) * (len(widths) + 1),
-                                ((0,),) * (len(widths) + 1))
+    wrong_len = A.ChannelConfig(((0,),) * (len(widths) + 1))
     with pytest.raises(ConfigError):
         A.count_flops(any_arch, wrong_len)
 
@@ -270,7 +274,7 @@ def test_count_flops_rejects_inconsistent_config(any_arch):
 # model generation
 
 def test_generate_model_forward_shape(any_arch):
-    model = A.generate_model(any_arch, None, seed=3)
+    model = A.Model(any_arch, None, seed=3)
     x = np.random.default_rng(0).standard_normal(
         (4,) + tuple(any_arch.input_shape)).astype(np.float32)
     logits = model.forward(x)
@@ -278,12 +282,12 @@ def test_generate_model_forward_shape(any_arch):
 
 
 def test_generate_model_same_seed_bitwise_identical(any_arch):
-    m1 = A.generate_model(any_arch, None, seed=11)
-    m2 = A.generate_model(any_arch, None, seed=11)
+    m1 = A.Model(any_arch, None, seed=11)
+    m2 = A.Model(any_arch, None, seed=11)
     for (n1, t1), (n2, t2) in zip(m1.trainable(), m2.trainable()):
         assert n1 == n2
         assert t1.data.tobytes() == t2.data.tobytes()
-    m3 = A.generate_model(any_arch, None, seed=12)
+    m3 = A.Model(any_arch, None, seed=12)
     assert m3.weight_hash() != m1.weight_hash()
 
 
@@ -295,16 +299,16 @@ def test_generate_model_full_config_flops_identity(any_arch):
 def test_pruned_model_forward_shape(any_arch):
     rng = np.random.default_rng(9)
     cfg = random_config(A, any_arch, rng)
-    model = A.generate_model(any_arch, cfg, seed=1)
+    model = A.Model(any_arch, cfg, seed=1)
     x = rng.standard_normal((2,) + tuple(any_arch.input_shape)).astype(
         np.float32)
     assert model.forward(x).shape == (2, any_arch.num_classes)
 
 
 def test_state_round_trip(any_arch):
-    m1 = A.generate_model(any_arch, None, seed=5)
+    m1 = A.Model(any_arch, None, seed=5)
     state = m1.state_arrays()
-    m2 = A.generate_model(any_arch, None, seed=6)
+    m2 = A.Model(any_arch, None, seed=6)
     m2.load_state(state)
     assert m1.weight_hash() == m2.weight_hash()
     x = np.random.default_rng(1).standard_normal(
@@ -314,18 +318,17 @@ def test_state_round_trip(any_arch):
 
 def test_gate_dict_applies_to_forward():
     arch = A.preset("vgg-small")
-    model = A.generate_model(arch, None, seed=2)
-    placement = model.placement
+    model = A.Model(arch, None, seed=2)
     widths = A.gated_channel_counts(arch)
     ones = {lid: T.Tensor(np.ones(c))
-            for lid, c in zip(placement.gated_layer_ids, widths)}
+            for lid, c in zip(model.gated_ids, widths)}
     x = np.random.default_rng(2).standard_normal((2, 3, 8, 8)).astype(
         np.float32)
     base = model.forward(x).data
     gated = model.forward(x, gates=ones).data
     assert np.allclose(base, gated, atol=1e-6)
     zeros = {lid: T.Tensor(np.zeros(c))
-             for lid, c in zip(placement.gated_layer_ids, widths)}
+             for lid, c in zip(model.gated_ids, widths)}
     dead = model.forward(x, gates=zeros).data
     # killing every gated channel collapses logits to the classifier bias
     assert np.allclose(dead, dead[0], atol=1e-6)
@@ -333,7 +336,7 @@ def test_gate_dict_applies_to_forward():
 
 def test_evaluate_accuracy_perfect_and_chance():
     arch = A.preset("vgg-small")
-    model = A.generate_model(arch, None, seed=0)
+    model = A.Model(arch, None, seed=0)
     x = np.random.default_rng(3).standard_normal((30, 3, 8, 8)).astype(
         np.float32)
     logits = model.forward(x).data
@@ -342,28 +345,3 @@ def test_evaluate_accuracy_perfect_and_chance():
     wrong = (labels + 1) % arch.num_classes
     assert A.evaluate_accuracy(model, x, wrong, batch_size=7) == 0.0
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_arch_json_round_trip(any_arch):
-    d = A.arch_to_dict(any_arch)
-    back = A.arch_from_dict(d)
-    assert back == any_arch
-
-
-def test_arch_file_round_trip(tmp_path, any_arch):
-    p = tmp_path / "arch.json"
-    A.save_arch(any_arch, p)
-    assert A.load_arch(p) == any_arch
-    # deterministic bytes on re-save
-    first = p.read_bytes()
-    A.save_arch(any_arch, p)
-    assert p.read_bytes() == first
-
-
-def test_arch_schema_mismatch(tmp_path):
-    d = A.arch_to_dict(A.preset("vgg-small"))
-    d["schema"] = "prunekit/arch/v999"
-    with pytest.raises(MigrationError):
-        A.arch_from_dict(d)

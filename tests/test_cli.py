@@ -11,6 +11,7 @@ import pytest
 from prunekit import arch as A
 from prunekit import cli as CLI
 from prunekit import data as D
+from prunekit import search as S
 from prunekit import train as TR
 from prunekit.errors import ConfigError, PipelineError
 
@@ -106,8 +107,8 @@ def test_prune_smoke(tmp_path):
     assert loaded == record
     arch = A.expand_channels(A.preset("vgg-small"), 1.25)
     achieved = record.search["achieved_flops"]
-    recount = A.count_flops(arch, CLI.S.config_from_dict(record.search))
-    assert recount == achieved
+    kept = A.ChannelConfig(record.search["kept_indices"])
+    assert A.count_flops(arch, kept) == achieved
 
 
 def test_prune_is_deterministic(tmp_path):
@@ -159,7 +160,7 @@ def test_inspect_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     arch = A.expand_channels(A.preset("vgg-small"), 1.25)
-    gated = A.place_gates(arch).gated_layer_ids
+    gated = A.place_gates(arch)
     for lid in gated:
         assert f"  {lid}: " in out
     curve = (tmp_path / "views" / "run_s0_curve0.csv").read_text()
@@ -184,15 +185,25 @@ def test_inspect_missing_file_exits_nonzero(tmp_path):
     assert CLI.main(["inspect", str(tmp_path / "nope.pkrun")]) == 1
 
 
-@pytest.mark.parametrize("meta", [
-    b'{"schema": "prunekit/run/v1", ',
-    b'{"arrays": [{"name": "gate_blob", "shape": [4, 4]}]}',
-], ids=["truncated-json", "shape-past-payload"])
-def test_inspect_malformed_record_exits_nonzero(tmp_path, capsys, meta):
+@pytest.mark.parametrize("content,named", [
+    (b'{"schema": "prunekit/run/v1", ', ""),
+    (b'{"arrays": [{"name": "gate_blob", "shape": [4, 4]}]}', ""),
+    (b'{"schema": "prunekit/run/v1"}', "'config'"),
+    ({}, "'schedule'"),
+], ids=["truncated-json", "shape-past-payload", "missing-config",
+        "empty-config"])
+def test_inspect_malformed_record_exits_nonzero(tmp_path, capsys, content,
+                                                named):
     bad = tmp_path / "bad.pkrun"
-    bad.write_bytes(checksummed_container(D.RUN_MAGIC, meta))
+    if isinstance(content, bytes):
+        bad.write_bytes(checksummed_container(D.RUN_MAGIC, content))
+    else:  # a well-formed record whose config is ``content``
+        record = D.RunRecord(config=content, seed=0, tool_version="0")
+        D.save_run(record.seal(), bad)
     assert CLI.main(["inspect", str(bad)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert named in err
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +247,27 @@ def test_study_trains_under_the_config_schedule(tmp_path, monkeypatch):
         assert sched == replace(cfg.schedule, base_epochs=sched.base_epochs,
                                 effective_epochs=sched.effective_epochs)
     assert [s.base_epochs for s in schedules[1:]] == [2, 2]
+
+
+def test_study_searches_under_the_config_tolerance(tmp_path, monkeypatch):
+    searches = []
+    real_search = S.search_structure
+
+    def unconverged_search(gates, arch, cfg):
+        searches.append(cfg)
+        return replace(real_search(gates, arch, cfg), converged=False)
+
+    monkeypatch.setattr(S, "search_structure", unconverged_search)
+    cfg = tiny_config(tmp_path, seeds=[0], checkpoint_epochs=[1],
+                      tolerance=0.2, max_iters=3)
+    messages = []
+    CLI.cmd_study(cfg, progress=messages.append)
+    assert [(c.rel_tolerance, c.max_iters) for c in searches] == [(0.2, 3),
+                                                                  (0.2, 3)]
+    stopped = [m for m in messages if "outside tolerance" in m]
+    assert len(stopped) == 2
+    assert "s0:rand" in stopped[0] and "flops ratio 0." in stopped[0]
+    assert "s0:e1" in stopped[1]
 
 
 def test_train_baseline_saves_checkpoints(tmp_path):

@@ -1,0 +1,29 @@
+"""Every quick demo runs to completion against the current library.
+
+``05_similarity_study.py`` is left out: it trains a three-seed study
+and takes tens of seconds.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name", [
+    "01_autodiff_basics.py",
+    "02_learn_channel_gates.py",
+    "03_search_structure.py",
+    "04_budget_training.py",
+    "06_cli_pipeline.py",
+])
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -126,7 +126,7 @@ def test_gate_gradients_match_finite_differences(train_mode):
     gamma, r = 0.5, 0.4
     with float64_mode():
         arch = two_conv_arch()
-        model = A.generate_model(arch, None, seed=0)
+        model = A.Model(arch, None, seed=0)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 2, 6, 6))
         y = rng.integers(0, 3, 4)
@@ -134,7 +134,7 @@ def test_gate_gradients_match_finite_differences(train_mode):
         for trial in range(3):
             lam = [rng.random(4), rng.random(5)]
             gate_ts = [T.Tensor(v, requires_grad=True) for v in lam]
-            gmap = dict(zip(model.placement.gated_layer_ids, gate_ts))
+            gmap = dict(zip(model.gated_ids, gate_ts))
             tape = T.Tape()
             logits = model.forward(x, train=train_mode, gates=gmap,
                                    tape=tape)
@@ -162,7 +162,7 @@ def toy_setup(noise=0.4, per_class=24, seed=0):
                        channels=2, noise=noise)
     suite = D.synth_suite(spec, seed)
     arch = two_conv_arch()
-    model = A.generate_model(arch, None, seed=seed)
+    model = A.Model(arch, None, seed=seed)
     return model, suite
 
 
@@ -318,7 +318,5 @@ def test_snapshot_dump_round_trip():
     meta, blob = G.snapshot_dump(snaps)
     assert blob.shape == (2, 9)
     assert meta[0]["epoch"] == 1
-    widths = [v.size for v in snaps[0].gates.lam]
-    back = G.gates_from_dump(blob[1], widths)
-    for a, b in zip(back.lam, snaps[1].gates.lam):
-        assert np.allclose(a, b, atol=1e-7)
+    for row, snap in zip(blob, snaps):
+        assert np.allclose(row, np.concatenate(snap.gates.lam), atol=1e-7)

@@ -52,7 +52,7 @@ def test_four_channel_enumeration():
     full = A.count_flops(arch)
     gates = [np.array([0.9, 0.6, 0.3, 0.1])]
     for k in range(1, 5):
-        cfg = A.ChannelConfig((k,), (tuple(range(k)),))
+        cfg = A.ChannelConfig((tuple(range(k)),))
         assert A.count_flops(arch, cfg) == full * k // 4
     res = S.search_structure(gates, arch,
                              S.SearchConfig(budget=full // 2,
@@ -128,5 +128,7 @@ def test_result_dict_round_trip():
                              S.SearchConfig(budget=A.count_flops(arch) // 2))
     d = S.result_to_dict(res)
     assert d["converged"] is True
-    assert S.config_from_dict(d) == res.config
+    assert d["kept_counts"] == [2]
+    assert d["kept_indices"] == [[0, 1]]
+    assert d["kept_indices"] == [list(ix) for ix in res.config.kept_indices]
     assert len(d["history"]) == res.iterations

@@ -163,7 +163,7 @@ def test_full_config_slice_is_identity():
 def test_slice_shapes_follow_connectivity():
     arch = two_conv_arch()
     full = A.Model(arch, None, seed=3)
-    config = A.ChannelConfig((2, 3), ((0, 2), (1, 4, 5)))
+    config = A.ChannelConfig(((0, 2), (1, 4, 5)))
     state = TR.lottery_slice_init(full, config)
     assert state["c1.w"].shape == (2, 2, 3, 3)
     assert state["c2.w"].shape == (3, 2, 3, 3)
@@ -179,7 +179,7 @@ def test_slice_shapes_follow_connectivity():
 
 def test_slice_requires_full_width_source():
     arch = two_conv_arch()
-    pruned = A.Model(arch, A.ChannelConfig((2, 3), ((0, 2), (1, 4, 5))),
+    pruned = A.Model(arch, A.ChannelConfig(((0, 2), (1, 4, 5))),
                      seed=3)
     with pytest.raises(ConfigError):
         TR.lottery_slice_init(pruned, A.full_config(arch))
@@ -189,7 +189,7 @@ def test_slice_rejects_out_of_range_indices():
     arch = two_conv_arch()
     full = A.Model(arch, None, seed=3)
     with pytest.raises(ConfigError):
-        TR.lottery_slice_init(full, A.ChannelConfig((1, 1), ((9,), (0,))))
+        TR.lottery_slice_init(full, A.ChannelConfig(((9,), (0,))))
 
 
 @pytest.mark.parametrize("name", ["vgg-small", "resnet-tiny",
@@ -199,17 +199,15 @@ def test_masked_equals_sliced(name):
     # logits must agree elementwise at fresh initialization
     arch = A.preset(name)
     full = A.Model(arch, None, seed=11)
-    placement = A.place_gates(arch)
     widths = A.gated_channel_counts(arch)
     rng = np.random.default_rng(5)
-    counts, indices = [], []
+    indices = []
     for c in widths:
         k = int(rng.integers(1, c + 1))
         indices.append(tuple(sorted(rng.choice(c, size=k, replace=False))))
-        counts.append(k)
-    config = A.ChannelConfig(tuple(counts), tuple(indices))
+    config = A.ChannelConfig(tuple(indices))
     gates = {}
-    for lid, c, kept in zip(placement.gated_layer_ids, widths, indices):
+    for lid, c, kept in zip(A.place_gates(arch), widths, indices):
         v = np.zeros(c)
         v[list(kept)] = 1.0
         gates[lid] = T.Tensor(v)
