@@ -1,4 +1,5 @@
-"""Tour of the tensor core: taped forward passes and reverse-mode grads.
+"""Tour of the autodiff core: taped forward passes over numpy arrays and
+reverse-mode gradients for exactly the arrays you ask about.
 
 Run from anywhere after installing the package:
 
@@ -9,13 +10,12 @@ import numpy as np
 
 from prunekit import tensor as T
 
-T.set_default_dtype(np.float64)  # float32 is the training default
 rng = np.random.default_rng(0)
 
 # ---------------------------------------------------------------------
-# 1. a taped convolution + relu + pooling graph
-x = T.Tensor(rng.standard_normal((2, 3, 8, 8)))
-w = T.Tensor(0.1 * rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+# 1. a taped convolution + relu + pooling graph on plain float64 arrays
+x = rng.standard_normal((2, 3, 8, 8))
+w = 0.1 * rng.standard_normal((4, 3, 3, 3))
 
 tape = T.Tape()
 h = T.conv2d(x, w, stride=1, padding=1, tape=tape)
@@ -24,8 +24,8 @@ h = T.global_avg_pool(h, tape=tape)          # [2, 4]
 loss = T.sum_all(h, tape=tape)
 print("forward:  conv -> relu -> pool -> sum =", float(loss))
 
-grads = tape.backward(loss, [w])
-print("backward: dloss/dw has shape", grads[w].shape)
+[dw] = tape.backward(loss, [w])              # one gradient per target
+print("backward: dloss/dw has shape", dw.shape)
 
 # ---------------------------------------------------------------------
 # 2. the gradient agrees with central finite differences
@@ -34,25 +34,26 @@ i = (0, 0, 1, 1)
 
 
 def loss_at(v):
-    old = w.data[i]
-    w.data[i] = v
+    old = w[i]
+    w[i] = v
     out = float(T.sum_all(T.global_avg_pool(T.relu(
         T.conv2d(x, w, stride=1, padding=1)))))
-    w.data[i] = old
+    w[i] = old
     return out
 
 
-fd = (loss_at(w.data[i] + h_step) - loss_at(w.data[i] - h_step)) / (2 * h_step)
-print(f"analytic {grads[w][i]:+.6f}  vs  finite difference {fd:+.6f}")
+fd = (loss_at(w[i] + h_step) - loss_at(w[i] - h_step)) / (2 * h_step)
+print(f"analytic {dw[i]:+.6f}  vs  finite difference {fd:+.6f}")
 
 # ---------------------------------------------------------------------
-# 3. channel gates: a scalar per channel, differentiable like anything else
-gates = T.Tensor(np.array([1.0, 0.5, 0.0, 1.0]), requires_grad=True)
+# 3. channel gates: a scalar per channel, differentiable like anything
+#    else; naming only the gates as targets leaves the weights alone
+gates = np.array([1.0, 0.5, 0.0, 1.0])
 tape = T.Tape()
 h = T.conv2d(x, w, padding=1, tape=tape)
 h = T.gate_modulate(h, gates, tape=tape)     # channel c scaled by gates[c]
 loss = T.sum_all(h, tape=tape)
-g = tape.backward(loss, [gates])[gates]
+[g] = tape.backward(loss, [gates])
 print("gate gradient per channel:", np.round(g, 3))
 print("a zero gate silences its channel; its gradient is the channel's",
       "total contribution")
@@ -60,7 +61,7 @@ print("a zero gate silences its channel; its gradient is the channel's",
 # ---------------------------------------------------------------------
 # 4. batchnorm keeps running statistics that update only in train mode
 stats = T.RunningStats(np.zeros(4), np.ones(4))
-gamma, beta = T.Tensor(np.ones(4)), T.Tensor(np.zeros(4))
+gamma, beta = np.ones(4), np.zeros(4)
 before = stats.mean.copy()
 T.batchnorm(T.conv2d(x, w, padding=1), gamma, beta, stats, train=True)
 print("running mean moved in train mode:",

@@ -54,10 +54,10 @@ print(f"\ntest accuracy (touched once, after training): "
 # surviving channels instead of drawing fresh ones
 fresh = A.Model(arch, res.config, seed=99)
 inherited = TR.lottery_model(model, res.config)
-w_fresh = fresh.params["conv1.w"].data
-w_inherit = inherited.params["conv1.w"].data
+w_fresh = fresh.params["conv1.w"]
+w_inherit = inherited.params["conv1.w"]
 kept = list(res.config.kept_indices[0])
-w_full = model.params["conv1.w"].data[kept]
+w_full = model.params["conv1.w"][kept]
 print("\nlottery slicing on conv1:")
 print("  inherited rows equal the full init's kept rows:",
       np.array_equal(w_inherit, w_full))

@@ -161,8 +161,11 @@ def run_pretrain_effect_study(
     Every run trains under ``schedule``: the baseline up to the last
     checkpoint, each structure for its budget-scaled epochs.
     """
-    if not 0.0 < budget_ratio <= 1.0:
-        raise ConfigError("budget_ratio must lie in (0, 1]")
+    if not 0.0 < budget_ratio < 1.0:
+        # at 1.0 every structure keeps every channel, so no keep-ratio
+        # feature varies and the correlations are undefined
+        raise ConfigError(
+            f"study budget_ratio must lie in (0, 1), got {budget_ratio}")
     epochs = tuple(sorted({int(e) for e in checkpoint_epochs if int(e) > 0}))
     seeds = tuple(int(s) for s in seeds)
     if not seeds:

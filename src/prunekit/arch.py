@@ -380,8 +380,9 @@ class Model:
         self.config = config
         self.gated_ids = place_gates(arch)
         self.widths = resolve_widths(arch, config)
-        self.params: dict[str, T.Tensor] = {}
+        self.params: dict[str, np.ndarray] = {}
         self.stats: dict[str, T.RunningStats] = {}
+        dt = T.default_dtype()
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         for l in arch.layers:
             lw = self.widths[l.id]
@@ -389,34 +390,33 @@ class Model:
                 fan_in = lw.cin * l.kernel * l.kernel
                 w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
                                (lw.cout, lw.cin, l.kernel, l.kernel))
-                self.params[f"{l.id}.w"] = T.Tensor(w)
+                self.params[f"{l.id}.w"] = w.astype(dt)
             elif l.kind == "depthwise-conv":
                 fan_in = l.kernel * l.kernel
                 w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
                                (lw.cout, 1, l.kernel, l.kernel))
-                self.params[f"{l.id}.w"] = T.Tensor(w)
+                self.params[f"{l.id}.w"] = w.astype(dt)
             elif l.kind == "batchnorm":
-                self.params[f"{l.id}.gamma"] = T.Tensor(np.ones(lw.cout))
-                self.params[f"{l.id}.beta"] = T.Tensor(np.zeros(lw.cout))
+                self.params[f"{l.id}.gamma"] = np.ones(lw.cout, dtype=dt)
+                self.params[f"{l.id}.beta"] = np.zeros(lw.cout, dtype=dt)
                 self.stats[l.id] = T.RunningStats.initial(lw.cout)
             elif l.kind == "linear":
                 w = rng.normal(0.0, np.sqrt(2.0 / lw.cin), (lw.cout, lw.cin))
-                self.params[f"{l.id}.w"] = T.Tensor(w)
-                self.params[f"{l.id}.b"] = T.Tensor(np.zeros(lw.cout))
+                self.params[f"{l.id}.w"] = w.astype(dt)
+                self.params[f"{l.id}.b"] = np.zeros(lw.cout, dtype=dt)
 
     def forward(self, x, train: bool = False,
-                gates: dict[str, T.Tensor] | None = None,
-                tape: T.Tape | None = None) -> T.Tensor:
+                gates: dict[str, np.ndarray] | None = None,
+                tape: T.Tape | None = None) -> np.ndarray:
         """Run the network; returns logits [N, num_classes].
 
         ``gates`` maps gated batch-norm layer ids to per-channel vectors
         applied right after that layer's affine transform.
         """
-        if not isinstance(x, T.Tensor):
-            x = T.Tensor(x)
-        acts: dict[str, T.Tensor] = {}
+        x = np.asarray(x, dtype=T.default_dtype())
+        acts: dict[str, np.ndarray] = {}
 
-        def inp(l: LayerSpec, i: int = 0) -> T.Tensor:
+        def inp(l: LayerSpec, i: int = 0) -> np.ndarray:
             return acts[l.inputs[i]] if l.inputs else x
 
         out = x
@@ -449,35 +449,36 @@ class Model:
 
     # -- parameter access ---------------------------------------------------
 
-    def trainable(self) -> list[tuple[str, T.Tensor]]:
+    def trainable(self) -> list[tuple[str, np.ndarray]]:
         """All learnable parameters in layer order (running stats excluded)."""
         return sorted(self.params.items())
 
     def weight_hash(self) -> str:
         """SHA-256 over every learnable parameter, order-stable."""
         h = hashlib.sha256()
-        for name, t in self.trainable():
+        for name, p in self.trainable():
             h.update(name.encode())
-            h.update(np.ascontiguousarray(t.data).tobytes())
+            h.update(np.ascontiguousarray(p).tobytes())
         return h.hexdigest()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copy of every parameter and running statistic, keyed by name."""
-        out = {name: t.data.copy() for name, t in self.params.items()}
+        out = {name: p.copy() for name, p in self.params.items()}
         for lid, rs in self.stats.items():
             out[f"{lid}.running_mean"] = rs.mean.copy()
             out[f"{lid}.running_var"] = rs.var.copy()
         return out
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Load arrays produced by ``state_arrays`` (strict shape match)."""
-        for name, t in self.params.items():
+        """Load arrays produced by ``state_arrays`` (strict shape match)
+        in place: the parameter arrays keep their identity."""
+        for name, p in self.params.items():
             arr = state[name]
-            if arr.shape != t.data.shape:
+            if arr.shape != p.shape:
                 raise ConfigError(
                     f"parameter {name!r}: stored shape {arr.shape} does not "
-                    f"match model shape {t.data.shape}")
-            t.data = np.asarray(arr, dtype=t.data.dtype).copy()
+                    f"match model shape {p.shape}")
+            p[...] = arr
         for lid, rs in self.stats.items():
             rs.mean = np.asarray(state[f"{lid}.running_mean"],
                                  dtype=rs.mean.dtype).copy()
@@ -487,13 +488,13 @@ class Model:
 
 def evaluate_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
                       batch_size: int = 256,
-                      gates: dict[str, T.Tensor] | None = None) -> float:
+                      gates: dict[str, np.ndarray] | None = None) -> float:
     """Top-1 accuracy in eval mode, batched to bound memory."""
     hits = 0
     for i in range(0, len(images), batch_size):
         logits = model.forward(images[i:i + batch_size], train=False,
                                gates=gates)
-        hits += int((logits.data.argmax(axis=1) == labels[i:i + batch_size]).sum())
+        hits += int((logits.argmax(axis=1) == labels[i:i + batch_size]).sum())
     return hits / max(1, len(images))
 
 

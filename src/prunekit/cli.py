@@ -79,12 +79,23 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return json.loads(json.dumps(asdict(cfg)))
 
 
+def _block(d: dict, name: str, cls) -> dict:
+    """The ``name`` block of a config dict, checked against ``cls``."""
+    block = d[name]
+    if not isinstance(block, dict):
+        raise ConfigError(f"config block {name!r} is not an object")
+    unknown = sorted(set(block) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"config block {name!r} has unknown key(s) "
+                          f"{', '.join(map(repr, unknown))}")
+    return dict(block)
+
+
 def config_from_dict(d: dict) -> PipelineConfig:
     missing = [f.name for f in fields(PipelineConfig) if f.name not in d]
     if missing:
         raise ConfigError(f"config lacks {', '.join(map(repr, missing))}")
-    d = dict(d)
-    sched = dict(d.pop("schedule"))
+    sched = _block(d, "schedule", TR.TrainSchedule)
     sched["milestones"] = tuple(sched.get("milestones", (0.5, 0.75)))
     return PipelineConfig(
         arch=d["arch"], expand=float(d["expand"]), budget=float(d["budget"]),
@@ -94,8 +105,9 @@ def config_from_dict(d: dict) -> PipelineConfig:
         checkpoint_epochs=tuple(int(e) for e in d["checkpoint_epochs"]),
         data_seed=int(d["data_seed"]),
         cifar_val_per_class=int(d["cifar_val_per_class"]),
-        synth=D.SynthSpec(**d["synth"]),
-        importance=G.ImportanceConfig(**d["importance"]),
+        synth=D.SynthSpec(**_block(d, "synth", D.SynthSpec)),
+        importance=G.ImportanceConfig(
+            **_block(d, "importance", G.ImportanceConfig)),
         schedule=TR.TrainSchedule(**sched))
 
 
@@ -261,13 +273,15 @@ def cmd_inspect(record_path, out_dir=None) -> int:
         print(f"failed stage: {record.status.split(':', 1)[1]}")
         return 1
     cfg = config_from_dict(record.config)
-    arch = A.expand_channels(A.preset(cfg.arch), cfg.expand)
-    gated = A.place_gates(arch)
-    widths = A.gated_channel_counts(arch)
-    print("kept channels per gated layer:")
-    for lid, orig, kept in zip(gated, widths,
-                               record.search["kept_counts"]):
-        print(f"  {lid}: {kept}/{orig}")
+    if record.search is None:
+        print("the record holds no structure search")
+    else:
+        arch = A.expand_channels(A.preset(cfg.arch), cfg.expand)
+        print("kept channels per gated layer:")
+        for lid, orig, kept in zip(A.place_gates(arch),
+                                   A.gated_channel_counts(arch),
+                                   record.search["kept_counts"]):
+            print(f"  {lid}: {kept}/{orig}")
     print("gate learning trajectory:")
     for snap in record.snapshots:
         print(f"  epoch {snap['epoch']}: sparsity {snap['sparsity']:.4f}, "

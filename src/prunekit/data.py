@@ -89,6 +89,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.classes < 2:
             raise ConfigError("need at least 2 classes")
+        if self.per_class < 1 or self.channels < 1:
+            raise ConfigError(
+                f"need at least 1 sample per class and 1 channel, got "
+                f"per_class={self.per_class}, channels={self.channels}")
 
 
 def _class_templates(spec: SynthSpec) -> np.ndarray:

@@ -6,7 +6,7 @@ class PruneKitError(Exception):
 
 
 class ShapeError(PruneKitError, ValueError):
-    """Tensor dimensions incompatible with the requested operation."""
+    """Array dimensions incompatible with the requested operation."""
 
 
 class GeometryError(PruneKitError, ValueError):

@@ -11,6 +11,7 @@ update, since the forward pass runs in training mode.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,19 +27,16 @@ PENALTY_KINDS = ("ratio", "l1")
 
 @dataclass
 class GateState:
-    """Per-gated-layer gate vectors plus the optimizer step counter."""
+    """Per-gated-layer gate vectors."""
     lam: list[np.ndarray]
-    step: int = 0
 
     @property
     def sparsity(self) -> float:
         """Element-wise mean of all gates across layers."""
-        total = sum(float(np.sum(v, dtype=np.float64)) for v in self.lam)
-        count = sum(v.size for v in self.lam)
-        return total / count
+        return _mean_gate(self.lam)
 
     def copy(self) -> "GateState":
-        return GateState([v.copy() for v in self.lam], self.step)
+        return GateState([v.copy() for v in self.lam])
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,11 @@ class GateSnapshot:
     gates: GateState
     val_accuracy: float
     epoch: int
-    sparsity: float
     train_loss: float
+
+    @property
+    def sparsity(self) -> float:
+        return self.gates.sparsity
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,18 @@ class ImportanceConfig:
     evals_per_epoch: int = 1
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        if not math.isfinite(self.gamma) or self.gamma < 0:
+            raise ConfigError(
+                f"gamma must be finite and >= 0, got {self.gamma}")
+        if not math.isfinite(self.lr):
+            raise ConfigError(f"lr must be finite, got {self.lr}")
         if not 0.0 < self.target_sparsity <= 1.0:
             raise ConfigError(
                 f"target sparsity must be in (0, 1], got "
                 f"{self.target_sparsity}")
+        if self.batch_size < 1:
+            raise ConfigError(
+                f"batch_size must be >= 1, got {self.batch_size}")
         if self.penalty not in PENALTY_KINDS:
             raise ConfigError(f"penalty must be one of {PENALTY_KINDS}")
         if self.evals_per_epoch < 1:
@@ -85,14 +92,18 @@ def _vectors(gates) -> list[np.ndarray]:
     return list(getattr(gates, "lam", gates))
 
 
+def _mean_gate(gates) -> float:
+    """Element-wise mean of all gates, accumulated in float64."""
+    vectors = _vectors(gates)
+    total = sum(float(np.sum(v, dtype=np.float64)) for v in vectors)
+    return total / sum(v.size for v in vectors)
+
+
 def sparsity_penalty(gates, r: float, kind: str = "ratio") -> float:
     """Squared deviation of the mean gate from ``r`` (kind "ratio"), or
     the normalized l1 mass itself (kind "l1"). All gates are in [0,1],
     so the l1 norm is a plain sum. Accumulated in float64."""
-    vectors = _vectors(gates)
-    total = sum(float(np.sum(v, dtype=np.float64)) for v in vectors)
-    count = sum(v.size for v in vectors)
-    mean = total / count
+    mean = _mean_gate(gates)
     if kind == "l1":
         return mean
     return (mean - r) ** 2
@@ -107,8 +118,7 @@ def sparsity_penalty_grad(gates, r: float,
     if kind == "l1":
         g = 1.0 / count
     else:
-        total = sum(float(np.sum(v, dtype=np.float64)) for v in vectors)
-        g = 2.0 * (total / count - r) / count
+        g = 2.0 * (_mean_gate(vectors) - r) / count
     return [np.full_like(v, g) for v in vectors]
 
 
@@ -126,26 +136,6 @@ def init_gates(model: Model) -> GateState:
     return GateState(lam)
 
 
-def as_gate_dict(model: Model, gates) -> dict[str, T.Tensor]:
-    """Wrap gate vectors as tensors keyed by gated layer id."""
-    vectors = _vectors(gates)
-    ids = model.gated_ids
-    if len(vectors) != len(ids):
-        raise ConfigError(
-            f"{len(vectors)} gate vectors for {len(ids)} gated layers")
-    return {lid: T.Tensor(v) for lid, v in zip(ids, vectors)}
-
-
-def objective(model: Model, images: np.ndarray, labels: np.ndarray,
-              gates, gamma: float, r: float, kind: str = "ratio",
-              train: bool = False) -> float:
-    """Classification loss plus weighted sparsity penalty, as a float."""
-    logits = model.forward(images, train=train, gates=as_gate_dict(model,
-                                                                   gates))
-    ce = T.cross_entropy(logits, labels)
-    return float(ce) + gamma * sparsity_penalty(gates, r, kind)
-
-
 def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
                              cfg: ImportanceConfig,
                              seed: int) -> list[GateSnapshot]:
@@ -160,24 +150,23 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
     if val.split == "test" or train.split == "test":
         raise ConfigError("importance learning must not touch the test split")
     state = init_gates(model)
-    gate_ts = [T.Tensor(v, requires_grad=True) for v in state.lam]
-    gate_map = dict(zip(model.gated_ids, gate_ts))
+    # one set of arrays: forward gates, backward targets, updated in place
+    gate_map = dict(zip(model.gated_ids, state.lam))
     m = [np.zeros_like(v) for v in state.lam]
     v2 = [np.zeros_like(v) for v in state.lam]
     snapshots: list[GateSnapshot] = []
     n = len(train)
     steps_per_epoch = max(1, (n + cfg.batch_size - 1) // cfg.batch_size)
     eval_every = max(1, steps_per_epoch // cfg.evals_per_epoch)
+    step = 0
 
     epoch_ce = [0.0, 0]  # running (sum, count) of batch losses
 
     def take_snapshot(epoch: int) -> None:
         acc = evaluate_accuracy(model, val.images, val.labels,
-                                gates=as_gate_dict(model, state))
-        snap = state.copy()
+                                gates=gate_map)
         mean_ce = epoch_ce[0] / max(1, epoch_ce[1])
-        snapshots.append(GateSnapshot(snap, acc, epoch, snap.sparsity,
-                                      mean_ce))
+        snapshots.append(GateSnapshot(state.copy(), acc, epoch, mean_ce))
 
     for epoch in range(1, cfg.epochs + 1):
         order = derive_rng(seed, "gate-shuffle", str(epoch)).permutation(n)
@@ -191,30 +180,22 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
                 logits = model.forward(train.images[idx], train=True,
                                        gates=gate_map, tape=tape)
                 ce = T.cross_entropy(logits, train.labels[idx], tape=tape)
-                grads = tape.backward(ce, gate_ts)
+                grads = tape.backward(ce, state.lam)
             except NonFiniteError as e:
                 raise DivergenceError(
-                    f"non-finite loss at step {state.step}: {e}",
-                    step=state.step) from e
-            loss = float(ce) + cfg.gamma * sparsity_penalty(
-                state, cfg.target_sparsity, cfg.penalty)
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at step {state.step}",
-                    step=state.step)
+                    f"non-finite loss at step {step}: {e}", step=step) from e
             epoch_ce[0] += float(ce)
             epoch_ce[1] += 1
             pen = sparsity_penalty_grad(state, cfg.target_sparsity,
                                         cfg.penalty)
-            state.step += 1
-            t = state.step
-            for j, gt in enumerate(gate_ts):
-                g = grads[gt] + cfg.gamma * pen[j]
+            step += 1
+            for j, v in enumerate(state.lam):
+                g = grads[j] + cfg.gamma * pen[j]
                 m[j] = cfg.beta1 * m[j] + (1 - cfg.beta1) * g
                 v2[j] = cfg.beta2 * v2[j] + (1 - cfg.beta2) * g * g
-                mhat = m[j] / (1 - cfg.beta1 ** t)
-                vhat = v2[j] / (1 - cfg.beta2 ** t)
-                gt.data -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+                mhat = m[j] / (1 - cfg.beta1 ** step)
+                vhat = v2[j] / (1 - cfg.beta2 ** step)
+                v -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
             project_gates(state)
             if cfg.evals_per_epoch > 1 and (b + 1) % eval_every == 0 \
                     and b + 1 < steps_per_epoch:

@@ -1,4 +1,4 @@
-"""Dense tensors with reverse-mode differentiation on an explicit tape.
+"""Reverse-mode differentiation of numpy arrays on an explicit tape.
 
 The operator set is the minimum needed for small convolutional
 classifiers: conv2d (dense and depthwise), batch norm,
@@ -6,10 +6,12 @@ channel gating, ReLU, average pooling, global average pooling, linear,
 residual add, and label-smoothed cross-entropy. Convolution uses im2col
 with plain numpy matmul; correctness wins over throughput.
 
-Gradients are requested explicitly: run ops with a ``Tape``, then call
-``tape.backward(loss, targets)`` to obtain ``{tensor: gradient}`` for
-exactly the requested targets. Tensors never store gradients, so
-parameters that are not targets are guaranteed untouched by backward.
+Ops take and return plain ``np.ndarray``. Run them with a ``Tape``,
+then call ``tape.backward(loss, targets)`` for one gradient per target,
+in target order: the targets alone decide what is differentiated, and
+backward modifies no array. The tape keys values by identity, so every
+op returns a new array, and an array on a tape must not be modified in
+place before ``backward`` runs.
 
 Every op validates that its output is finite; NaN/Inf raises
 ``NonFiniteError``.
@@ -35,7 +37,7 @@ _DEFAULT_DTYPE: type = np.float32
 
 
 def set_default_dtype(dtype) -> None:
-    """Set the dtype for newly created tensors (float32 or float64)."""
+    """Set the dtype for new parameters and inputs (float32 or float64)."""
     global _DEFAULT_DTYPE
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -47,45 +49,6 @@ def default_dtype() -> type:
     return _DEFAULT_DTYPE
 
 
-class Tensor:
-    """Dense n-d array plus a ``requires_grad`` flag.
-
-    ``data`` is held as-is when the dtype already matches, so optimizers
-    may update parameters in place through ``.data``.
-    """
-
-    __slots__ = ("data", "requires_grad")
-
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
-        self.requires_grad = bool(requires_grad)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
-    __float__ = item
-
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
-
 # Backward closure: (upstream_grad, needs) -> per-input gradients, None
 # where the matching input does not need one.
 BackwardFn = Callable[[np.ndarray, tuple[bool, ...]], tuple]
@@ -94,8 +57,8 @@ BackwardFn = Callable[[np.ndarray, tuple[bool, ...]], tuple]
 @dataclass
 class TapeNode:
     op: str
-    inputs: tuple[Tensor, ...]
-    output: Tensor
+    inputs: tuple[np.ndarray, ...]
+    output: np.ndarray
     backward: BackwardFn
 
 
@@ -103,38 +66,43 @@ class Tape:
     """Ordered record of differentiable operations.
 
     Nodes are appended in execution order, which is a topological order
-    of the graph by construction. ``backward`` walks the list once, in
-    reverse, accumulating gradients in a table keyed by output identity.
+    of the graph by construction. ``backward`` walks the list once
+    forward, marking every value a target flows into, then once in
+    reverse, accumulating gradients in a table keyed by value identity.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
 
-    def record(self, op: str, inputs: tuple[Tensor, ...], output: Tensor,
-               backward: BackwardFn) -> None:
+    def record(self, op: str, inputs: tuple[np.ndarray, ...],
+               output: np.ndarray, backward: BackwardFn) -> None:
         self.nodes.append(TapeNode(op, inputs, output, backward))
 
-    def backward(self, loss: Tensor, targets: Sequence[Tensor]) -> dict[Tensor, np.ndarray]:
-        """Return ``{t: dloss/dt}`` for every tensor in ``targets``.
+    def backward(self, loss: np.ndarray,
+                 targets: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Return ``[dloss/dt for t in targets]``.
 
         ``loss`` must be a scalar produced on this tape. Targets the loss
-        does not depend on receive a zero gradient. No tensor outside the
-        returned map is mutated or annotated.
+        does not depend on receive a zero gradient. A node's backward
+        closure is asked only for the inputs a target flows into.
         """
         if loss.size != 1:
             raise GraphError(f"loss must be scalar, got shape {loss.shape}")
         if not any(node.output is loss for node in self.nodes):
             raise GraphError("loss was not produced on this tape")
 
-        table: dict[int, np.ndarray] = {
-            id(loss): np.ones_like(loss.data)
-        }
-        for node in reversed(self.nodes):
+        marked = {id(t) for t in targets}
+        needs_of = []
+        for node in self.nodes:
+            needs = tuple(id(t) in marked for t in node.inputs)
+            if any(needs):
+                marked.add(id(node.output))
+            needs_of.append(needs)
+
+        table: dict[int, np.ndarray] = {id(loss): np.ones_like(loss)}
+        for node, needs in zip(reversed(self.nodes), reversed(needs_of)):
             gout = table.get(id(node.output))
-            if gout is None:
-                continue
-            needs = tuple(t.requires_grad for t in node.inputs)
-            if not any(needs):
+            if gout is None or not any(needs):
                 continue
             gins = node.backward(gout, needs)
             for tin, gin, need in zip(node.inputs, gins, needs):
@@ -145,17 +113,14 @@ class Tape:
                     table[key] = table[key] + gin
                 else:
                     table[key] = gin
-        return {t: table.get(id(t), np.zeros_like(t.data)) for t in targets}
+        return [table.get(id(t), np.zeros_like(t)) for t in targets]
 
 
-def _emit(tape: Tape | None, op: str, inputs: tuple[Tensor, ...],
-          data: np.ndarray, backward: BackwardFn) -> Tensor:
-    if not np.isfinite(data).all():
+def _emit(tape: Tape | None, op: str, inputs: tuple[np.ndarray, ...],
+          out: np.ndarray, backward: BackwardFn) -> np.ndarray:
+    if not np.isfinite(out).all():
         raise NonFiniteError(f"non-finite values in output of {op}")
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    if tape is not None and out.requires_grad:
+    if tape is not None:
         tape.record(op, inputs, out, backward)
     return out
 
@@ -191,8 +156,8 @@ def _scatter_windows(shape, grad_win_fn, kh, kw, sh, sw, ho, wo, ph, pw, h, w):
     return dxp[:, :, ph:ph + h, pw:pw + w]
 
 
-def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, groups: int = 1,
-           tape: Tape | None = None) -> Tensor:
+def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
+           groups: int = 1, tape: Tape | None = None) -> np.ndarray:
     """2-d cross-correlation of [N,Cin,H,W] with [Cout,Cin/groups,kh,kw].
 
     Differentiable w.r.t. both input and weight. Two forms exist: dense
@@ -217,10 +182,10 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, groups: int = 1,
             f"conv2d output {ho}x{wo} non-positive for input {h}x{wd}, "
             f"kernel {kh}x{kw}, stride {sh}x{sw}, padding {ph}x{pw}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
 
     if groups == cin == cout:
-        wsq = w.data[:, 0]  # [C, kh, kw]
+        wsq = w[:, 0]  # [C, kh, kw]
         win = _windows(xp, kh, kw, sh, sw)
         out = np.einsum("nchwij,cij->nchw", win, wsq, optimize=True)
 
@@ -241,7 +206,7 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, groups: int = 1,
     win = _windows(xp, kh, kw, sh, sw)
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
     cols = cols.reshape(n, ho * wo, -1)
-    wm = w.data.reshape(cout, -1)
+    wm = w.reshape(cout, -1)
     out = (cols @ wm.T).transpose(0, 2, 1).reshape(n, cout, ho, wo)
 
     def bwd(gout, needs):
@@ -278,9 +243,9 @@ class RunningStats:
         return RunningStats(self.mean.copy(), self.var.copy())
 
 
-def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
-              train: bool, momentum: float = 0.1, eps: float = 1e-5,
-              tape: Tape | None = None) -> Tensor:
+def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+              running: RunningStats, train: bool, momentum: float = 0.1,
+              eps: float = 1e-5, tape: Tape | None = None) -> np.ndarray:
     """Per-channel batch normalization with affine transform.
 
     Train mode normalizes by biased batch statistics and updates
@@ -298,8 +263,8 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
     if train:
         if x.shape[0] == 0:
             raise StatsError("batch statistics over an empty batch")
-        mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mu = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
         running.mean += momentum * (mu.astype(running.mean.dtype) - running.mean)
         running.var += momentum * (var.astype(running.var.dtype) - running.var)
     else:
@@ -307,8 +272,8 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
         var = running.var.astype(x.dtype)
 
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[None, :, None, None]) * invstd[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat = (x - mu[None, :, None, None]) * invstd[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
 
     def bwd(gout, needs):
         dx = dgamma = dbeta = None
@@ -317,7 +282,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
         if needs[2]:
             dbeta = gout.sum(axis=(0, 2, 3))
         if needs[0]:
-            dxhat = gout * gamma.data[None, :, None, None]
+            dxhat = gout * gamma[None, :, None, None]
             if train:
                 m1 = dxhat.mean(axis=(0, 2, 3), keepdims=True)
                 m2 = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
@@ -329,16 +294,17 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
     return _emit(tape, "batchnorm", (x, gamma, beta), out, bwd)
 
 
-def gate_modulate(x: Tensor, gates: Tensor, tape: Tape | None = None) -> Tensor:
+def gate_modulate(x: np.ndarray, gates: np.ndarray,
+                  tape: Tape | None = None) -> np.ndarray:
     """Scale each channel of [N,C,H,W] by the matching entry of ``gates``."""
     if x.ndim != 4 or gates.ndim != 1 or gates.shape[0] != x.shape[1]:
         raise ShapeError(
             f"gates of shape {gates.shape} do not match input channels {x.shape}")
-    out = x.data * gates.data[None, :, None, None]
+    out = x * gates[None, :, None, None]
 
     def bwd(gout, needs):
-        dx = gout * gates.data[None, :, None, None] if needs[0] else None
-        dg = np.einsum("nchw,nchw->c", gout, x.data, optimize=True) \
+        dx = gout * gates[None, :, None, None] if needs[0] else None
+        dg = np.einsum("nchw,nchw->c", gout, x, optimize=True) \
             if needs[1] else None
         return dx, dg
 
@@ -348,16 +314,16 @@ def gate_modulate(x: Tensor, gates: Tensor, tape: Tape | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 # pointwise, pooling, linear
 
-def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    out = np.maximum(x.data, 0)
+def relu(x: np.ndarray, tape: Tape | None = None) -> np.ndarray:
+    out = np.maximum(x, 0)
 
     def bwd(gout, needs):
-        return (gout * (x.data > 0),) if needs[0] else (None,)
+        return (gout * (x > 0),) if needs[0] else (None,)
 
     return _emit(tape, "relu", (x,), out, bwd)
 
 
-def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+def add(a: np.ndarray, b: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     """Elementwise sum of two same-shape tensors (residual join)."""
     if a.shape != b.shape:
         raise ShapeError(f"add requires equal shapes, got {a.shape} vs {b.shape}")
@@ -365,10 +331,11 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     def bwd(gout, needs):
         return (gout if needs[0] else None, gout if needs[1] else None)
 
-    return _emit(tape, "add", (a, b), a.data + b.data, bwd)
+    return _emit(tape, "add", (a, b), a + b, bwd)
 
 
-def avg_pool2d(x: Tensor, kernel, stride=None, tape: Tape | None = None) -> Tensor:
+def avg_pool2d(x: np.ndarray, kernel, stride=None,
+               tape: Tape | None = None) -> np.ndarray:
     """Average pooling without padding; stride defaults to the kernel."""
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects 4-d input, got {x.shape}")
@@ -379,7 +346,7 @@ def avg_pool2d(x: Tensor, kernel, stride=None, tape: Tape | None = None) -> Tens
         raise GeometryError(f"pool kernel {kh}x{kw} exceeds input {h}x{w}")
     ho = (h - kh) // sh + 1
     wo = (w - kw) // sw + 1
-    win = _windows(x.data, kh, kw, sh, sw)
+    win = _windows(x, kh, kw, sh, sw)
     out = win.mean(axis=(4, 5))
     scale = 1.0 / (kh * kw)
 
@@ -387,7 +354,7 @@ def avg_pool2d(x: Tensor, kernel, stride=None, tape: Tape | None = None) -> Tens
         if not needs[0]:
             return (None,)
         dx = _scatter_windows(
-            x.data.shape,
+            x.shape,
             lambda i, j: gout * scale,
             kh, kw, sh, sw, ho, wo, 0, 0, h, w)
         return (dx,)
@@ -395,12 +362,12 @@ def avg_pool2d(x: Tensor, kernel, stride=None, tape: Tape | None = None) -> Tens
     return _emit(tape, "avg_pool2d", (x,), out, bwd)
 
 
-def global_avg_pool(x: Tensor, tape: Tape | None = None) -> Tensor:
+def global_avg_pool(x: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     """Spatial mean of [N,C,H,W], returned as [N,C]."""
     if x.ndim != 4:
         raise ShapeError(f"global_avg_pool expects 4-d input, got {x.shape}")
     n, c, h, w = x.shape
-    out = x.data.mean(axis=(2, 3))
+    out = x.mean(axis=(2, 3))
 
     def bwd(gout, needs):
         if not needs[0]:
@@ -410,29 +377,30 @@ def global_avg_pool(x: Tensor, tape: Tape | None = None) -> Tensor:
     return _emit(tape, "global_avg_pool", (x,), out, bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+           tape: Tape | None = None) -> np.ndarray:
     """Affine map of [N,F] by weight [out,F] and bias [out]."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear shapes incompatible: {x.shape} vs {w.shape}")
     if b.shape != (w.shape[0],):
         raise ShapeError(f"bias must have shape ({w.shape[0]},), got {b.shape}")
-    out = x.data @ w.data.T + b.data
+    out = x @ w.T + b
 
     def bwd(gout, needs):
-        dx = gout @ w.data if needs[0] else None
-        dw = gout.T @ x.data if needs[1] else None
+        dx = gout @ w if needs[0] else None
+        dw = gout.T @ x if needs[1] else None
         db = gout.sum(axis=0) if needs[2] else None
         return dx, dw, db
 
     return _emit(tape, "linear", (x, w, b), out, bwd)
 
 
-def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
+def sum_all(x: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     """Sum of all elements, as a scalar tensor."""
-    out = np.asarray(x.data.sum(), dtype=x.dtype)
+    out = np.asarray(x.sum(), dtype=x.dtype)
 
     def bwd(gout, needs):
-        return (np.full_like(x.data, gout),) if needs[0] else (None,)
+        return (np.full_like(x, gout),) if needs[0] else (None,)
 
     return _emit(tape, "sum_all", (x,), out, bwd)
 
@@ -440,8 +408,9 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 # loss
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0,
-                  tape: Tape | None = None) -> Tensor:
+def cross_entropy(logits: np.ndarray, labels: np.ndarray,
+                  smoothing: float = 0.0,
+                  tape: Tape | None = None) -> np.ndarray:
     """Mean cross-entropy of [N,K] logits against integer labels.
 
     Stabilized by max subtraction. With ``smoothing`` > 0 the target
@@ -461,7 +430,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0,
     if not 0.0 <= smoothing < 1.0:
         raise ShapeError(f"smoothing must be in [0, 1), got {smoothing}")
 
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     rows = np.arange(n)
     nll = -logp[rows, labels]

@@ -167,10 +167,8 @@ def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
         if split not in data:
             raise ConfigError(f"missing data split {split!r}")
     train, val, test = data["train"], data["val"], data["test"]
-    tensors = [t for _, t in model.trainable()]
-    for t in tensors:
-        t.requires_grad = True
-    vel = [np.zeros_like(t.data) for t in tensors]
+    params = [p for _, p in model.trainable()]
+    vel = [np.zeros_like(p) for p in params]
     total = schedule.epochs
     losses: list[float] = []
     accs: list[float] = []
@@ -179,43 +177,38 @@ def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
     t0 = time.perf_counter()
     if checkpoint_sink is not None:
         checkpoint_sink(0, model)
-    try:
-        for epoch in range(total):
-            lr = epoch_lr(schedule, epoch, total)
-            order = derive_rng(seed, "scratch-shuffle",
-                               str(epoch)).permutation(len(train.images))
-            aug_rng = derive_rng(seed, "scratch-augment", str(epoch))
-            loss_sum = 0.0
-            seen = 0
-            for i in range(0, len(order), schedule.batch_size):
-                idx = order[i:i + schedule.batch_size]
-                xb = train.images[idx]
-                if schedule.augment:
-                    xb = augment_batch(xb, aug_rng)
-                tape = T.Tape()
-                try:
-                    logits = model.forward(xb, train=True, tape=tape)
-                    loss = T.cross_entropy(logits, train.labels[idx],
-                                           schedule.label_smoothing, tape)
-                except NonFiniteError as exc:
-                    raise DivergenceError(str(exc), step=step) from exc
-                lval = loss.item()
-                grads = tape.backward(loss, tensors)
-                step += 1
-                for j, t in enumerate(tensors):
-                    g = grads[t] + schedule.weight_decay * t.data
-                    vel[j] = schedule.momentum * vel[j] + g
-                    t.data -= lr * vel[j]
-                loss_sum += lval * len(idx)
-                seen += len(idx)
-            losses.append(loss_sum / seen)
-            accs.append(A.evaluate_accuracy(model, val.images, val.labels))
-            lrs.append(lr)
-            if checkpoint_sink is not None:
-                checkpoint_sink(epoch + 1, model)
-    finally:
-        for t in tensors:
-            t.requires_grad = False
+    for epoch in range(total):
+        lr = epoch_lr(schedule, epoch, total)
+        order = derive_rng(seed, "scratch-shuffle",
+                           str(epoch)).permutation(len(train.images))
+        aug_rng = derive_rng(seed, "scratch-augment", str(epoch))
+        loss_sum = 0.0
+        seen = 0
+        for i in range(0, len(order), schedule.batch_size):
+            idx = order[i:i + schedule.batch_size]
+            xb = train.images[idx]
+            if schedule.augment:
+                xb = augment_batch(xb, aug_rng)
+            tape = T.Tape()
+            try:
+                logits = model.forward(xb, train=True, tape=tape)
+                loss = T.cross_entropy(logits, train.labels[idx],
+                                       schedule.label_smoothing, tape)
+            except NonFiniteError as exc:
+                raise DivergenceError(str(exc), step=step) from exc
+            grads = tape.backward(loss, params)
+            step += 1
+            for j, p in enumerate(params):
+                g = grads[j] + schedule.weight_decay * p
+                vel[j] = schedule.momentum * vel[j] + g
+                p -= lr * vel[j]
+            loss_sum += float(loss) * len(idx)
+            seen += len(idx)
+        losses.append(loss_sum / seen)
+        accs.append(A.evaluate_accuracy(model, val.images, val.labels))
+        lrs.append(lr)
+        if checkpoint_sink is not None:
+            checkpoint_sink(epoch + 1, model)
     test_acc = A.evaluate_accuracy(model, test.images, test.labels)
     return TrainReport(seed=seed, train_loss=tuple(losses),
                        val_accuracy=tuple(accs), lr=tuple(lrs),

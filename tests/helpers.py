@@ -10,12 +10,13 @@ import zlib
 
 import numpy as np
 
+from prunekit import gates as G
 from prunekit import tensor as T
 
 
 @contextlib.contextmanager
 def float64_mode():
-    """Run the enclosed block with float64 default tensors.
+    """Run the enclosed block with float64 as the default dtype.
 
     Finite-difference checks need more mantissa than float32 offers; the
     code path under test is identical in both dtypes.
@@ -28,13 +29,14 @@ def float64_mode():
         T.set_default_dtype(old)
 
 
-def numeric_grad(loss_fn, tensor, h=1e-5):
-    """Central-difference gradient of ``loss_fn()`` w.r.t. ``tensor.data``.
+def numeric_grad(loss_fn, array, h=1e-5):
+    """Central-difference gradient of ``loss_fn()`` w.r.t. ``array``.
 
     ``loss_fn`` must recompute the loss from scratch on every call; the
-    tensor is perturbed in place one element at a time and restored.
+    array is perturbed in place one element at a time and restored.
     """
-    flat = tensor.data.reshape(-1)
+    flat = array.reshape(-1)
+    assert np.shares_memory(flat, array), "array must be contiguous"
     g = np.zeros(flat.shape, dtype=np.float64)
     for i in range(flat.size):
         orig = flat[i]
@@ -44,7 +46,19 @@ def numeric_grad(loss_fn, tensor, h=1e-5):
         fm = float(loss_fn())
         flat[i] = orig
         g[i] = (fp - fm) / (2.0 * h)
-    return g.reshape(tensor.data.shape)
+    return g.reshape(array.shape)
+
+
+def objective(model, images, labels, gates, gamma, r, kind="ratio",
+              train=False):
+    """Classification loss plus weighted sparsity penalty, as a float.
+
+    ``gates`` holds one vector per gated layer, in ``model.gated_ids``
+    order."""
+    logits = model.forward(images, train=train,
+                           gates=dict(zip(model.gated_ids, gates)))
+    return (float(T.cross_entropy(logits, labels))
+            + gamma * G.sparsity_penalty(gates, r, kind))
 
 
 def rel_err(a, b):

@@ -24,7 +24,7 @@ from prunekit import train as TR
 from prunekit.errors import FormatError
 
 from helpers import (float64_mode, model_flops_oracle, numeric_grad,
-                     pearson_oracle, random_config, rel_err)
+                     objective, pearson_oracle, random_config, rel_err)
 
 
 @contextlib.contextmanager
@@ -86,20 +86,19 @@ def test_criterion_01_gate_gradients():
             y = rng.integers(0, 3, 4)
             for _setting in range(10):
                 lam = [rng.random(4), rng.random(5)]
-                gate_ts = [T.Tensor(v, requires_grad=True) for v in lam]
-                gmap = dict(zip(model.gated_ids, gate_ts))
+                gmap = dict(zip(model.gated_ids, lam))
                 tape = T.Tape()
                 logits = model.forward(x, train=False, gates=gmap, tape=tape)
                 ce = T.cross_entropy(logits, y, tape=tape)
-                grads = tape.backward(ce, gate_ts)
+                grads = tape.backward(ce, lam)
                 pen = G.sparsity_penalty_grad(lam, r)
 
                 def loss_fn():
-                    return G.objective(model, x, y, lam, gamma, r)
+                    return objective(model, x, y, lam, gamma, r)
 
-                for j, gt in enumerate(gate_ts):
-                    fd = numeric_grad(loss_fn, gt)
-                    err = rel_err(grads[gt] + gamma * pen[j], fd)
+                for j, v in enumerate(lam):
+                    fd = numeric_grad(loss_fn, v)
+                    err = rel_err(grads[j] + gamma * pen[j], fd)
                     worst = max(worst, err)
                     assert err < 1e-4
             assert model.weight_hash() == frozen
@@ -193,13 +192,13 @@ def test_criterion_05_masked_equals_sliced():
             config = A.ChannelConfig(tuple(indices))
             gates = {}
             for lid, c, kept in zip(A.place_gates(arch), widths, indices):
-                v = np.zeros(c)
+                v = np.zeros(c, dtype=T.default_dtype())
                 v[list(kept)] = 1.0
-                gates[lid] = T.Tensor(v)
+                gates[lid] = v
             sliced = TR.lottery_model(full, config)
             x = rng.normal(size=(10, *arch.input_shape))
-            masked = full.forward(x, train=False, gates=gates).data
-            direct = sliced.forward(x, train=False).data
+            masked = full.forward(x, train=False, gates=gates)
+            direct = sliced.forward(x, train=False)
             worst = max(worst, float(np.max(np.abs(masked - direct))))
         assert worst < 1e-5
         notes.append(f"max logit gap {worst:.2e} across presets")

@@ -164,6 +164,17 @@ def test_smallest_study_is_random_only():
     assert set(bundle.accuracies) == {"s0:rand", "s1:rand"}
 
 
+def test_study_rejects_full_budget_before_training(monkeypatch):
+    # at budget 1.0 every keep ratio is 1, so the correlations would fail
+    # on zero variance only after every run had trained
+    def no_training(*args, **kwargs):
+        raise AssertionError("the study trained before rejecting the budget")
+    monkeypatch.setattr(TR, "fit", no_training)
+    kwargs = dict(tiny_study_kwargs(), budget_ratio=1.0)
+    with pytest.raises(ConfigError, match="budget_ratio"):
+        AN.run_pretrain_effect_study(checkpoint_epochs=[2], **kwargs)
+
+
 @pytest.fixture(scope="module")
 def small_bundle():
     return AN.run_pretrain_effect_study(checkpoint_epochs=[2],

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from prunekit import arch as A
-from prunekit import tensor as T
 from prunekit.errors import ArchError, ConfigError
 
 from helpers import model_flops_oracle, random_config
@@ -286,7 +285,7 @@ def test_generate_model_same_seed_bitwise_identical(any_arch):
     m2 = A.Model(any_arch, None, seed=11)
     for (n1, t1), (n2, t2) in zip(m1.trainable(), m2.trainable()):
         assert n1 == n2
-        assert t1.data.tobytes() == t2.data.tobytes()
+        assert t1.tobytes() == t2.tobytes()
     m3 = A.Model(any_arch, None, seed=12)
     assert m3.weight_hash() != m1.weight_hash()
 
@@ -309,27 +308,30 @@ def test_state_round_trip(any_arch):
     m1 = A.Model(any_arch, None, seed=5)
     state = m1.state_arrays()
     m2 = A.Model(any_arch, None, seed=6)
+    arrays = dict(m2.params)
     m2.load_state(state)
     assert m1.weight_hash() == m2.weight_hash()
+    # loaded in place: the parameter arrays keep their identity
+    assert all(m2.params[name] is p for name, p in arrays.items())
     x = np.random.default_rng(1).standard_normal(
         (2,) + tuple(any_arch.input_shape)).astype(np.float32)
-    assert np.array_equal(m1.forward(x).data, m2.forward(x).data)
+    assert np.array_equal(m1.forward(x), m2.forward(x))
 
 
 def test_gate_dict_applies_to_forward():
     arch = A.preset("vgg-small")
     model = A.Model(arch, None, seed=2)
     widths = A.gated_channel_counts(arch)
-    ones = {lid: T.Tensor(np.ones(c))
+    ones = {lid: np.ones(c, dtype=np.float32)
             for lid, c in zip(model.gated_ids, widths)}
     x = np.random.default_rng(2).standard_normal((2, 3, 8, 8)).astype(
         np.float32)
-    base = model.forward(x).data
-    gated = model.forward(x, gates=ones).data
+    base = model.forward(x)
+    gated = model.forward(x, gates=ones)
     assert np.allclose(base, gated, atol=1e-6)
-    zeros = {lid: T.Tensor(np.zeros(c))
+    zeros = {lid: np.zeros(c, dtype=np.float32)
              for lid, c in zip(model.gated_ids, widths)}
-    dead = model.forward(x, gates=zeros).data
+    dead = model.forward(x, gates=zeros)
     # killing every gated channel collapses logits to the classifier bias
     assert np.allclose(dead, dead[0], atol=1e-6)
 
@@ -339,7 +341,7 @@ def test_evaluate_accuracy_perfect_and_chance():
     model = A.Model(arch, None, seed=0)
     x = np.random.default_rng(3).standard_normal((30, 3, 8, 8)).astype(
         np.float32)
-    logits = model.forward(x).data
+    logits = model.forward(x)
     labels = logits.argmax(axis=1)
     assert A.evaluate_accuracy(model, x, labels, batch_size=7) == 1.0
     wrong = (labels + 1) % arch.num_classes

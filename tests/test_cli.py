@@ -74,6 +74,24 @@ def test_config_validation():
         CLI.resolve_config(flag_overrides={"seeds": []})
 
 
+@pytest.mark.parametrize("overrides", [
+    {"importance": {"batch_size": 0}},
+    {"synth": {"per_class": 0}},
+    {"synth": {"channels": 0}},
+], ids=["gate-batch-0", "per-class-0", "channels-0"])
+def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
+                                                overrides):
+    # each used to pass validation and die mid-run in a ZeroDivisionError
+    with pytest.raises(ConfigError):
+        tiny_config(tmp_path, **overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY, out=str(tmp_path / "runs"),
+                                    **overrides)))
+    assert CLI.main(["prune", "--config", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_flag_parsing_maps_to_config(tmp_path):
     parser = CLI.build_parser()
     args = parser.parse_args([
@@ -204,6 +222,35 @@ def test_inspect_malformed_record_exits_nonzero(tmp_path, capsys, content,
     err = capsys.readouterr().err
     assert "error:" in err
     assert named in err
+
+
+def test_inspect_record_without_search(tmp_path, capsys):
+    # a train-baseline record is completed but holds no structure search
+    CLI.cmd_train_baseline(tiny_config(tmp_path, checkpoint_epochs=[1]))
+    capsys.readouterr()
+    record_path = tmp_path / "baseline_s0.pkrun"
+    assert CLI.main(["inspect", str(record_path),
+                     "--out", str(tmp_path / "views")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("run seed=0 status=completed")
+    assert "no structure search" in out
+    curve = (tmp_path / "views" / "baseline_s0_curve0.csv").read_text()
+    record = D.load_run(record_path)
+    assert curve == TR.report_csv(
+        TR.report_from_dict(record.train_reports[0]))
+
+
+@pytest.mark.parametrize("block", ["synth", "importance", "schedule"])
+def test_inspect_rejects_unknown_config_key(tmp_path, capsys, block):
+    config = CLI.config_to_dict(tiny_config(tmp_path))
+    config[block]["bogus"] = 1
+    bad = tmp_path / "bad.pkrun"
+    D.save_run(D.RunRecord(config=config, seed=0, tool_version="0").seal(),
+               bad)
+    assert CLI.main(["inspect", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(block) in err and "'bogus'" in err
 
 
 # ---------------------------------------------------------------------------

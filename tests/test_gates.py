@@ -9,7 +9,7 @@ from prunekit import gates as G
 from prunekit import tensor as T
 from prunekit.errors import ConfigError, DivergenceError
 
-from helpers import float64_mode, numeric_grad, rel_err
+from helpers import float64_mode, numeric_grad, objective, rel_err
 
 
 def two_conv_arch(c1=4, c2=5, classes=3):
@@ -91,6 +91,13 @@ def test_penalty_l1_kind():
     assert np.allclose(grad[0], 0.25) and np.allclose(grad[1], 0.25)
 
 
+@pytest.mark.parametrize("field", ["gamma", "lr"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_config_rejects_non_finite_gamma_and_lr(field, value):
+    with pytest.raises(ConfigError, match=field):
+        G.ImportanceConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # projection
 
@@ -133,24 +140,23 @@ def test_gate_gradients_match_finite_differences(train_mode):
         backup = {k: rs.copy() for k, rs in model.stats.items()}
         for trial in range(3):
             lam = [rng.random(4), rng.random(5)]
-            gate_ts = [T.Tensor(v, requires_grad=True) for v in lam]
-            gmap = dict(zip(model.gated_ids, gate_ts))
+            gmap = dict(zip(model.gated_ids, lam))
             tape = T.Tape()
             logits = model.forward(x, train=train_mode, gates=gmap,
                                    tape=tape)
             ce = T.cross_entropy(logits, y, tape=tape)
             restore_stats(model, backup)
-            grads = tape.backward(ce, gate_ts)
+            grads = tape.backward(ce, lam)
             pen = G.sparsity_penalty_grad(lam, r)
-            analytic = [grads[t] + gamma * p for t, p in zip(gate_ts, pen)]
+            analytic = [g + gamma * p for g, p in zip(grads, pen)]
 
-            for j, gt in enumerate(gate_ts):
+            for j, v in enumerate(lam):
                 def loss_fn():
-                    out = G.objective(model, x, y, lam, gamma, r,
-                                      train=train_mode)
+                    out = objective(model, x, y, lam, gamma, r,
+                                    train=train_mode)
                     restore_stats(model, backup)
                     return out
-                fd = numeric_grad(loss_fn, gt)
+                fd = numeric_grad(loss_fn, v)
                 assert rel_err(analytic[j], fd) < 1e-6
 
 
@@ -257,7 +263,7 @@ def test_learning_is_deterministic():
 
 def snap(sparsity, acc, epoch):
     return G.GateSnapshot(G.GateState([np.full(4, sparsity)]), acc, epoch,
-                          sparsity, train_loss=1.0)
+                          train_loss=1.0)
 
 
 def test_select_singleton():
