@@ -252,14 +252,6 @@ def matrix_csv(matrix: SimilarityMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix_csv(text: str) -> SimilarityMatrix:
-    lines = text.strip().split("\n")
-    labels = tuple(lines[0].split(",")[1:])
-    values = np.array([[float(v) for v in line.split(",")[1:]]
-                       for line in lines[1:]])
-    return SimilarityMatrix(labels, values)
-
-
 def emit_report(bundle: StudyBundle, out_dir) -> list[Path]:
     """Write matrix, channel-count, and summary CSVs; returns the paths."""
     out = Path(out_dir)
@@ -267,25 +259,25 @@ def emit_report(bundle: StudyBundle, out_dir) -> list[Path]:
     files = []
 
     path = out / "similarity_cross.csv"
-    path.write_text(matrix_csv(bundle.cross))
+    D.write_atomic(path, matrix_csv(bundle.cross))
     files.append(path)
     for seed in bundle.seeds:
         if seed in bundle.per_seed:
             path = out / f"similarity_seed{seed}.csv"
-            path.write_text(matrix_csv(bundle.per_seed[seed]))
+            D.write_atomic(path, matrix_csv(bundle.per_seed[seed]))
             files.append(path)
 
     path = out / "channels.csv"
     rows = ["layer_id,label,kept,original"]
     rows += [f"{lid},{label},{kept},{orig}"
              for lid, label, kept, orig in bundle.channel_rows]
-    path.write_text("\n".join(rows) + "\n")
+    D.write_atomic(path, "\n".join(rows) + "\n")
     files.append(path)
 
     path = out / "summary.csv"
     rows = ["label,mean_acc,std_acc,flops_ratio"]
     rows += [f"{level},{acc!r},{std!r},{ratio!r}"
              for level, acc, std, ratio in study_summary(bundle)]
-    path.write_text("\n".join(rows) + "\n")
+    D.write_atomic(path, "\n".join(rows) + "\n")
     files.append(path)
     return files

@@ -9,16 +9,33 @@ prints a saved record. ``train-baseline`` trains a full-width model and
 saves checkpoints.
 
 Settings merge in three layers: built-in defaults, then a JSON config
-file (--config), then command-line flags.
+file (--config), then command-line flags. Each block value must have
+the JSON type of its field.
+
+``main`` runs numpy's bundled OpenBLAS on one thread for the duration
+of a command, then restores the previous count: at these matrix sizes
+a second thread buys no wall time and nearly doubles ``prune``'s CPU
+time. A thread count set in the environment (``_THREAD_VARS``) leaves
+the pool alone, as does a missing library or symbol. The count is set
+through ``ctypes`` because numpy, and with it OpenBLAS, is loaded
+before ``main`` runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
+import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+import time
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import analysis as AN
@@ -79,8 +96,23 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return json.loads(json.dumps(asdict(cfg)))
 
 
-def _block(d: dict, name: str, cls) -> dict:
-    """The ``name`` block of a config dict, checked against ``cls``."""
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type a field is annotated with."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(
+            _fits(v, typing.get_args(hint)[0]) for v in value)
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _block(d: dict, name: str, cls):
+    """The ``name`` block of a config dict as a ``cls``, each value
+    checked against its field's annotation."""
     block = d[name]
     if not isinstance(block, dict):
         raise ConfigError(f"config block {name!r} is not an object")
@@ -88,15 +120,27 @@ def _block(d: dict, name: str, cls) -> dict:
     if unknown:
         raise ConfigError(f"config block {name!r} has unknown key(s) "
                           f"{', '.join(map(repr, unknown))}")
-    return dict(block)
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in block.items():
+        hint = hints[key]
+        if not _fits(value, hint):
+            want = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"config key '{name}.{key}' must be {want}, "
+                              f"got {type(value).__name__} {value!r}")
+        values[key] = tuple(value) if isinstance(value, list) else value
+    absent = [f.name for f in fields(cls) if f.name not in values
+              and f.default is MISSING and f.default_factory is MISSING]
+    if absent:
+        raise ConfigError(f"config block {name!r} lacks "
+                          f"{', '.join(map(repr, absent))}")
+    return cls(**values)
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
     missing = [f.name for f in fields(PipelineConfig) if f.name not in d]
     if missing:
         raise ConfigError(f"config lacks {', '.join(map(repr, missing))}")
-    sched = _block(d, "schedule", TR.TrainSchedule)
-    sched["milestones"] = tuple(sched.get("milestones", (0.5, 0.75)))
     return PipelineConfig(
         arch=d["arch"], expand=float(d["expand"]), budget=float(d["budget"]),
         dataset=d["dataset"], seeds=tuple(int(s) for s in d["seeds"]),
@@ -105,10 +149,9 @@ def config_from_dict(d: dict) -> PipelineConfig:
         checkpoint_epochs=tuple(int(e) for e in d["checkpoint_epochs"]),
         data_seed=int(d["data_seed"]),
         cifar_val_per_class=int(d["cifar_val_per_class"]),
-        synth=D.SynthSpec(**_block(d, "synth", D.SynthSpec)),
-        importance=G.ImportanceConfig(
-            **_block(d, "importance", G.ImportanceConfig)),
-        schedule=TR.TrainSchedule(**sched))
+        synth=_block(d, "synth", D.SynthSpec),
+        importance=_block(d, "importance", G.ImportanceConfig),
+        schedule=_block(d, "schedule", TR.TrainSchedule))
 
 
 def _merge(base: dict, overrides: dict) -> dict:
@@ -155,14 +198,22 @@ def _pipeline_arch(cfg: PipelineConfig,
 # ---------------------------------------------------------------------------
 # prune
 
+def _lap(say, seed: int, stage: str, since: float) -> float:
+    """Report ``stage`` done, timed from ``since``; returns the time now."""
+    now = time.perf_counter()
+    say(f"seed {seed}: {stage} done in {now - since:.2f} s")
+    return now
+
+
 def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
-               seed: int) -> D.RunRecord:
+               seed: int, say) -> D.RunRecord:
     record = D.RunRecord(config=config_to_dict(cfg), seed=seed,
                          tool_version=__version__)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     record_path = out / f"run_s{seed}.pkrun"
     stage = "expand"
+    t = time.perf_counter()
     try:
         arch = A.expand_channels(_pipeline_arch(cfg, data), cfg.expand)
         full = A.count_flops(arch)
@@ -177,6 +228,7 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
 
         stage = "select"
         best = G.select_best_gates(snaps, cfg.importance.target_sparsity)
+        t = _lap(say, seed, "gates", t)
 
         stage = "search"
         if cfg.budget == 1.0:
@@ -190,6 +242,7 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
                                rel_tolerance=cfg.tolerance,
                                max_iters=cfg.max_iters))
         record.search = S.result_to_dict(result)
+        t = _lap(say, seed, "search", t)
 
         stage = "train"
         pruned_flops = result.achieved_flops
@@ -203,6 +256,7 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
                              D.derive_seed(seed, "scratch-init"))
         report = TR.fit(pruned, data, sched, seed)
         record.train_reports.append(TR.report_to_dict(report))
+        t = _lap(say, seed, "train", t)
 
         stage = "save"
         weights_path = out / f"run_s{seed}.weights"
@@ -210,11 +264,12 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
                        {"seed": seed, "arch": cfg.arch,
                         "status": "budget-trained"})
         curve_path = out / f"run_s{seed}_train.csv"
-        curve_path.write_text(TR.report_csv(report))
+        D.write_atomic(curve_path, TR.report_csv(report))
         record.artifacts = [str(weights_path), str(curve_path)]
         record.status = "completed"
         record.seal()
         D.save_run(record, record_path)
+        _lap(say, seed, "save", t)
         print(f"seed {seed}: flops ratio {pruned_flops / full:.3f} "
               f"(converged={result.converged}), "
               f"test accuracy {report.test_accuracy:.3f}")
@@ -229,10 +284,12 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
         raise
 
 
-def cmd_prune(cfg: PipelineConfig) -> list[D.RunRecord]:
-    """Full pipeline per seed; records land in ``cfg.out``."""
+def cmd_prune(cfg: PipelineConfig, progress=None) -> list[D.RunRecord]:
+    """Full pipeline per seed; records land in ``cfg.out``. Each stage's
+    wall time (gates, search, train, save) goes to ``progress``."""
     data = resolve_dataset(cfg)
-    return [_prune_one(cfg, data, seed) for seed in cfg.seeds]
+    say = progress if progress is not None else (lambda msg: None)
+    return [_prune_one(cfg, data, seed, say) for seed in cfg.seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +349,7 @@ def cmd_inspect(record_path, out_dir=None) -> int:
     stem = Path(record_path).stem
     for i, rep in enumerate(record.train_reports):
         curve = out / f"{stem}_curve{i}.csv"
-        curve.write_text(TR.report_csv(TR.report_from_dict(rep)))
+        D.write_atomic(curve, TR.report_csv(TR.report_from_dict(rep)))
         print(f"wrote {curve}")
     return 0
 
@@ -403,22 +460,76 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "OMP_NUM_THREADS")
+# (get, set) symbol pairs: numpy >= 2 wheels first, then older builds
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS,
+    or None where no such library or symbol exists."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread unless the user chose a
+    count through the environment; restore the previous count after."""
+    blas = (None if any(os.environ.get(v) for v in _THREAD_VARS)
+            else _openblas())
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _stderr(msg: str) -> None:
+    print(msg, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "inspect":
-            return cmd_inspect(args.record, args.out)
-        cfg = resolve_config(args.config, _flag_overrides(args))
-        if args.command == "prune":
-            records = cmd_prune(cfg)
-            ok = all(r.status == "completed"
-                     and r.search["converged"] for r in records)
-            return 0 if ok else 1
-        if args.command == "study":
-            cmd_study(cfg, progress=lambda msg: print(msg, file=sys.stderr))
+        with _one_blas_thread():
+            if args.command == "inspect":
+                return cmd_inspect(args.record, args.out)
+            cfg = resolve_config(args.config, _flag_overrides(args))
+            if args.command == "prune":
+                records = cmd_prune(cfg, progress=_stderr)
+                ok = all(r.status == "completed"
+                         and r.search["converged"] for r in records)
+                return 0 if ok else 1
+            if args.command == "study":
+                cmd_study(cfg, progress=_stderr)
+                return 0
+            cmd_train_baseline(cfg)
             return 0
-        cmd_train_baseline(cfg)
-        return 0
     except (PruneKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

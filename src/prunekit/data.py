@@ -4,7 +4,9 @@ Two data sources: a deterministic synthetic generator for desk-scale
 experiments, and the CIFAR-10 binary batch format. Persistence uses one
 container layout for every artifact: a magic tag carrying the format
 version, a canonical-JSON metadata block, raw little-endian float32
-array blobs, and a trailing CRC32 over everything before it.
+array blobs, and a trailing CRC32 over everything before it. Every
+file the package writes, containers and CSV reports alike, goes through
+``write_atomic``, so a crash never leaves a truncated file behind.
 """
 
 from __future__ import annotations
@@ -275,6 +277,31 @@ def load_cifar10(path) -> tuple[Dataset, Dataset]:
 
 
 # ---------------------------------------------------------------------------
+# atomic writes
+
+def write_atomic(path, content: str | bytes) -> None:
+    """Write ``content`` (str as UTF-8) to ``path`` all or nothing.
+
+    The bytes go to ``<path>.tmp``, are fsynced and then replace
+    ``path``, so a crash never leaves a truncated file; on any failure
+    the temporary file is removed and ``path`` keeps its old content.
+    """
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(content)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # blob container
 
 def _canonical_json(obj) -> bytes:
@@ -284,11 +311,8 @@ def _canonical_json(obj) -> bytes:
 
 def write_container(path, magic: bytes, meta: dict,
                     arrays: dict[str, np.ndarray]) -> None:
-    """magic | meta length (LE u64) | canonical JSON | f32 LE blobs | CRC32.
-
-    The bytes go to a temporary file beside ``path`` that replaces it
-    only once complete, so a crash never leaves a truncated container.
-    """
+    """magic | meta length (LE u64) | canonical JSON | f32 LE blobs | CRC32,
+    written through ``write_atomic``."""
     order = sorted(arrays)
     meta = dict(meta)
     meta["arrays"] = [
@@ -301,18 +325,7 @@ def write_container(path, magic: bytes, meta: dict,
             arrays[k], dtype="<f4").tobytes())
     payload = b"".join(parts)
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.write(crc.to_bytes(4, "little"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    write_atomic(path, payload + crc.to_bytes(4, "little"))
 
 
 def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:

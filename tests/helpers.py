@@ -10,6 +10,7 @@ import zlib
 
 import numpy as np
 
+from prunekit import analysis as AN
 from prunekit import gates as G
 from prunekit import tensor as T
 
@@ -140,6 +141,32 @@ def pearson_oracle(a, b):
     num = ((a - am) * (b - bm)).sum()
     den = np.sqrt(((a - am) ** 2).sum() * ((b - bm) ** 2).sum())
     return float(num / den)
+
+
+def parse_matrix_csv(text):
+    """The SimilarityMatrix that ``analysis.matrix_csv`` wrote as text."""
+    lines = text.strip().split("\n")
+    labels = tuple(lines[0].split(",")[1:])
+    values = np.array([[float(v) for v in line.split(",")[1:]]
+                       for line in lines[1:]])
+    return AN.SimilarityMatrix(labels, values)
+
+
+class DiesMidWrite:
+    """Writable file whose first write stores half, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("no space left on device")
 
 
 def checksummed_container(magic, meta_bytes, payload=b"", meta_len=None):

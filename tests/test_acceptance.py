@@ -24,7 +24,8 @@ from prunekit import train as TR
 from prunekit.errors import FormatError
 
 from helpers import (float64_mode, model_flops_oracle, numeric_grad,
-                     objective, pearson_oracle, random_config, rel_err)
+                     objective, parse_matrix_csv, pearson_oracle,
+                     random_config, rel_err)
 
 
 @contextlib.contextmanager
@@ -288,7 +289,7 @@ def test_criterion_08_similarity_trend(study):
         assert "similarity_cross.csv" in by_name
         seed_csvs = [n for n in by_name if n.startswith("similarity_seed")]
         assert len(seed_csvs) == len(bundle.seeds)
-        reread = AN.parse_matrix_csv(
+        reread = parse_matrix_csv(
             by_name["similarity_cross.csv"].read_text())
         assert reread == bundle.cross
         notes.append(f"checkpoint corr {ckpt_corr:.3f} > "

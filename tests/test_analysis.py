@@ -10,7 +10,7 @@ from prunekit import gates as G
 from prunekit import train as TR
 from prunekit.errors import ConfigError, DegenerateFeatureError
 
-from helpers import pearson_oracle
+from helpers import DiesMidWrite, parse_matrix_csv, pearson_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_matrix_csv_round_trip():
     feats = [AN.StructureFeature(tuple(rng.uniform(0.1, 1.0, 6)), f"s{i}")
              for i in range(4)]
     m = AN.correlation_matrix(feats)
-    assert AN.parse_matrix_csv(AN.matrix_csv(m)) == m
+    assert parse_matrix_csv(AN.matrix_csv(m)) == m
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +211,8 @@ def test_report_emission(tmp_path, small_bundle):
     names = {f.name for f in files}
     assert names == {"similarity_cross.csv", "similarity_seed0.csv",
                      "similarity_seed1.csv", "channels.csv", "summary.csv"}
-    cross = AN.parse_matrix_csv((tmp_path / "similarity_cross.csv")
-                                .read_text())
+    cross = parse_matrix_csv((tmp_path / "similarity_cross.csv")
+                             .read_text())
     assert cross == small_bundle.cross
     channels = (tmp_path / "channels.csv").read_text().strip().split("\n")
     assert channels[0] == "layer_id,label,kept,original"
@@ -220,6 +220,28 @@ def test_report_emission(tmp_path, small_bundle):
     summary = (tmp_path / "summary.csv").read_text().strip().split("\n")
     assert summary[0] == "label,mean_acc,std_acc,flops_ratio"
     assert len(summary) == 3
+
+
+@pytest.mark.parametrize("failing", [
+    "similarity_cross.csv", "similarity_seed1.csv", "channels.csv",
+    "summary.csv"])
+def test_report_write_failure_leaves_no_partial_file(tmp_path, monkeypatch,
+                                                     small_bundle, failing):
+    AN.emit_report(small_bundle, tmp_path / "clean")
+    real_open = open
+
+    def flaky_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return DiesMidWrite(fh) if failing in str(path) else fh
+
+    monkeypatch.setattr(D, "open", flaky_open, raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="no space"):
+        AN.emit_report(small_bundle, out)
+    assert not (out / failing).exists()
+    assert not list(out.glob("*.tmp"))
+    for f in out.iterdir():
+        assert f.read_bytes() == (tmp_path / "clean" / f.name).read_bytes()
 
 
 def test_report_is_deterministic(tmp_path, small_bundle):

@@ -34,6 +34,14 @@ def tiny_config(out, **extra):
     return CLI.resolve_config(flag_overrides=over)
 
 
+def _prune_argv(tmp_path, name="runs", **extra):
+    """``prune`` on TINY at budget 1.0 (or ``extra``'s), out in ``name``."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(TINY, out=str(tmp_path / name),
+                                    **{"budget": 1.0, **extra})))
+    return ["prune", "--config", str(path)]
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -90,6 +98,43 @@ def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
     assert CLI.main(["prune", "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"importance": {"epochs": "3"}}, "importance.epochs"),
+    ({"schedule": {"lr0": "0.1"}}, "schedule.lr0"),
+    ({"synth": {"noise": True}}, "synth.noise"),
+    ({"importance": {"batch_size": True}}, "importance.batch_size"),
+    ({"importance": {"epochs": 3.0}}, "importance.epochs"),
+    ({"schedule": {"augment": 1}}, "schedule.augment"),
+    ({"schedule": {"milestones": 0.5}}, "schedule.milestones"),
+    ({"schedule": {"milestones": [0.5, "0.75"]}}, "schedule.milestones"),
+], ids=["int-as-str", "float-as-str", "float-as-bool", "int-as-bool",
+        "int-as-float", "bool-as-int", "tuple-as-float",
+        "tuple-with-str"])
+def test_config_rejects_wrong_json_types(tmp_path, capsys, overrides, key):
+    assert CLI.main(_prune_argv(tmp_path, **overrides)) == 1
+    assert f"error: config key '{key}' must be" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.pkrun"))
+
+
+def test_config_null_only_for_optional_fields(tmp_path):
+    cfg = tiny_config(tmp_path, schedule={
+        "base_epochs": 2, "effective_epochs": None, "lr0": 1,
+        "milestones": [0.5, 1], "augment": False, "batch_size": 12})
+    assert cfg.schedule.effective_epochs is None
+    assert cfg.schedule.lr0 == 1
+    assert cfg.schedule.milestones == (0.5, 1)
+    # a config file's null means "keep the default"; a record's reaches
+    # the type check
+    d = CLI.config_to_dict(cfg)
+    d["importance"]["epochs"] = None
+    with pytest.raises(ConfigError, match="'importance.epochs' must be int"):
+        CLI.config_from_dict(d)
+    d = CLI.config_to_dict(cfg)
+    del d["schedule"]["base_epochs"]
+    with pytest.raises(ConfigError, match="'schedule' lacks 'base_epochs'"):
+        CLI.config_from_dict(d)
 
 
 def test_flag_parsing_maps_to_config(tmp_path):
@@ -167,6 +212,90 @@ def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"budget": 7}))
     assert CLI.main(["prune", "--config", str(bad)]) == 1
+
+
+def test_prune_reports_each_stage(tmp_path, capsys):
+    assert CLI.main(_prune_argv(tmp_path, seeds=[0, 1])) == 0
+    captured = capsys.readouterr()
+    stages = [line.split(" done in ")[0]
+              for line in captured.err.splitlines() if " done in " in line]
+    assert stages == [f"seed {s}: {stage}" for s in (0, 1)
+                      for stage in ("gates", "search", "train", "save")]
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+        "seed 0", "seed 1"]
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+BLAS = CLI._openblas()
+needs_blas = pytest.mark.skipif(
+    BLAS is None, reason="numpy's bundled OpenBLAS not found")
+
+
+@pytest.fixture
+def blas_pool(monkeypatch):
+    """A two-thread pool and no thread variable set; the test's count
+    is restored after."""
+    for var in CLI._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    get, set_ = BLAS
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def _fit_spy(monkeypatch, get):
+    seen = []
+    real_fit = TR.fit
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return real_fit(*args, **kwargs)
+    monkeypatch.setattr(TR, "fit", spy)
+    return seen
+
+
+@needs_blas
+def test_prune_trains_on_one_blas_thread(tmp_path, monkeypatch, blas_pool):
+    seen = _fit_spy(monkeypatch, blas_pool)
+    assert CLI.main(_prune_argv(tmp_path)) == 0
+    assert seen == [1]
+    assert blas_pool() == 2
+
+
+@needs_blas
+def test_blas_threads_restored_after_error_exit(tmp_path, blas_pool):
+    assert CLI.main(_prune_argv(tmp_path, budget=7)) == 1
+    assert blas_pool() == 2
+
+
+@needs_blas
+@pytest.mark.parametrize("var", CLI._THREAD_VARS)
+def test_thread_variable_leaves_blas_pool_alone(tmp_path, monkeypatch,
+                                                blas_pool, var):
+    monkeypatch.setenv(var, "2")
+    seen = _fit_spy(monkeypatch, blas_pool)
+    assert CLI.main(_prune_argv(tmp_path)) == 0
+    assert seen == [2]
+
+
+def test_prune_completes_without_blas_symbols(tmp_path, monkeypatch):
+    monkeypatch.setattr(CLI, "_BLAS_SYMBOLS", (("no_get", "no_set"),))
+    assert CLI._openblas() is None
+    assert CLI.main(_prune_argv(tmp_path)) == 0
+    assert (tmp_path / "runs" / "run_s0.weights").exists()
+
+
+@needs_blas
+def test_blas_pool_does_not_change_weights(tmp_path, monkeypatch, blas_pool):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    CLI.main(_prune_argv(tmp_path, "pool", budget=0.5))
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    CLI.main(_prune_argv(tmp_path, "one", budget=0.5))
+    assert ((tmp_path / "pool" / "run_s0.weights").read_bytes()
+            == (tmp_path / "one" / "run_s0.weights").read_bytes())
 
 
 # ---------------------------------------------------------------------------

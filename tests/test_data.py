@@ -14,7 +14,7 @@ from prunekit.errors import (
     SplitError,
 )
 
-from helpers import checksummed_container
+from helpers import DiesMidWrite, checksummed_container
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +275,6 @@ def test_container_failed_write_keeps_previous_file(tmp_path, monkeypatch):
                       {"x": np.ones(8, np.float32)})
     before = p.read_bytes()
     real_open = open
-
-    class DiesMidWrite:
-        """Writable file whose first write stores half, then fails."""
-
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.fh.write(data[:len(data) // 2])
-            raise OSError("no space left on device")
-
     monkeypatch.setattr(D, "open", lambda *a, **k: DiesMidWrite(
         real_open(*a, **k)), raising=False)
     with pytest.raises(OSError, match="no space"):
