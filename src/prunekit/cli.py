@@ -9,8 +9,9 @@ prints a saved record. ``train-baseline`` trains a full-width model and
 saves checkpoints.
 
 Settings merge in three layers: built-in defaults, then a JSON config
-file (--config), then command-line flags. Each block value must have
-the JSON type of its field.
+file (--config), then command-line flags. Every value, top-level or in
+a block, must have the JSON type of its field; a null is such a value,
+valid only for an optional field. An unset flag changes nothing.
 
 ``main`` runs numpy's bundled OpenBLAS on one thread for the duration
 of a command, then restores the previous count: at these matrix sizes
@@ -32,7 +33,8 @@ import sys
 import time
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +112,16 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+def _checked(key: str, value, hint):
+    """``value`` as the field annotated ``hint`` holds it, after checking
+    that it has that JSON type."""
+    if not _fits(value, hint):
+        want = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ConfigError(f"config key '{key}' must be {want}, "
+                          f"got {type(value).__name__} {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
 def _block(d: dict, name: str, cls):
     """The ``name`` block of a config dict as a ``cls``, each value
     checked against its field's annotation."""
@@ -121,14 +133,8 @@ def _block(d: dict, name: str, cls):
         raise ConfigError(f"config block {name!r} has unknown key(s) "
                           f"{', '.join(map(repr, unknown))}")
     hints = typing.get_type_hints(cls)
-    values = {}
-    for key, value in block.items():
-        hint = hints[key]
-        if not _fits(value, hint):
-            want = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise ConfigError(f"config key '{name}.{key}' must be {want}, "
-                              f"got {type(value).__name__} {value!r}")
-        values[key] = tuple(value) if isinstance(value, list) else value
+    values = {key: _checked(f"{name}.{key}", value, hints[key])
+              for key, value in block.items()}
     absent = [f.name for f in fields(cls) if f.name not in values
               and f.default is MISSING and f.default_factory is MISSING]
     if absent:
@@ -138,20 +144,17 @@ def _block(d: dict, name: str, cls):
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
+    """A ``PipelineConfig`` from a dict holding every key, each value
+    checked against its field's annotation; dataclass fields are blocks."""
     missing = [f.name for f in fields(PipelineConfig) if f.name not in d]
     if missing:
         raise ConfigError(f"config lacks {', '.join(map(repr, missing))}")
-    return PipelineConfig(
-        arch=d["arch"], expand=float(d["expand"]), budget=float(d["budget"]),
-        dataset=d["dataset"], seeds=tuple(int(s) for s in d["seeds"]),
-        out=d["out"], lottery_init=bool(d["lottery_init"]),
-        tolerance=float(d["tolerance"]), max_iters=int(d["max_iters"]),
-        checkpoint_epochs=tuple(int(e) for e in d["checkpoint_epochs"]),
-        data_seed=int(d["data_seed"]),
-        cifar_val_per_class=int(d["cifar_val_per_class"]),
-        synth=_block(d, "synth", D.SynthSpec),
-        importance=_block(d, "importance", G.ImportanceConfig),
-        schedule=_block(d, "schedule", TR.TrainSchedule))
+    hints = typing.get_type_hints(PipelineConfig)
+    return PipelineConfig(**{
+        f.name: _block(d, f.name, hints[f.name])
+        if is_dataclass(hints[f.name])
+        else _checked(f.name, d[f.name], hints[f.name])
+        for f in fields(PipelineConfig)})
 
 
 def _merge(base: dict, overrides: dict) -> dict:
@@ -161,9 +164,22 @@ def _merge(base: dict, overrides: dict) -> dict:
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(value, dict) and isinstance(out[key], dict):
             out[key] = _merge(out[key], value)
-        elif value is not None:
+        else:
             out[key] = value
     return out
+
+
+def _load_json_object(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except ValueError as exc:
+        raise ConfigError(f"config file {path}: not valid JSON: {exc}") \
+            from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config file {path}: must hold a JSON object, "
+                          f"got {type(loaded).__name__}")
+    return loaded
 
 
 def resolve_config(config_file: str | None = None,
@@ -171,8 +187,7 @@ def resolve_config(config_file: str | None = None,
     """Defaults, overlaid by the JSON config file, overlaid by flags."""
     merged = config_to_dict(PipelineConfig())
     if config_file:
-        with open(config_file) as fh:
-            merged = _merge(merged, json.load(fh))
+        merged = _merge(merged, _load_json_object(config_file))
     if flag_overrides:
         merged = _merge(merged, flag_overrides)
     return config_from_dict(merged)
@@ -400,8 +415,8 @@ def cmd_train_baseline(cfg: PipelineConfig) -> list[D.RunRecord]:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip() != "")
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip() != ""]
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -439,7 +454,13 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     over["importance"] = {"gamma": args.gamma,
                           "target_sparsity": args.sparsity_r}
     over["schedule"] = {"base_epochs": args.epochs}
-    return over
+    return _without_none(over)
+
+
+def _without_none(d: dict) -> dict:
+    # an unset flag is None and keeps the value of the layer below
+    return {key: _without_none(value) if isinstance(value, dict) else value
+            for key, value in d.items() if value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:

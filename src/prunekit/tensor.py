@@ -3,8 +3,19 @@
 The operator set is the minimum needed for small convolutional
 classifiers: conv2d (dense and depthwise), batch norm,
 channel gating, ReLU, average pooling, global average pooling, linear,
-residual add, and label-smoothed cross-entropy. Convolution uses im2col
-with plain numpy matmul; correctness wins over throughput.
+residual add, and label-smoothed cross-entropy.
+
+Dense convolution is im2col on channels-last memory: the input is
+copied once into a zero-padded [N, H, W, C] buffer, and each patch row
+is kh*kw runs of C contiguous values, so one matmul per sample sums K in
+(kh, kw, Cin) order. Its output keeps the [N, C, H, W] shape as a view of
+[N, H, W, C] memory; numpy's elementwise ops and reductions follow that
+layout, and the next conv reads it without a transposing copy. The
+input gradient of a stride-1 conv is the same patch matmul over the
+padded upstream gradient and the flipped weight; other strides use
+col2im into channels-last memory, whose kh*kw slab adds read runs of C
+contiguous values. Results do not depend on the memory layout of the
+input.
 
 Ops take and return plain ``np.ndarray``. Run them with a ``Tape``,
 then call ``tape.backward(loss, targets)`` for one gradient per target,
@@ -141,14 +152,27 @@ def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return win[:, :, ::sh, ::sw]
 
 
+def _patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
+             ph: int, pw: int) -> np.ndarray:
+    """[N, Ho*Wo, kh*kw*C] im2col copy of [N,C,H,W] ``x`` zero-padded by
+    (ph, pw), built in channels-last memory: each row holds kh*kw runs of
+    C contiguous values."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c),
+                  dtype=x.dtype).transpose(0, 3, 1, 2)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    win = _windows(xp, kh, kw, sh, sw).transpose(0, 2, 3, 4, 5, 1)
+    return np.ascontiguousarray(win).reshape(n, -1, kh * kw * c)
+
+
 def _scatter_windows(shape, grad_win_fn, kh, kw, sh, sw, ho, wo, ph, pw, h, w):
     """Accumulate per-window gradients back onto a padded input buffer.
 
     ``grad_win_fn(i, j)`` must return the [N, C, Ho, Wo] gradient slab for
-    kernel offset (i, j).
+    kernel offset (i, j). The buffer takes the memory layout of that slab.
     """
     first = grad_win_fn(0, 0)
-    dxp = np.zeros(shape, dtype=first.dtype)
+    dxp = np.zeros_like(first, shape=shape)
     for i in range(kh):
         for j in range(kw):
             slab = first if (i == 0 and j == 0) else grad_win_fn(i, j)
@@ -182,9 +206,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
             f"conv2d output {ho}x{wo} non-positive for input {h}x{wd}, "
             f"kernel {kh}x{kw}, stride {sh}x{sw}, padding {ph}x{pw}")
 
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
     if groups == cin == cout:
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         wsq = w[:, 0]  # [C, kh, kw]
         win = _windows(xp, kh, kw, sh, sw)
         out = np.einsum("nchwij,cij->nchw", win, wsq, optimize=True)
@@ -203,23 +226,30 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
 
         return _emit(tape, "conv2d", (x, w), out, bwd)
 
-    win = _windows(xp, kh, kw, sh, sw)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    cols = cols.reshape(n, ho * wo, -1)
-    wm = w.reshape(cout, -1)
-    out = (cols @ wm.T).transpose(0, 2, 1).reshape(n, cout, ho, wo)
+    # dense: channels-last patches, each row in (kh, kw, Cin) order
+    cols = _patches(x, kh, kw, sh, sw, ph, pw)
+    wk = w.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
+    out = (cols @ wk).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def bwd(gout, needs):
         g2 = gout.transpose(0, 2, 3, 1).reshape(n, ho * wo, cout)
         dx = dw = None
-        if needs[0]:
-            dcols = (g2 @ wm).reshape(n, ho, wo, cin, kh, kw)
+        if needs[0] and sh == sw == 1 and ph < kh and pw < kw:
+            # transposed conv: patches of the upstream gradient padded by
+            # k-1-p against the flipped weight, in/out channels swapped.
+            # At 10-80 channels one patch copy beats kh*kw short slab adds.
+            wt = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, cin)
+            dx = _patches(gout, kh, kw, 1, 1, kh - 1 - ph, kw - 1 - pw) @ wt
+            dx = dx.reshape(n, h, wd, cin).transpose(0, 3, 1, 2)
+        elif needs[0]:
+            dcols = (g2 @ wk.T).reshape(n, ho, wo, kh, kw, cin)
             dx = _scatter_windows(
-                xp.shape,
-                lambda i, j: dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2),
+                (n, cin, h + 2 * ph, wd + 2 * pw),
+                lambda i, j: dcols[:, :, :, i, j].transpose(0, 3, 1, 2),
                 kh, kw, sh, sw, ho, wo, ph, pw, h, wd)
         if needs[1]:
-            dw = np.tensordot(g2, cols, axes=((0, 1), (0, 1))).reshape(w.shape)
+            dw = np.tensordot(g2, cols, axes=((0, 1), (0, 1)))
+            dw = dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
         return dx, dw
 
     return _emit(tape, "conv2d", (x, w), out, bwd)

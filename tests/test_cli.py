@@ -109,9 +109,15 @@ def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
     ({"schedule": {"augment": 1}}, "schedule.augment"),
     ({"schedule": {"milestones": 0.5}}, "schedule.milestones"),
     ({"schedule": {"milestones": [0.5, "0.75"]}}, "schedule.milestones"),
+    ({"importance": {"epochs": None}}, "importance.epochs"),
+    ({"lottery_init": "false"}, "lottery_init"),
+    ({"seeds": [2.9]}, "seeds"),
+    ({"expand": True}, "expand"),
+    ({"max_iters": None}, "max_iters"),
 ], ids=["int-as-str", "float-as-str", "float-as-bool", "int-as-bool",
         "int-as-float", "bool-as-int", "tuple-as-float",
-        "tuple-with-str"])
+        "tuple-with-str", "null-for-int", "top-bool-as-str",
+        "top-tuple-with-float", "top-float-as-bool", "top-null-for-int"])
 def test_config_rejects_wrong_json_types(tmp_path, capsys, overrides, key):
     assert CLI.main(_prune_argv(tmp_path, **overrides)) == 1
     assert f"error: config key '{key}' must be" in capsys.readouterr().err
@@ -125,8 +131,8 @@ def test_config_null_only_for_optional_fields(tmp_path):
     assert cfg.schedule.effective_epochs is None
     assert cfg.schedule.lr0 == 1
     assert cfg.schedule.milestones == (0.5, 1)
-    # a config file's null means "keep the default"; a record's reaches
-    # the type check
+    # a null for a non-optional field reaches the type check, from a
+    # record as from a config file
     d = CLI.config_to_dict(cfg)
     d["importance"]["epochs"] = None
     with pytest.raises(ConfigError, match="'importance.epochs' must be int"):
@@ -135,6 +141,24 @@ def test_config_null_only_for_optional_fields(tmp_path):
     del d["schedule"]["base_epochs"]
     with pytest.raises(ConfigError, match="'schedule' lacks 'base_epochs'"):
         CLI.config_from_dict(d)
+
+
+@pytest.mark.parametrize("content, problem", [
+    ('{"budget": 0.5,', "not valid JSON"),
+    ("[1,2]", "must hold a JSON object, got list"),
+], ids=["truncated", "list"])
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys, content,
+                                                 problem):
+    path = tmp_path / "cfg.json"
+    path.write_text(content)
+    with pytest.raises(ConfigError, match=problem):
+        CLI.resolve_config(str(path))
+    argv = ["prune", "--config", str(path), "--out", str(tmp_path / "runs")]
+    assert CLI.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file ")
+    assert str(path) in err and problem in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_flag_parsing_maps_to_config(tmp_path):

@@ -64,17 +64,28 @@ def test_conv2d_identity_kernel_passthrough():
     assert np.array_equal(out, x)
 
 
-@pytest.mark.parametrize("stride,padding,groups,cin,cout", [
-    (1, 0, 1, 2, 3),
-    (2, 1, 1, 3, 4),
-    (1, 1, 2, 4, 4),      # grouped: neither dense nor depthwise, rejected
-    (1, 0, 3, 3, 3),
-])
-def test_conv2d_gradients(stride, padding, groups, cin, cout):
+_GRAD_ROWS = [
+    (1, 0, 1, 2, 3, 3),
+    (2, 1, 1, 3, 4, 3),
+    (1, 1, 2, 4, 4, 3),   # grouped: neither dense nor depthwise, rejected
+    (1, 0, 3, 3, 3, 3),
+    (1, 1, 1, 3, 4, 3),   # vgg-small's convs: input gradient as a conv
+    (1, 0, 1, 3, 4, 1),   # pointwise
+    (2, 0, 1, 3, 4, 1),   # strided 1x1 projection: col2im input gradient
+]
+
+
+# the id names the kernel only where it is not 3x3, so that the rows
+# older than the kernel parameter keep their ids
+@pytest.mark.parametrize(
+    "stride,padding,groups,cin,cout,k", _GRAD_ROWS,
+    ids=["-".join(map(str, row if row[-1] != 3 else row[:-1]))
+         for row in _GRAD_ROWS])
+def test_conv2d_gradients(stride, padding, groups, cin, cout, k):
     rng = np.random.default_rng(11)
     with float64_mode():
         x = rng.standard_normal((2, cin, 6, 5))
-        w = rng.standard_normal((cout, cin // groups, 3, 3))
+        w = rng.standard_normal((cout, cin // groups, k, k))
         if not _dense_or_depthwise(groups, cin, cout):
             with pytest.raises(ShapeError):
                 T.conv2d(x, w, stride=stride, padding=padding,
@@ -91,6 +102,36 @@ def test_conv2d_gradients(stride, padding, groups, cin, cout):
         gx, gw = tape.backward(loss, [x, w])
         assert rel_err(gx, numeric_grad(loss_fn, x)) < GRAD_TOL
         assert rel_err(gw, numeric_grad(loss_fn, w)) < GRAD_TOL
+
+
+def _conv_loss_and_grads(x, w, stride, padding):
+    tape = T.Tape()
+    y = T.conv2d(x, w, stride=stride, padding=padding, tape=tape)
+    loss = T.sum_all(T.relu(y, tape=tape), tape=tape)
+    return (y, *tape.backward(loss, [x, w]))
+
+
+@pytest.mark.parametrize("stride,padding,k", [(1, 1, 3), (2, 0, 1)])
+def test_conv2d_result_independent_of_input_memory_layout(stride, padding,
+                                                          k):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((2, 5, 6, 6)).astype(np.float32)
+    w = rng.standard_normal((4, 5, k, k)).astype(np.float32)
+    x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    assert x.flags.c_contiguous and not x_cl.flags.c_contiguous
+    for a, b in zip(_conv_loss_and_grads(x, w, stride, padding),
+                    _conv_loss_and_grads(x_cl, w, stride, padding)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def test_dense_conv2d_output_is_channels_last_in_memory():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+    w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    out = T.conv2d(x, w, padding=1)
+    assert out.shape == (2, 4, 6, 6)
+    assert out.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
 def test_conv2d_rejects_bad_geometry():
