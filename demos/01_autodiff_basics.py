@@ -60,13 +60,13 @@ print("a zero gate silences its channel; its gradient is the channel's",
 
 # ---------------------------------------------------------------------
 # 4. batchnorm keeps running statistics that update only in train mode
-stats = T.RunningStats(np.zeros(4), np.ones(4))
+mean, var = np.zeros(4), np.ones(4)
 gamma, beta = np.ones(4), np.zeros(4)
-before = stats.mean.copy()
-T.batchnorm(T.conv2d(x, w, padding=1), gamma, beta, stats, train=True)
+before = mean.copy()
+T.batchnorm(T.conv2d(x, w, padding=1), gamma, beta, mean, var, train=True)
 print("running mean moved in train mode:",
-      not np.array_equal(before, stats.mean))
-frozen = stats.mean.copy()
-T.batchnorm(T.conv2d(x, w, padding=1), gamma, beta, stats, train=False)
+      not np.array_equal(before, mean))
+frozen = mean.copy()
+T.batchnorm(T.conv2d(x, w, padding=1), gamma, beta, mean, var, train=False)
 print("running mean frozen in eval mode:",
-      np.array_equal(frozen, stats.mean))
+      np.array_equal(frozen, mean))

@@ -113,8 +113,6 @@ def feature_label(seed: int, epoch: int) -> str:
 @dataclass
 class StudyBundle:
     """Everything one pretraining-effect study produced."""
-    arch_name: str
-    budget_ratio: float
     checkpoint_epochs: tuple[int, ...]
     seeds: tuple[int, ...]
     features: list[StructureFeature]
@@ -234,8 +232,7 @@ def run_pretrain_effect_study(
             per_seed[seed] = correlation_matrix(seed_features)
 
     cross = correlation_matrix(features)
-    return StudyBundle(arch_name=arch.name, budget_ratio=budget_ratio,
-                       checkpoint_epochs=epochs, seeds=seeds,
+    return StudyBundle(checkpoint_epochs=epochs, seeds=seeds,
                        features=features, configs=configs,
                        accuracies=accuracies, flops_ratios=flops_ratios,
                        per_seed=per_seed, cross=cross,

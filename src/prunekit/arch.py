@@ -370,8 +370,10 @@ class Model:
     """Executable network instantiated from an ArchSpec and a ChannelConfig.
 
     Weights are freshly drawn from ``seed`` (He-normal for conv/linear,
-    identity affine for batch norm). Gate vectors are not part of the
-    model; pass them to ``forward`` keyed by the ids in ``gated_ids``.
+    identity affine for batch norm). Batch-norm running statistics live
+    in ``stats``, keyed like ``bn1.running_mean``, apart from the
+    learnable ``params``. Gate vectors are not part of the model; pass
+    them to ``forward`` keyed by the ids in ``gated_ids``.
     """
 
     def __init__(self, arch: ArchSpec, config: ChannelConfig | None,
@@ -381,7 +383,7 @@ class Model:
         self.gated_ids = place_gates(arch)
         self.widths = resolve_widths(arch, config)
         self.params: dict[str, np.ndarray] = {}
-        self.stats: dict[str, T.RunningStats] = {}
+        self.stats: dict[str, np.ndarray] = {}
         dt = T.default_dtype()
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         for l in arch.layers:
@@ -399,7 +401,8 @@ class Model:
             elif l.kind == "batchnorm":
                 self.params[f"{l.id}.gamma"] = np.ones(lw.cout, dtype=dt)
                 self.params[f"{l.id}.beta"] = np.zeros(lw.cout, dtype=dt)
-                self.stats[l.id] = T.RunningStats.initial(lw.cout)
+                self.stats[f"{l.id}.running_mean"] = np.zeros(lw.cout, dt)
+                self.stats[f"{l.id}.running_var"] = np.ones(lw.cout, dt)
             elif l.kind == "linear":
                 w = rng.normal(0.0, np.sqrt(2.0 / lw.cin), (lw.cout, lw.cin))
                 self.params[f"{l.id}.w"] = w.astype(dt)
@@ -429,7 +432,9 @@ class Model:
             elif l.kind == "batchnorm":
                 out = T.batchnorm(inp(l), self.params[f"{l.id}.gamma"],
                                   self.params[f"{l.id}.beta"],
-                                  self.stats[l.id], train=train, tape=tape)
+                                  self.stats[f"{l.id}.running_mean"],
+                                  self.stats[f"{l.id}.running_var"],
+                                  train=train, tape=tape)
                 if gates is not None and l.id in gates:
                     out = T.gate_modulate(out, gates[l.id], tape=tape)
             elif l.kind == "relu":
@@ -463,27 +468,21 @@ class Model:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copy of every parameter and running statistic, keyed by name."""
-        out = {name: p.copy() for name, p in self.params.items()}
-        for lid, rs in self.stats.items():
-            out[f"{lid}.running_mean"] = rs.mean.copy()
-            out[f"{lid}.running_var"] = rs.var.copy()
-        return out
+        return {name: a.copy()
+                for name, a in (self.params | self.stats).items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Load arrays produced by ``state_arrays`` (strict shape match)
-        in place: the parameter arrays keep their identity."""
-        for name, p in self.params.items():
-            arr = state[name]
-            if arr.shape != p.shape:
+        """Load arrays produced by ``state_arrays`` in place, so every
+        array keeps its identity. A missing name or a shape that differs
+        from the model's raises ``ConfigError``."""
+        for name, a in (self.params | self.stats).items():
+            if name not in state:
+                raise ConfigError(f"state lacks array {name!r}")
+            if state[name].shape != a.shape:
                 raise ConfigError(
-                    f"parameter {name!r}: stored shape {arr.shape} does not "
-                    f"match model shape {p.shape}")
-            p[...] = arr
-        for lid, rs in self.stats.items():
-            rs.mean = np.asarray(state[f"{lid}.running_mean"],
-                                 dtype=rs.mean.dtype).copy()
-            rs.var = np.asarray(state[f"{lid}.running_var"],
-                                dtype=rs.var.dtype).copy()
+                    f"array {name!r}: stored shape {state[name].shape} does "
+                    f"not match model shape {a.shape}")
+            a[...] = state[name]
 
 
 def evaluate_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,

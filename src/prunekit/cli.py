@@ -86,6 +86,9 @@ class PipelineConfig:
             raise ConfigError("expansion multiplier must be positive")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if self.tolerance <= 0 or self.max_iters < 1:
+            raise ConfigError("search needs tolerance > 0 and max_iters >= 1, "
+                              f"got {self.tolerance} and {self.max_iters}")
         if self.dataset != "synth" and not self.dataset.startswith(
                 "cifar10:"):
             raise ConfigError(
@@ -246,16 +249,10 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
         t = _lap(say, seed, "gates", t)
 
         stage = "search"
-        if cfg.budget == 1.0:
-            result = S.SearchResult(tau_star=0.0, config=A.full_config(arch),
-                                    achieved_flops=full, iterations=0,
-                                    converged=True, history=())
-        else:
-            result = S.search_structure(
-                best, arch,
-                S.SearchConfig(budget=int(round(cfg.budget * full)),
-                               rel_tolerance=cfg.tolerance,
-                               max_iters=cfg.max_iters))
+        result = S.search_structure(
+            best, arch, S.SearchConfig(budget=int(round(cfg.budget * full)),
+                                       rel_tolerance=cfg.tolerance,
+                                       max_iters=cfg.max_iters))
         record.search = S.result_to_dict(result)
         t = _lap(say, seed, "search", t)
 

@@ -227,15 +227,6 @@ def parse_cifar_batch(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
-def encode_cifar_batch(images: np.ndarray, labels: np.ndarray) -> bytes:
-    """Inverse of ``parse_cifar_batch`` for fixture construction."""
-    n = len(labels)
-    rec = np.empty((n, RECORD_BYTES), dtype=np.uint8)
-    rec[:, 0] = labels
-    rec[:, 1:] = images.reshape(n, -1)
-    return rec.tobytes()
-
-
 CIFAR_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6)) + (
     "test_batch.bin",)
 
@@ -492,7 +483,14 @@ def load_run(path) -> RunRecord:
 
 def save_weights(state: dict[str, np.ndarray], path,
                  meta: dict | None = None) -> None:
-    """Persist a model state (see Model.state_arrays) with metadata."""
+    """Persist a model state (see Model.state_arrays) with metadata.
+
+    The container stores float32; any other dtype raises ``FormatError``
+    before a byte is written, rather than being cast."""
+    for name, arr in state.items():
+        if arr.dtype != np.float32:
+            raise FormatError(f"state array {name!r} has dtype {arr.dtype}; "
+                              "weights are stored as float32")
     write_container(path, WEIGHTS_MAGIC, {"meta": meta or {}}, state)
 
 

@@ -22,7 +22,7 @@ from .arch import Model, evaluate_accuracy
 from .data import Dataset, derive_rng
 from .errors import ConfigError, DivergenceError, NonFiniteError
 
-PENALTY_KINDS = ("ratio", "l1")
+PENALTY_KINDS = ("ratio",)
 
 
 @dataclass
@@ -57,7 +57,8 @@ class GateSnapshot:
 
 @dataclass(frozen=True)
 class ImportanceConfig:
-    """Hyperparameters for channel-importance learning."""
+    """Hyperparameters for channel-importance learning; ``penalty`` names
+    the one penalty, ``sparsity_penalty``, so stored configs stay explicit."""
     gamma: float = 0.5
     target_sparsity: float = 0.5
     epochs: int = 10
@@ -99,26 +100,17 @@ def _mean_gate(gates) -> float:
     return total / sum(v.size for v in vectors)
 
 
-def sparsity_penalty(gates, r: float, kind: str = "ratio") -> float:
-    """Squared deviation of the mean gate from ``r`` (kind "ratio"), or
-    the normalized l1 mass itself (kind "l1"). All gates are in [0,1],
-    so the l1 norm is a plain sum. Accumulated in float64."""
-    mean = _mean_gate(gates)
-    if kind == "l1":
-        return mean
-    return (mean - r) ** 2
+def sparsity_penalty(gates, r: float) -> float:
+    """Squared deviation of the mean gate from ``r``, accumulated in
+    float64."""
+    return (_mean_gate(gates) - r) ** 2
 
 
-def sparsity_penalty_grad(gates, r: float,
-                          kind: str = "ratio") -> list[np.ndarray]:
-    """Subgradient of ``sparsity_penalty`` per gate entry: uniform
-    2(mean - r)/count for "ratio", 1/count for "l1"."""
+def sparsity_penalty_grad(gates, r: float) -> list[np.ndarray]:
+    """Gradient of ``sparsity_penalty`` per gate entry: uniform
+    2(mean - r)/count."""
     vectors = _vectors(gates)
-    count = sum(v.size for v in vectors)
-    if kind == "l1":
-        g = 1.0 / count
-    else:
-        g = 2.0 * (_mean_gate(vectors) - r) / count
+    g = 2.0 * (_mean_gate(vectors) - r) / sum(v.size for v in vectors)
     return [np.full_like(v, g) for v in vectors]
 
 
@@ -186,8 +178,7 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
                     f"non-finite loss at step {step}: {e}", step=step) from e
             epoch_ce[0] += float(ce)
             epoch_ce[1] += 1
-            pen = sparsity_penalty_grad(state, cfg.target_sparsity,
-                                        cfg.penalty)
+            pen = sparsity_penalty_grad(state, cfg.target_sparsity)
             step += 1
             for j, v in enumerate(state.lam):
                 g = grads[j] + cfg.gamma * pen[j]

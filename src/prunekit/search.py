@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arch import ArchSpec, ChannelConfig, count_flops, prune_by_threshold
+from .arch import (ArchSpec, ChannelConfig, count_flops, full_config,
+                   prune_by_threshold)
 from .errors import BudgetError, ConfigError
 
 
@@ -56,7 +57,10 @@ def search_structure(gates, arch: ArchSpec,
     """Find a threshold whose pruned structure meets ``cfg.budget`` MACs.
 
     ``gates`` is a GateState or a sequence of per-layer gate vectors, one
-    per id of ``place_gates(arch)``. Deterministic in its inputs.
+    per id of ``place_gates(arch)``. A budget equal to the full FLOPS
+    returns the full structure at threshold 0 after no iterations: a gate
+    of exactly 0 survives no threshold, so bisection never gets there.
+    Deterministic in its inputs.
     """
     full = count_flops(arch)
     if cfg.budget > full:
@@ -64,6 +68,8 @@ def search_structure(gates, arch: ArchSpec,
             f"budget {cfg.budget} exceeds full structure FLOPS {full}")
     if cfg.budget <= 0:
         raise BudgetError(f"budget must be positive, got {cfg.budget}")
+    if cfg.budget == full:
+        return SearchResult(0.0, full_config(arch), full, 0, True, ())
 
     lo, hi = 0.0, 1.0  # gates live in [0, 1]
     history: list[SearchStep] = []

@@ -22,7 +22,9 @@ then call ``tape.backward(loss, targets)`` for one gradient per target,
 in target order: the targets alone decide what is differentiated, and
 backward modifies no array. The tape keys values by identity, so every
 op returns a new array, and an array on a tape must not be modified in
-place before ``backward`` runs.
+place before ``backward`` runs. Batch norm's running statistics are
+plain arrays as well, which train-mode ``batchnorm`` updates in place;
+they are never tape inputs.
 
 Every op validates that its output is finite; NaN/Inf raises
 ``NonFiniteError``.
@@ -258,29 +260,16 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
 # ---------------------------------------------------------------------------
 # normalization and gating
 
-@dataclass
-class RunningStats:
-    """Per-channel running mean/variance, updated in train mode only."""
-    mean: np.ndarray
-    var: np.ndarray
-
-    @classmethod
-    def initial(cls, channels: int, dtype=None) -> "RunningStats":
-        dt = dtype or _DEFAULT_DTYPE
-        return cls(np.zeros(channels, dtype=dt), np.ones(channels, dtype=dt))
-
-    def copy(self) -> "RunningStats":
-        return RunningStats(self.mean.copy(), self.var.copy())
-
-
 def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-              running: RunningStats, train: bool, momentum: float = 0.1,
-              eps: float = 1e-5, tape: Tape | None = None) -> np.ndarray:
+              running_mean: np.ndarray, running_var: np.ndarray, train: bool,
+              momentum: float = 0.1, eps: float = 1e-5,
+              tape: Tape | None = None) -> np.ndarray:
     """Per-channel batch normalization with affine transform.
 
-    Train mode normalizes by biased batch statistics and updates
-    ``running`` in place with the given momentum; eval mode normalizes
-    by the running statistics and leaves them untouched.
+    Train mode normalizes by biased batch statistics and moves
+    ``running_mean`` and ``running_var`` in place one momentum step
+    toward them; eval mode normalizes by the running statistics and
+    leaves them untouched.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm expects 4-d input, got {x.shape}")
@@ -295,11 +284,11 @@ def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
             raise StatsError("batch statistics over an empty batch")
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        running.mean += momentum * (mu.astype(running.mean.dtype) - running.mean)
-        running.var += momentum * (var.astype(running.var.dtype) - running.var)
+        for run, batch in ((running_mean, mu), (running_var, var)):
+            run += momentum * (batch.astype(run.dtype) - run)
     else:
-        mu = running.mean.astype(x.dtype)
-        var = running.var.astype(x.dtype)
+        mu = running_mean.astype(x.dtype)
+        var = running_var.astype(x.dtype)
 
     invstd = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu[None, :, None, None]) * invstd[None, :, None, None]

@@ -11,6 +11,7 @@ import zlib
 import numpy as np
 
 from prunekit import analysis as AN
+from prunekit import data as D
 from prunekit import gates as G
 from prunekit import tensor as T
 
@@ -50,8 +51,7 @@ def numeric_grad(loss_fn, array, h=1e-5):
     return g.reshape(array.shape)
 
 
-def objective(model, images, labels, gates, gamma, r, kind="ratio",
-              train=False):
+def objective(model, images, labels, gates, gamma, r, train=False):
     """Classification loss plus weighted sparsity penalty, as a float.
 
     ``gates`` holds one vector per gated layer, in ``model.gated_ids``
@@ -59,7 +59,7 @@ def objective(model, images, labels, gates, gamma, r, kind="ratio",
     logits = model.forward(images, train=train,
                            gates=dict(zip(model.gated_ids, gates)))
     return (float(T.cross_entropy(logits, labels))
-            + gamma * G.sparsity_penalty(gates, r, kind))
+            + gamma * G.sparsity_penalty(gates, r))
 
 
 def rel_err(a, b):
@@ -68,6 +68,16 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
+
+
+def encode_cifar_batch(images, labels):
+    """Inverse of ``data.parse_cifar_batch``: one label byte, then the
+    image bytes, per record."""
+    n = len(labels)
+    rec = np.empty((n, D.RECORD_BYTES), dtype=np.uint8)
+    rec[:, 0] = labels
+    rec[:, 1:] = images.reshape(n, -1)
+    return rec.tobytes()
 
 
 def conv2d_oracle(x, w, stride=1, padding=0, groups=1):

@@ -23,9 +23,9 @@ from prunekit import tensor as T
 from prunekit import train as TR
 from prunekit.errors import FormatError
 
-from helpers import (float64_mode, model_flops_oracle, numeric_grad,
-                     objective, parse_matrix_csv, pearson_oracle,
-                     random_config, rel_err)
+from helpers import (encode_cifar_batch, float64_mode, model_flops_oracle,
+                     numeric_grad, objective, parse_matrix_csv,
+                     pearson_oracle, random_config, rel_err)
 
 
 @contextlib.contextmanager
@@ -333,12 +333,12 @@ def test_criterion_11_batch_format_round_trip():
         rng = np.random.default_rng(11)
         images = rng.integers(0, 256, size=(25, 3, 32, 32), dtype=np.uint8)
         labels = rng.integers(0, 10, size=25).astype(np.uint8)
-        raw = D.encode_cifar_batch(images, labels)
+        raw = encode_cifar_batch(images, labels)
         assert len(raw) == 25 * 3073
         imgs, labs = D.parse_cifar_batch(raw)
         assert np.array_equal(imgs, images)
         assert np.array_equal(labs, labels)
-        assert D.encode_cifar_batch(imgs, labs) == raw
+        assert encode_cifar_batch(imgs, labs) == raw
         for cut, start in ((len(raw) - 1, 24 * 3073),
                            (3 * 3073 + 512, 3 * 3073),
                            (100, 0)):

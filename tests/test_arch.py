@@ -318,6 +318,17 @@ def test_state_round_trip(any_arch):
     assert np.array_equal(m1.forward(x), m2.forward(x))
 
 
+def test_load_state_rejects_wrong_shaped_or_missing_arrays():
+    model = A.Model(A.preset("vgg-small"), None, seed=0)
+    state = model.state_arrays()
+    wrong = dict(state, **{"bn1.running_mean": np.zeros(5, np.float32)})
+    with pytest.raises(ConfigError, match="'bn1.running_mean'.*shape"):
+        model.load_state(wrong)
+    del state["bn1.running_var"]
+    with pytest.raises(ConfigError, match="'bn1.running_var'"):
+        model.load_state(state)
+
+
 def test_gate_dict_applies_to_forward():
     arch = A.preset("vgg-small")
     model = A.Model(arch, None, seed=2)

@@ -86,10 +86,14 @@ def test_config_validation():
     {"importance": {"batch_size": 0}},
     {"synth": {"per_class": 0}},
     {"synth": {"channels": 0}},
-], ids=["gate-batch-0", "per-class-0", "channels-0"])
+    {"tolerance": 0},
+    {"max_iters": 0},
+], ids=["gate-batch-0", "per-class-0", "channels-0", "tolerance-0",
+        "max-iters-0"])
 def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
                                                 overrides):
-    # each used to pass validation and die mid-run in a ZeroDivisionError
+    # each used to pass validation and fail mid-run: the first three in
+    # a ZeroDivisionError, the search settings after the whole gate phase
     with pytest.raises(ConfigError):
         tiny_config(tmp_path, **overrides)
     path = tmp_path / "cfg.json"

@@ -14,7 +14,7 @@ from prunekit.errors import (
     SplitError,
 )
 
-from helpers import DiesMidWrite, checksummed_container
+from helpers import DiesMidWrite, checksummed_container, encode_cifar_batch
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +135,19 @@ def test_cifar_round_trip_bit_exact():
     rng = np.random.default_rng(11)
     images = rng.integers(0, 256, (7, 3, 32, 32), dtype=np.uint8)
     labels = rng.integers(0, 10, 7, dtype=np.uint8)
-    raw = D.encode_cifar_batch(images, labels)
+    raw = encode_cifar_batch(images, labels)
     assert len(raw) == 7 * 3073
     imgs, labs = D.parse_cifar_batch(raw)
     assert np.array_equal(imgs, images)
     assert np.array_equal(labs, labels)
-    assert D.encode_cifar_batch(imgs, labs) == raw
+    assert encode_cifar_batch(imgs, labs) == raw
 
 
 def test_cifar_byte_offsets_map_exactly():
     rng = np.random.default_rng(12)
     images = rng.integers(0, 256, (5, 3, 32, 32), dtype=np.uint8)
     labels = rng.integers(0, 10, 5, dtype=np.uint8)
-    raw = D.encode_cifar_batch(images, labels)
+    raw = encode_cifar_batch(images, labels)
     imgs, labs = D.parse_cifar_batch(raw)
     for i in range(5):
         assert raw[i * 3073] == labs[i]
@@ -167,7 +167,7 @@ def test_cifar_truncation_rejected_with_offset():
 def test_cifar_bad_label_rejected():
     images = np.zeros((2, 3, 32, 32), dtype=np.uint8)
     labels = np.array([3, 11], dtype=np.uint8)
-    raw = D.encode_cifar_batch(images, labels)
+    raw = encode_cifar_batch(images, labels)
     with pytest.raises(CorruptionError) as exc:
         D.parse_cifar_batch(raw)
     assert "record 1" in str(exc.value)
@@ -184,7 +184,7 @@ def _write_cifar_dir(root, rng, per_batch=20):
     for name in D.CIFAR_FILES:
         images = rng.integers(0, 256, (per_batch, 3, 32, 32), dtype=np.uint8)
         labels = rng.integers(0, 10, per_batch, dtype=np.uint8)
-        (root / name).write_bytes(D.encode_cifar_batch(images, labels))
+        (root / name).write_bytes(encode_cifar_batch(images, labels))
 
 
 def test_load_cifar10_normalizes_by_train_stats(tmp_path):
@@ -362,6 +362,15 @@ def test_weights_round_trip(tmp_path):
     assert set(back) == set(state)
     for k in state:
         assert np.array_equal(back[k], state[k])
+
+
+def test_weights_reject_state_that_is_not_float32(tmp_path):
+    state = {"conv1.w": np.zeros((2, 1, 3, 3), np.float32),
+             "bn1.gamma": np.ones(2)}
+    p = tmp_path / "w.bin"
+    with pytest.raises(FormatError, match="'bn1.gamma'.*float64"):
+        D.save_weights(state, p)
+    assert not list(tmp_path.iterdir())
 
 
 def test_derive_seed_stable_and_distinct():

@@ -28,9 +28,8 @@ def two_conv_arch(c1=4, c2=5, classes=3):
 
 
 def restore_stats(model, backup):
-    for k, rs in model.stats.items():
-        rs.mean[:] = backup[k].mean
-        rs.var[:] = backup[k].var
+    for name, a in model.stats.items():
+        a[...] = backup[name]
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +83,16 @@ def test_penalty_grad_matches_finite_differences():
             assert abs(grad[j][i] - fd) < 1e-8
 
 
-def test_penalty_l1_kind():
-    gates = [np.array([0.5, 1.0]), np.array([0.0, 0.5])]
-    assert G.sparsity_penalty(gates, 0.9, kind="l1") == 0.5
-    grad = G.sparsity_penalty_grad(gates, 0.9, kind="l1")
-    assert np.allclose(grad[0], 0.25) and np.allclose(grad[1], 0.25)
-
-
 @pytest.mark.parametrize("field", ["gamma", "lr"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_config_rejects_non_finite_gamma_and_lr(field, value):
     with pytest.raises(ConfigError, match=field):
         G.ImportanceConfig(**{field: value})
+
+
+def test_config_rejects_penalties_other_than_ratio():
+    with pytest.raises(ConfigError, match="penalty"):
+        G.ImportanceConfig(penalty="l1")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +134,7 @@ def test_gate_gradients_match_finite_differences(train_mode):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 2, 6, 6))
         y = rng.integers(0, 3, 4)
-        backup = {k: rs.copy() for k, rs in model.stats.items()}
+        backup = {name: a.copy() for name, a in model.stats.items()}
         for trial in range(3):
             lam = [rng.random(4), rng.random(5)]
             gmap = dict(zip(model.gated_ids, lam))

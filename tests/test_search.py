@@ -45,6 +45,19 @@ def test_keep_all_budget_converges_to_full():
     assert 0.0 <= res.tau_star < 1.0
 
 
+def test_full_budget_keeps_channels_whose_gate_is_zero():
+    # a zero gate survives no threshold, so bisection alone never gets
+    # back to the full structure
+    arch = single_conv_arch()
+    full = A.count_flops(arch)
+    res = S.search_structure([np.array([0.0, 0.3, 0.0, 1.0])], arch,
+                             S.SearchConfig(budget=full))
+    assert res.config == A.full_config(arch)
+    assert res.achieved_flops == full
+    assert (res.tau_star, res.iterations, res.converged, res.history) \
+        == (0.0, 0, True, ())
+
+
 def test_four_channel_enumeration():
     # per-regime FLOPS are k/4 of full for kept count k; only k=2 meets
     # a half-budget within 2%

@@ -158,29 +158,27 @@ def test_batchnorm_train_forward_matches_oracle():
     x = rng.standard_normal((4, 3, 5, 5))
     gamma = rng.standard_normal(3) + 1.0
     beta = rng.standard_normal(3)
-    running = T.RunningStats.initial(3, dtype=np.float64)
-    out = T.batchnorm(x, gamma, beta, running, train=True)
+    run_mean, run_var = np.zeros(3), np.ones(3)
+    out = T.batchnorm(x, gamma, beta, run_mean, run_var, train=True)
     mu = x.mean(axis=(0, 2, 3))
     var = x.var(axis=(0, 2, 3))
     want = batchnorm_oracle(x, gamma, beta, mu, var)
     assert rel_err(out, want) < 1e-12
     # running stats moved one momentum step from (0, 1) toward batch stats
-    assert np.allclose(running.mean, 0.1 * mu)
-    assert np.allclose(running.var, 0.9 * 1.0 + 0.1 * var)
+    assert np.allclose(run_mean, 0.1 * mu)
+    assert np.allclose(run_var, 0.9 * 1.0 + 0.1 * var)
 
 
 def test_batchnorm_eval_uses_running_stats_and_keeps_them():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 3, 4, 4))
-    running = T.RunningStats(mean=np.array([0.5, -0.2, 0.0]),
-                             var=np.array([1.5, 0.7, 2.0]))
-    before = running.copy()
-    out = T.batchnorm(x, np.ones(3), np.zeros(3), running, train=False)
-    want = batchnorm_oracle(x, np.ones(3), np.zeros(3),
-                            before.mean, before.var)
+    mean, var = np.array([0.5, -0.2, 0.0]), np.array([1.5, 0.7, 2.0])
+    before = mean.copy(), var.copy()
+    out = T.batchnorm(x, np.ones(3), np.zeros(3), mean, var, train=False)
+    want = batchnorm_oracle(x, np.ones(3), np.zeros(3), *before)
     assert rel_err(out, want) < 1e-12
-    assert np.array_equal(running.mean, before.mean)
-    assert np.array_equal(running.var, before.var)
+    assert np.array_equal(mean, before[0])
+    assert np.array_equal(var, before[1])
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -190,13 +188,12 @@ def test_batchnorm_gradients(train):
         x = rng.standard_normal((3, 4, 4, 3))
         gamma = rng.standard_normal(4) + 1.0
         beta = rng.standard_normal(4)
-        frozen = T.RunningStats(rng.standard_normal(4),
-                                rng.random(4) + 0.5)
+        frozen = rng.standard_normal(4), rng.random(4) + 0.5
 
         def loss_fn(tape=None):
             # fresh stats copy per call so repeated evaluation is pure
-            y = T.batchnorm(x, gamma, beta, frozen.copy(), train=train,
-                            tape=tape)
+            y = T.batchnorm(x, gamma, beta, frozen[0].copy(),
+                            frozen[1].copy(), train=train, tape=tape)
             return T.sum_all(T.relu(y, tape=tape), tape=tape)
 
         tape = T.Tape()
