@@ -24,8 +24,9 @@ print("gated layers:", list(model.gated_ids))
 print("channels per gated layer:", A.gated_channel_counts(arch))
 
 before = model.weight_hash()
+# stronger than the defaults, which stop short of r and take the fallback
 cfg = G.ImportanceConfig(gamma=2.0, target_sparsity=0.5, epochs=14,
-                         lr=0.05, batch_size=32)
+                         lr=0.05)
 snaps = G.learn_channel_importance(model, suite["train"], suite["val"],
                                    cfg, seed=1)
 

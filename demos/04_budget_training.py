@@ -23,8 +23,9 @@ full_flops = A.count_flops(arch)
 
 # gates from frozen random weights, then a structure at half the FLOPS
 model = A.Model(arch, None, seed=7)
+# stronger than the defaults, which stop short of r and take the fallback
 cfg = G.ImportanceConfig(gamma=2.0, target_sparsity=0.5, epochs=14,
-                         lr=0.05, batch_size=32)
+                         lr=0.05)
 snaps = G.learn_channel_importance(model, suite["train"], suite["val"],
                                    cfg, seed=1)
 best = G.select_best_gates(snaps, cfg.target_sparsity)
@@ -39,8 +40,7 @@ base = 8
 epochs = TR.budget_epochs(base, full_flops, pruned_flops)
 print(f"epoch budget: {base} base -> {epochs} at this width\n")
 
-schedule = TR.TrainSchedule(base_epochs=base, effective_epochs=epochs,
-                            lr0=0.05, batch_size=32)
+schedule = TR.TrainSchedule(base_epochs=base, effective_epochs=epochs)
 report = TR.train_from_scratch(arch, res.config, suite, schedule, seed=3)
 
 print("epoch  lr      train loss  val accuracy")

@@ -21,11 +21,9 @@ from prunekit import train as TR
 
 bundle = AN.run_pretrain_effect_study(
     arch=A.preset("vgg-small"),
-    data=D.synth_suite(D.SynthSpec(classes=3, per_class=100, image_size=8,
-                                   channels=3, noise=4.0), seed=0),
-    importance=G.ImportanceConfig(gamma=1.0, target_sparsity=0.5,
-                                  epochs=10, lr=0.02, batch_size=32),
-    schedule=TR.TrainSchedule(base_epochs=14, lr0=0.05, batch_size=32),
+    data=D.synth_suite(D.SynthSpec(), seed=0),
+    importance=G.ImportanceConfig(),
+    schedule=TR.TrainSchedule(base_epochs=14),
     checkpoint_epochs=(10,),
     seeds=(0, 1, 2),
     budget_ratio=0.5,

@@ -5,7 +5,7 @@ Equivalent to:
     prunekit prune --budget 0.6 --seeds 0 --epochs 4 --out <dir>
     prunekit inspect <dir>/run_s0.pkrun
 
-Every run leaves a sealed record (.pkrun), trained weights, and a
+Every run leaves a run record (.pkrun), trained weights, and a
 training-curve CSV behind; inspect reads them back.
 
     python3 demos/06_cli_pipeline.py

@@ -166,8 +166,13 @@ def run_pretrain_effect_study(
             f"study budget_ratio must lie in (0, 1), got {budget_ratio}")
     epochs = tuple(sorted({int(e) for e in checkpoint_epochs if int(e) > 0}))
     seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ConfigError("study needs at least one seed")
+    structures = len(seeds) * (1 + len(epochs))
+    if structures < 2:
+        # the cross-seed matrix correlates every structure with the rest
+        raise ConfigError(
+            f"study needs at least two structures to correlate, got "
+            f"{structures}: {len(seeds)} seed(s) x {1 + len(epochs)} "
+            "gate source(s)")
     baseline_schedule = replace(schedule, base_epochs=max(epochs, default=0),
                                 effective_epochs=None)
     say = progress if progress is not None else (lambda msg: None)

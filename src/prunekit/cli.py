@@ -2,16 +2,17 @@
 
 ``prune`` runs the full chain per seed: expand the preset, draw random
 weights, learn channel gates on the frozen net, bisect to the FLOPS
-budget, budget-train the found structure from scratch, and persist a
-sealed run record. ``study`` compares structures pruned from random
+budget, budget-train the found structure from scratch, and save a
+run record. ``study`` compares structures pruned from random
 weights against structures pruned from trained checkpoints. ``inspect``
 prints a saved record. ``train-baseline`` trains a full-width model and
 saves checkpoints.
 
-Settings merge in three layers: built-in defaults, then a JSON config
-file (--config), then command-line flags. Every value, top-level or in
-a block, must have the JSON type of its field; a null is such a value,
-valid only for an optional field. An unset flag changes nothing.
+Settings merge in three layers: the config dataclasses' defaults, then
+a JSON config file (--config), then command-line flags. Every value,
+top-level or in a block, must have the JSON type of its field; a null
+is such a value, valid only for an optional field. An unset flag
+changes nothing, and a record's config must name every key.
 
 ``main`` runs numpy's bundled OpenBLAS on one thread for the duration
 of a command, then restores the previous count: at these matrix sizes
@@ -28,13 +29,14 @@ import argparse
 import contextlib
 import ctypes
 import json
+import math
 import os
 import sys
 import time
 import types
 import typing
-from dataclasses import (MISSING, asdict, dataclass, field, fields,
-                         is_dataclass, replace)
+from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
+                         replace)
 from pathlib import Path
 
 import numpy as np
@@ -59,22 +61,14 @@ class PipelineConfig:
     seeds: tuple[int, ...] = (0,)
     out: str = "runs"
     lottery_init: bool = False
-    tolerance: float = 0.02
-    max_iters: int = 20
+    tolerance: float = S.SearchConfig.rel_tolerance
+    max_iters: int = S.SearchConfig.max_iters
     checkpoint_epochs: tuple[int, ...] = (10, 20)
     data_seed: int = 0
     cifar_val_per_class: int = 500
-    # noise 4.0 keeps baseline accuracy off the ceiling so checkpoint
-    # gradients stay informative; saturated tasks invert the study's trend
-    synth: D.SynthSpec = field(default_factory=lambda: D.SynthSpec(
-        classes=3, per_class=100, image_size=8, channels=3, noise=4.0))
-    importance: G.ImportanceConfig = field(
-        default_factory=lambda: G.ImportanceConfig(
-            gamma=1.0, target_sparsity=0.5, epochs=10, lr=0.02,
-            batch_size=32))
-    schedule: TR.TrainSchedule = field(
-        default_factory=lambda: TR.TrainSchedule(
-            base_epochs=20, lr0=0.05, batch_size=32))
+    synth: D.SynthSpec = field(default_factory=D.SynthSpec)
+    importance: G.ImportanceConfig = field(default_factory=G.ImportanceConfig)
+    schedule: TR.TrainSchedule = field(default_factory=TR.TrainSchedule)
 
     def __post_init__(self):
         if not 0.0 < self.budget <= 1.0:
@@ -82,13 +76,14 @@ class PipelineConfig:
         if self.arch not in A.PRESETS:
             raise ConfigError(f"unknown preset {self.arch!r}; choose from "
                               f"{sorted(A.PRESETS)}")
-        if self.expand <= 0:
-            raise ConfigError("expansion multiplier must be positive")
+        if not (math.isfinite(self.expand) and self.expand > 0):
+            raise ConfigError(f"expansion multiplier must be finite and "
+                              f"positive, got {self.expand}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
-        if self.tolerance <= 0 or self.max_iters < 1:
-            raise ConfigError("search needs tolerance > 0 and max_iters >= 1, "
-                              f"got {self.tolerance} and {self.max_iters}")
+        # the search's own checks, before any work
+        S.SearchConfig(budget=1, max_iters=self.max_iters,
+                       rel_tolerance=self.tolerance)
         if self.dataset != "synth" and not self.dataset.startswith(
                 "cifar10:"):
             raise ConfigError(
@@ -125,6 +120,14 @@ def _checked(key: str, value, hint):
     return tuple(value) if isinstance(value, list) else value
 
 
+def _require_all(d: dict, cls, where: str) -> None:
+    """A full config names every field of ``cls``: a missing key is never
+    filled in from a default."""
+    missing = [f.name for f in fields(cls) if f.name not in d]
+    if missing:
+        raise ConfigError(f"{where} lacks {', '.join(map(repr, missing))}")
+
+
 def _block(d: dict, name: str, cls):
     """The ``name`` block of a config dict as a ``cls``, each value
     checked against its field's annotation."""
@@ -135,23 +138,16 @@ def _block(d: dict, name: str, cls):
     if unknown:
         raise ConfigError(f"config block {name!r} has unknown key(s) "
                           f"{', '.join(map(repr, unknown))}")
+    _require_all(block, cls, f"config block {name!r}")
     hints = typing.get_type_hints(cls)
-    values = {key: _checked(f"{name}.{key}", value, hints[key])
-              for key, value in block.items()}
-    absent = [f.name for f in fields(cls) if f.name not in values
-              and f.default is MISSING and f.default_factory is MISSING]
-    if absent:
-        raise ConfigError(f"config block {name!r} lacks "
-                          f"{', '.join(map(repr, absent))}")
-    return cls(**values)
+    return cls(**{key: _checked(f"{name}.{key}", value, hints[key])
+                  for key, value in block.items()})
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
     """A ``PipelineConfig`` from a dict holding every key, each value
     checked against its field's annotation; dataclass fields are blocks."""
-    missing = [f.name for f in fields(PipelineConfig) if f.name not in d]
-    if missing:
-        raise ConfigError(f"config lacks {', '.join(map(repr, missing))}")
+    _require_all(d, PipelineConfig, "config")
     hints = typing.get_type_hints(PipelineConfig)
     return PipelineConfig(**{
         f.name: _block(d, f.name, hints[f.name])
@@ -279,7 +275,6 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
         D.write_atomic(curve_path, TR.report_csv(report))
         record.artifacts = [str(weights_path), str(curve_path)]
         record.status = "completed"
-        record.seal()
         D.save_run(record, record_path)
         _lap(say, seed, "save", t)
         print(f"seed {seed}: flops ratio {pruned_flops / full:.3f} "
@@ -289,7 +284,6 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
     except Exception as exc:
         record.status = f"failed:{stage}"
         record.artifacts = []
-        record.seal()
         D.save_run(record, record_path)
         if isinstance(exc, PruneKitError):
             raise PipelineError(stage, str(exc)) from exc
@@ -371,11 +365,16 @@ def cmd_inspect(record_path, out_dir=None) -> int:
 
 def cmd_train_baseline(cfg: PipelineConfig) -> list[D.RunRecord]:
     """Train full-width models, saving study-ready checkpoints."""
+    wanted = {e for e in cfg.checkpoint_epochs if e > 0}
+    late = sorted(e for e in wanted if e > cfg.schedule.epochs)
+    if late:
+        raise ConfigError(
+            f"checkpoint epoch(s) {', '.join(map(str, late))} lie beyond "
+            f"the schedule's {cfg.schedule.epochs} epochs")
     data = resolve_dataset(cfg)
     arch = _pipeline_arch(cfg, data)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    wanted = {e for e in cfg.checkpoint_epochs if e > 0}
     records = []
     for seed in cfg.seeds:
         artifacts = []
@@ -400,7 +399,6 @@ def cmd_train_baseline(cfg: PipelineConfig) -> list[D.RunRecord]:
                              tool_version=__version__,
                              train_reports=[TR.report_to_dict(report)],
                              artifacts=artifacts)
-        record.seal()
         D.save_run(record, out / f"baseline_s{seed}.pkrun")
         records.append(record)
         print(f"seed {seed}: baseline val accuracy "

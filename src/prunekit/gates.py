@@ -59,11 +59,11 @@ class GateSnapshot:
 class ImportanceConfig:
     """Hyperparameters for channel-importance learning; ``penalty`` names
     the one penalty, ``sparsity_penalty``, so stored configs stay explicit."""
-    gamma: float = 0.5
+    gamma: float = 1.0
     target_sparsity: float = 0.5
     epochs: int = 10
-    lr: float = 0.01
-    batch_size: int = 128
+    lr: float = 0.02
+    batch_size: int = 32
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -80,6 +80,8 @@ class ImportanceConfig:
             raise ConfigError(
                 f"target sparsity must be in (0, 1], got "
                 f"{self.target_sparsity}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(
                 f"batch_size must be >= 1, got {self.batch_size}")

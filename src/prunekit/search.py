@@ -11,6 +11,7 @@ first, the best threshold seen is returned with ``converged=False``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .arch import (ArchSpec, ChannelConfig, count_flops, full_config,
@@ -25,8 +26,9 @@ class SearchConfig:
     rel_tolerance: float = 0.02
 
     def __post_init__(self):
-        if self.rel_tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance > 0):
+            raise ConfigError(f"tolerance must be finite and positive, "
+                              f"got {self.rel_tolerance}")
         if self.max_iters < 1:
             raise ConfigError("need at least one iteration")
 

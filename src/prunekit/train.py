@@ -33,14 +33,14 @@ class TrainSchedule:
     number actually run; None means run the base count. Budget-scaled
     runs pass the output of ``budget_epochs`` here.
     """
-    base_epochs: int
+    base_epochs: int = 20
     effective_epochs: int | None = None
     optimizer: str = "sgd"
     momentum: float = 0.9
     weight_decay: float = 5e-4
     lr_policy: str = "step-decay"
-    lr0: float = 0.1
-    batch_size: int = 128
+    lr0: float = 0.05
+    batch_size: int = 32
     label_smoothing: float = 0.0
     milestones: tuple[float, ...] = (0.5, 0.75)
     decay_factor: float = 0.1
@@ -55,16 +55,19 @@ class TrainSchedule:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.lr_policy not in LR_POLICIES:
             raise ConfigError(f"unknown lr policy {self.lr_policy!r}")
-        if self.lr0 <= 0.0:
-            raise ConfigError("lr0 must be positive")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0.0):
+            raise ConfigError(f"lr0 must be finite and positive, "
+                              f"got {self.lr0}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError("label_smoothing must lie in [0, 1)")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not (math.isfinite(self.weight_decay)
+                and self.weight_decay >= 0.0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, "
+                              f"got {self.weight_decay}")
         if any(not 0.0 < m <= 1.0 for m in self.milestones):
             raise ConfigError("milestones are fractions in (0, 1]")
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ import pytest
 from prunekit import arch as A
 from prunekit import cli as CLI
 from prunekit import data as D
+from prunekit import gates as G
 from prunekit import search as S
 from prunekit import train as TR
 from prunekit.errors import ConfigError, PipelineError
 
 from helpers import checksummed_container
 
+ROOT = Path(__file__).resolve().parent.parent
 TINY = {
     "budget": 0.5,
     "expand": 1.25,
@@ -50,6 +53,23 @@ def test_defaults_round_trip():
     assert CLI.config_from_dict(CLI.config_to_dict(cfg)) == cfg
     via_json = json.loads(json.dumps(CLI.config_to_dict(cfg)))
     assert CLI.config_from_dict(via_json) == cfg
+
+
+def test_pipeline_blocks_are_the_dataclass_defaults():
+    cfg = CLI.PipelineConfig()
+    assert cfg.synth == D.SynthSpec()
+    assert cfg.importance == G.ImportanceConfig()
+    assert cfg.schedule == TR.TrainSchedule()
+
+
+def test_bench_prune_config_is_the_default_config():
+    # bench/README.md: the pinned prune-vgg config is the CLI's default
+    pinned = json.loads(
+        (ROOT / "bench" / "configs" / "prune-vgg.json").read_text())
+    default = CLI.config_to_dict(CLI.PipelineConfig())
+    for key in ("out", "seeds"):
+        default.pop(key)
+    assert pinned == default
 
 
 def test_file_then_flags_precedence(tmp_path):
@@ -88,12 +108,22 @@ def test_config_validation():
     {"synth": {"channels": 0}},
     {"tolerance": 0},
     {"max_iters": 0},
+    {"expand": float("inf")},
+    {"schedule": {"lr0": float("inf")}},
+    {"schedule": {"lr0": float("nan")}},
+    {"schedule": {"weight_decay": float("nan")}},
+    {"tolerance": float("inf")},
+    {"importance": {"epochs": 0}},
 ], ids=["gate-batch-0", "per-class-0", "channels-0", "tolerance-0",
-        "max-iters-0"])
+        "max-iters-0", "expand-inf", "lr0-inf", "lr0-nan",
+        "weight-decay-nan", "tolerance-inf", "gate-epochs-0"])
 def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
                                                 overrides):
-    # each used to pass validation and fail mid-run: the first three in
-    # a ZeroDivisionError, the search settings after the whole gate phase
+    # each used to pass validation and fail or mislead mid-run: sizes of
+    # 0 in a ZeroDivisionError, an infinite expansion in an OverflowError,
+    # the search settings after the whole gate phase, an infinite lr0 in
+    # training, zero gate epochs with no snapshot to select; NaN slipped
+    # past the range checks. Python's json reads Infinity and NaN.
     with pytest.raises(ConfigError):
         tiny_config(tmp_path, **overrides)
     path = tmp_path / "cfg.json"
@@ -141,10 +171,13 @@ def test_config_null_only_for_optional_fields(tmp_path):
     d["importance"]["epochs"] = None
     with pytest.raises(ConfigError, match="'importance.epochs' must be int"):
         CLI.config_from_dict(d)
-    d = CLI.config_to_dict(cfg)
-    del d["schedule"]["base_epochs"]
-    with pytest.raises(ConfigError, match="'schedule' lacks 'base_epochs'"):
-        CLI.config_from_dict(d)
+    # a record names every key: a missing one is never filled in, even
+    # where the field has a default
+    for key in ("base_epochs", "momentum"):
+        d = CLI.config_to_dict(cfg)
+        del d["schedule"][key]
+        with pytest.raises(ConfigError, match=f"'schedule' lacks '{key}'"):
+            CLI.config_from_dict(d)
 
 
 @pytest.mark.parametrize("content, problem", [
@@ -374,7 +407,7 @@ def test_inspect_malformed_record_exits_nonzero(tmp_path, capsys, content,
         bad.write_bytes(checksummed_container(D.RUN_MAGIC, content))
     else:  # a well-formed record whose config is ``content``
         record = D.RunRecord(config=content, seed=0, tool_version="0")
-        D.save_run(record.seal(), bad)
+        D.save_run(record, bad)
     assert CLI.main(["inspect", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
@@ -402,8 +435,7 @@ def test_inspect_rejects_unknown_config_key(tmp_path, capsys, block):
     config = CLI.config_to_dict(tiny_config(tmp_path))
     config[block]["bogus"] = 1
     bad = tmp_path / "bad.pkrun"
-    D.save_run(D.RunRecord(config=config, seed=0, tool_version="0").seal(),
-               bad)
+    D.save_run(D.RunRecord(config=config, seed=0, tool_version="0"), bad)
     assert CLI.main(["inspect", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -472,6 +504,35 @@ def test_study_searches_under_the_config_tolerance(tmp_path, monkeypatch):
     assert len(stopped) == 2
     assert "s0:rand" in stopped[0] and "flops ratio 0." in stopped[0]
     assert "s0:e1" in stopped[1]
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("trained before rejecting the config")
+
+
+def test_study_rejects_a_single_structure_before_training(tmp_path, capsys,
+                                                          monkeypatch):
+    # one seed and no checkpoint leave one structure, and the cross-seed
+    # matrix needs two
+    monkeypatch.setattr(TR, "fit", _no_training)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY, out=str(tmp_path / "study"),
+                                    seeds=[0], checkpoint_epochs=[0])))
+    assert CLI.main(["study", "--config", str(path)]) == 1
+    assert "error: study needs at least two structures" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "study").exists()
+
+
+def test_train_baseline_rejects_checkpoints_beyond_the_schedule(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(TR, "fit", _no_training)
+    out = tmp_path / "base"
+    assert CLI.main(["train-baseline", "--epochs", "2",
+                     "--checkpoint-epochs", "1,5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint epoch(s) 5 lie beyond")
+    assert not out.exists()
 
 
 def test_train_baseline_saves_checkpoints(tmp_path):

@@ -304,25 +304,18 @@ def _sample_record(tmp_path, with_blob=True):
     )
 
 
-def test_run_record_seal_guards(tmp_path):
+def test_save_run_requires_artifacts(tmp_path):
     rec = _sample_record(tmp_path)
     rec.artifacts = [str(tmp_path / "missing.bin")]
-    with pytest.raises(ConfigError):
-        rec.seal()
-    rec.artifacts = []
-    rec.seal()
-    with pytest.raises(ConfigError):
-        rec.status = "other"
-
-
-def test_run_record_requires_seal_for_save(tmp_path):
-    rec = _sample_record(tmp_path)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="missing.bin"):
         D.save_run(rec, tmp_path / "run.bin")
+    assert not (tmp_path / "run.bin").exists()
+    rec.artifacts = []
+    D.save_run(rec, tmp_path / "run.bin")
 
 
 def test_run_round_trip_and_resave_bytes(tmp_path):
-    rec = _sample_record(tmp_path).seal()
+    rec = _sample_record(tmp_path)
     p = tmp_path / "run.bin"
     D.save_run(rec, p)
     back = D.load_run(p)
@@ -334,14 +327,14 @@ def test_run_round_trip_and_resave_bytes(tmp_path):
 
 
 def test_run_round_trip_empty_trajectory(tmp_path):
-    rec = D.RunRecord(config={}, seed=0, tool_version="0.1.0").seal()
+    rec = D.RunRecord(config={}, seed=0, tool_version="0.1.0")
     p = tmp_path / "run.bin"
     D.save_run(rec, p)
     assert D.load_run(p) == rec
 
 
 def test_run_tampered_blob(tmp_path):
-    rec = _sample_record(tmp_path).seal()
+    rec = _sample_record(tmp_path)
     p = tmp_path / "run.bin"
     D.save_run(rec, p)
     blob = bytearray(p.read_bytes())

@@ -1,4 +1,5 @@
-"""Every quick demo runs to completion against the current library.
+"""Every quick demo, and the README's library quickstart, runs to
+completion against the current library.
 
 ``05_similarity_study.py`` is left out: it trains a three-seed study
 and takes tens of seconds.
@@ -26,4 +27,17 @@ def test_demo_runs(name, tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_quickstart_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quickstart (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # its gate settings reach r, so the snapshot fallback's
+    # RuntimeWarning must not fire
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -207,7 +207,8 @@ def test_zero_gamma_learns_without_sparsifying():
     # the mean stays near its 1.0 start and the per-epoch loss drops
     for seed in range(5):
         model, suite = toy_setup(seed=seed)
-        cfg = G.ImportanceConfig(gamma=0.0, epochs=5, batch_size=16)
+        cfg = G.ImportanceConfig(gamma=0.0, epochs=5, lr=0.01,
+                                 batch_size=16)
         snaps = G.learn_channel_importance(model, suite["train"],
                                            suite["val"], cfg, seed=seed)
         assert snaps[-1].train_loss < snaps[0].train_loss
