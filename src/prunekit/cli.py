@@ -48,7 +48,8 @@ from . import data as D
 from . import gates as G
 from . import search as S
 from . import train as TR
-from .errors import ConfigError, PipelineError, PruneKitError
+from .errors import (ConfigError, GeometryError, PipelineError,
+                     PruneKitError)
 
 
 @dataclass
@@ -89,6 +90,15 @@ class PipelineConfig:
             raise ConfigError(
                 f"dataset must be 'synth' or 'cifar10:<path>', "
                 f"got {self.dataset!r}")
+        if self.dataset == "synth":
+            # the preset's geometry check, before any data is built
+            size = self.synth.image_size
+            try:
+                A.count_flops(A.preset(self.arch, (self.synth.channels,
+                                                   size, size)))
+            except GeometryError as exc:
+                raise ConfigError(f"synth.image_size {size} is too small: "
+                                  f"{exc}") from None
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:

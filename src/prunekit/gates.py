@@ -89,6 +89,12 @@ class ImportanceConfig:
             raise ConfigError(f"penalty must be one of {PENALTY_KINDS}")
         if self.evals_per_epoch < 1:
             raise ConfigError("need at least one evaluation per epoch")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1/beta2 must lie in [0, 1), got "
+                              f"{self.beta1}/{self.beta2}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be finite and positive, "
+                              f"got {self.eps}")
 
 
 def _vectors(gates) -> list[np.ndarray]:

@@ -14,8 +14,12 @@ layout, and the next conv reads it without a transposing copy. The
 input gradient of a stride-1 conv is the same patch matmul over the
 padded upstream gradient and the flipped weight; other strides use
 col2im into channels-last memory, whose kh*kw slab adds read runs of C
-contiguous values. Results do not depend on the memory layout of the
-input.
+contiguous values. Batch norm, gating and pooling work on the
+[N*H*W, C] rows of that memory and reduce them with ``np.add.reduce``:
+the rows are a free view of a conv's output and one copy of any other
+layout, and batch norm returns channels-last memory too. Conv and pool
+windows are ``as_strided`` views built from the input's own strides.
+Results do not depend on the memory layout of the input.
 
 Ops take and return plain ``np.ndarray``. Run them with a ``Tape``,
 then call ``tape.backward(loss, targets)`` for one gradient per target,
@@ -148,10 +152,20 @@ def _pair(v) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # convolution
 
-def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    # view of shape [N, C, Ho, Wo, kh, kw]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win[:, :, ::sh, ::sw]
+def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """Read-only [N, Ho, Wo, kh, kw, C] view of the windows of [N,H,W,C]
+    ``x``, built from its own strides."""
+    n, h, w, c = x.shape
+    s0, s1, s2, s3 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (n, (h - kh) // sh + 1, (w - kw) // sw + 1, kh, kw, c),
+        (s0, s1 * sh, s2 * sw, s1, s2, s3), writeable=False)
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """[N*H*W, C] rows of [N,C,H,W] ``x``: a free view of channels-last
+    memory, one copy from any other layout."""
+    return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
 
 
 def _patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
@@ -160,10 +174,9 @@ def _patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
     (ph, pw), built in channels-last memory: each row holds kh*kw runs of
     C contiguous values."""
     n, c, h, w = x.shape
-    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c),
-                  dtype=x.dtype).transpose(0, 3, 1, 2)
-    xp[:, :, ph:ph + h, pw:pw + w] = x
-    win = _windows(xp, kh, kw, sh, sw).transpose(0, 2, 3, 4, 5, 1)
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    xp[:, ph:ph + h, pw:pw + w] = x.transpose(0, 2, 3, 1)
+    win = _windows(xp, kh, kw, sh, sw)
     return np.ascontiguousarray(win).reshape(n, -1, kh * kw * c)
 
 
@@ -211,7 +224,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
     if groups == cin == cout:
         xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         wsq = w[:, 0]  # [C, kh, kw]
-        win = _windows(xp, kh, kw, sh, sw)
+        win = _windows(xp.transpose(0, 2, 3, 1), kh, kw, sh, sw
+                       ).transpose(0, 5, 1, 2, 3, 4)
         out = np.einsum("nchwij,cij->nchw", win, wsq, optimize=True)
 
         def bwd(gout, needs):
@@ -250,7 +264,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
                 lambda i, j: dcols[:, :, :, i, j].transpose(0, 3, 1, 2),
                 kh, kw, sh, sw, ho, wo, ph, pw, h, wd)
         if needs[1]:
-            dw = np.tensordot(g2, cols, axes=((0, 1), (0, 1)))
+            dw = g2.reshape(-1, cout).T @ cols.reshape(-1, kh * kw * cin)
             dw = dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
         return dx, dw
 
@@ -273,42 +287,44 @@ def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm expects 4-d input, got {x.shape}")
-    c = x.shape[1]
+    n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
     if eps <= 0:
         raise StatsError(f"eps must be positive, got {eps}")
 
+    x2, m = _rows(x), n * h * w
     if train:
-        if x.shape[0] == 0:
+        if n == 0:
             raise StatsError("batch statistics over an empty batch")
-        mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        mu = np.add.reduce(x2, axis=0) / m
+        d = x2 - mu
+        var = np.add.reduce(d * d, axis=0) / m
         for run, batch in ((running_mean, mu), (running_var, var)):
             run += momentum * (batch.astype(run.dtype) - run)
+        invstd = 1.0 / np.sqrt(var + eps)
+        xhat = d * invstd
+        out = xhat * gamma + beta
     else:
+        # the running statistics as one per-channel scale and shift
         mu = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype)
-
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu[None, :, None, None]) * invstd[None, :, None, None]
-    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+        invstd = 1.0 / np.sqrt(running_var.astype(x.dtype) + eps)
+        scale = gamma * invstd
+        out = x2 * scale + (beta - mu * scale)
+    out = out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     def bwd(gout, needs):
-        dx = dgamma = dbeta = None
-        if needs[1]:
-            dgamma = (gout * xhat).sum(axis=(0, 2, 3))
-        if needs[2]:
-            dbeta = gout.sum(axis=(0, 2, 3))
+        g2 = _rows(gout)
+        xh = xhat if train else (x2 - mu) * invstd
+        sg = np.add.reduce(g2, axis=0)
+        sgx = np.add.reduce(g2 * xh, axis=0)
+        dx = None
         if needs[0]:
-            dxhat = gout * gamma[None, :, None, None]
             if train:
-                m1 = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-                dx = invstd[None, :, None, None] * (dxhat - m1 - xhat * m2)
-            else:
-                dx = dxhat * invstd[None, :, None, None]
-        return dx, dgamma, dbeta
+                g2 = g2 - sg / m - xh * (sgx / m)
+            dx = (g2 * (gamma * invstd)).reshape(n, h, w, c)
+            dx = dx.transpose(0, 3, 1, 2)
+        return dx, sgx if needs[1] else None, sg if needs[2] else None
 
     return _emit(tape, "batchnorm", (x, gamma, beta), out, bwd)
 
@@ -323,8 +339,7 @@ def gate_modulate(x: np.ndarray, gates: np.ndarray,
 
     def bwd(gout, needs):
         dx = gout * gates[None, :, None, None] if needs[0] else None
-        dg = np.einsum("nchw,nchw->c", gout, x, optimize=True) \
-            if needs[1] else None
+        dg = np.add.reduce(_rows(gout * x), axis=0) if needs[1] else None
         return dx, dg
 
     return _emit(tape, "gate_modulate", (x, gates), out, bwd)
@@ -365,18 +380,17 @@ def avg_pool2d(x: np.ndarray, kernel, stride=None,
         raise GeometryError(f"pool kernel {kh}x{kw} exceeds input {h}x{w}")
     ho = (h - kh) // sh + 1
     wo = (w - kw) // sw + 1
-    win = _windows(x, kh, kw, sh, sw)
-    out = win.mean(axis=(4, 5))
     scale = 1.0 / (kh * kw)
+    win = _windows(np.ascontiguousarray(x.transpose(0, 2, 3, 1)),
+                   kh, kw, sh, sw)
+    out = (np.add.reduce(win, axis=(3, 4)) * scale).transpose(0, 3, 1, 2)
 
     def bwd(gout, needs):
         if not needs[0]:
             return (None,)
-        dx = _scatter_windows(
-            x.shape,
-            lambda i, j: gout * scale,
-            kh, kw, sh, sw, ho, wo, 0, 0, h, w)
-        return (dx,)
+        gs = gout * scale
+        return (_scatter_windows(x.shape, lambda i, j: gs,
+                                 kh, kw, sh, sw, ho, wo, 0, 0, h, w),)
 
     return _emit(tape, "avg_pool2d", (x,), out, bwd)
 
@@ -386,12 +400,13 @@ def global_avg_pool(x: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     if x.ndim != 4:
         raise ShapeError(f"global_avg_pool expects 4-d input, got {x.shape}")
     n, c, h, w = x.shape
-    out = x.mean(axis=(2, 3))
+    out = np.add.reduce(_rows(x).reshape(n, h * w, c), axis=1) / (h * w)
 
     def bwd(gout, needs):
         if not needs[0]:
             return (None,)
-        return (np.broadcast_to(gout[:, :, None, None] / (h * w), x.shape).copy(),)
+        g = np.broadcast_to((gout / (h * w))[:, None, None], (n, h, w, c))
+        return (g.copy().transpose(0, 3, 1, 2),)
 
     return _emit(tape, "global_avg_pool", (x,), out, bwd)
 

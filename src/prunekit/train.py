@@ -70,6 +70,9 @@ class TrainSchedule:
                               f"got {self.weight_decay}")
         if any(not 0.0 < m <= 1.0 for m in self.milestones):
             raise ConfigError("milestones are fractions in (0, 1]")
+        if not 0.0 < self.decay_factor <= 1.0:
+            raise ConfigError(f"decay_factor must lie in (0, 1], "
+                              f"got {self.decay_factor}")
 
     @property
     def epochs(self) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prunekit import arch as A
+from prunekit import tensor as T
 from prunekit.errors import ArchError, ConfigError
 
 from helpers import model_flops_oracle, random_config
@@ -345,6 +346,31 @@ def test_gate_dict_applies_to_forward():
     dead = model.forward(x, gates=zeros)
     # killing every gated channel collapses logits to the classifier bias
     assert np.allclose(dead, dead[0], atol=1e-6)
+
+
+def test_forward_calls_one_op_per_layer(monkeypatch):
+    # the per-op timings of the benchmark rebind these names, so a fused
+    # op would hide their time
+    arch = A.preset("vgg-small")
+    model = A.Model(arch, None, seed=0)
+    gates = {lid: np.full(model.widths[lid].cout, 0.5, np.float32)
+             for lid in model.gated_ids}
+    calls = {name: 0 for name in ("conv2d", "batchnorm", "gate_modulate",
+                                  "relu", "avg_pool2d")}
+    for name in calls:
+        def spy(*args, _op=getattr(T, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(T, name, spy)
+    x = np.random.default_rng(0).standard_normal((2, 3, 8, 8))
+    model.forward(x, train=True, gates=gates, tape=T.Tape())
+    kinds = [l.kind for l in arch.layers]
+    assert calls == {"conv2d": kinds.count("conv"),
+                     "batchnorm": kinds.count("batchnorm"),
+                     "gate_modulate": len(model.gated_ids),
+                     "relu": kinds.count("relu"),
+                     "avg_pool2d": kinds.count("pool")}
+    assert len(model.gated_ids) == kinds.count("batchnorm")
 
 
 def test_evaluate_accuracy_perfect_and_chance():

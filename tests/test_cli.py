@@ -114,16 +114,26 @@ def test_config_validation():
     {"schedule": {"weight_decay": float("nan")}},
     {"tolerance": float("inf")},
     {"importance": {"epochs": 0}},
+    {"schedule": {"decay_factor": float("nan")}},
+    {"importance": {"beta1": 1.0}},
+    {"importance": {"beta2": float("nan")}},
+    {"importance": {"eps": 0.0}},
+    {"synth": {"image_size": 1}},
 ], ids=["gate-batch-0", "per-class-0", "channels-0", "tolerance-0",
         "max-iters-0", "expand-inf", "lr0-inf", "lr0-nan",
-        "weight-decay-nan", "tolerance-inf", "gate-epochs-0"])
+        "weight-decay-nan", "tolerance-inf", "gate-epochs-0",
+        "decay-factor-nan", "beta1-1", "beta2-nan", "eps-0",
+        "image-size-1"])
 def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
                                                 overrides):
     # each used to pass validation and fail or mislead mid-run: sizes of
     # 0 in a ZeroDivisionError, an infinite expansion in an OverflowError,
-    # the search settings after the whole gate phase, an infinite lr0 in
-    # training, zero gate epochs with no snapshot to select; NaN slipped
-    # past the range checks. Python's json reads Infinity and NaN.
+    # the search settings after the whole gate phase, an infinite lr0 or
+    # a NaN decay factor in training, beta1 = 1 in a division by zero at
+    # the first gate step, zero gate epochs with no snapshot to select,
+    # an image too small for the preset at stage expand, after the data
+    # was built; NaN slipped past the range checks. Python's json reads
+    # Infinity and NaN.
     with pytest.raises(ConfigError):
         tiny_config(tmp_path, **overrides)
     path = tmp_path / "cfg.json"

@@ -111,13 +111,17 @@ def _conv_loss_and_grads(x, w, stride, padding):
     return (y, *tape.backward(loss, [x, w]))
 
 
+def _channels_last(x):
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 @pytest.mark.parametrize("stride,padding,k", [(1, 1, 3), (2, 0, 1)])
 def test_conv2d_result_independent_of_input_memory_layout(stride, padding,
                                                           k):
     rng = np.random.default_rng(12)
     x = rng.standard_normal((2, 5, 6, 6)).astype(np.float32)
     w = rng.standard_normal((4, 5, k, k)).astype(np.float32)
-    x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    x_cl = _channels_last(x)
     assert x.flags.c_contiguous and not x_cl.flags.c_contiguous
     for a, b in zip(_conv_loss_and_grads(x, w, stride, padding),
                     _conv_loss_and_grads(x_cl, w, stride, padding)):
@@ -132,6 +136,45 @@ def test_dense_conv2d_output_is_channels_last_in_memory():
     out = T.conv2d(x, w, padding=1)
     assert out.shape == (2, 4, 6, 6)
     assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+@pytest.mark.parametrize("op", ["batchnorm-train", "batchnorm-eval",
+                                "gate_modulate", "avg_pool2d",
+                                "avg_pool2d-k3s2", "global_avg_pool"])
+def test_ops_result_independent_of_input_memory_layout(op):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((2, 5, 7, 7)).astype(np.float32)
+    gamma = (rng.standard_normal(5) + 1.0).astype(np.float32)
+    beta = rng.standard_normal(5).astype(np.float32)
+    stats = (rng.standard_normal(5).astype(np.float32),
+             (rng.random(5) + 0.5).astype(np.float32))
+
+    def run(x):
+        # output, gradients and running statistics after one step
+        running = [s.copy() for s in stats]
+        tape = T.Tape()
+        targets = [x]
+        if op.startswith("batchnorm"):
+            y = T.batchnorm(x, gamma, beta, *running,
+                            train=op == "batchnorm-train", tape=tape)
+            targets += [gamma, beta]
+        elif op == "gate_modulate":
+            y = T.gate_modulate(x, gamma, tape=tape)
+            targets.append(gamma)
+        elif op == "avg_pool2d":
+            y = T.avg_pool2d(x, kernel=2, tape=tape)
+        elif op == "avg_pool2d-k3s2":
+            y = T.avg_pool2d(x, kernel=3, stride=2, tape=tape)
+        else:
+            y = T.global_avg_pool(x, tape=tape)
+        loss = T.sum_all(T.relu(y, tape=tape), tape=tape)
+        return (y, *tape.backward(loss, targets), *running)
+
+    x_cl = _channels_last(x)
+    assert x.flags.c_contiguous and not x_cl.flags.c_contiguous
+    for a, b in zip(run(x), run(x_cl)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 def test_conv2d_rejects_bad_geometry():
@@ -203,6 +246,18 @@ def test_batchnorm_gradients(train):
             assert rel_err(g, numeric_grad(loss_fn, t)) < GRAD_TOL
 
 
+@pytest.mark.parametrize("train", [True, False])
+def test_batchnorm_output_is_channels_last_in_memory(train):
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
+    assert x.flags.c_contiguous
+    out = T.batchnorm(x, np.ones(3, np.float32), np.zeros(3, np.float32),
+                      np.zeros(3, np.float32), np.ones(3, np.float32),
+                      train=train)
+    assert out.shape == x.shape
+    assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # gating
 
@@ -254,18 +309,21 @@ def test_pool_linear_add_gradients():
         x = rng.standard_normal((2, 3, 4, 4))
         w = rng.standard_normal((5, 3))
         b = rng.standard_normal(5)
+        # 3x3 windows at stride 2 overlap on a 5x5 input
+        x_overlap = rng.standard_normal((2, 3, 5, 5))
 
-        def loss_fn(tape=None):
-            p = T.avg_pool2d(x, kernel=2, tape=tape)
-            q = T.add(p, p, tape=tape)
-            f = T.global_avg_pool(q, tape=tape)
-            y = T.linear(f, w, b, tape=tape)
-            return T.sum_all(T.relu(y, tape=tape), tape=tape)
+        for x, kernel, stride in ((x, 2, None), (x_overlap, 3, 2)):
+            def loss_fn(tape=None):
+                p = T.avg_pool2d(x, kernel=kernel, stride=stride, tape=tape)
+                q = T.add(p, p, tape=tape)
+                f = T.global_avg_pool(q, tape=tape)
+                y = T.linear(f, w, b, tape=tape)
+                return T.sum_all(T.relu(y, tape=tape), tape=tape)
 
-        tape = T.Tape()
-        grads = tape.backward(loss_fn(tape), [x, w, b])
-        for t, g in zip((x, w, b), grads):
-            assert rel_err(g, numeric_grad(loss_fn, t)) < GRAD_TOL
+            tape = T.Tape()
+            grads = tape.backward(loss_fn(tape), [x, w, b])
+            for t, g in zip((x, w, b), grads):
+                assert rel_err(g, numeric_grad(loss_fn, t)) < GRAD_TOL
 
 
 def test_global_avg_pool_value():
