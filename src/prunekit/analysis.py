@@ -166,6 +166,8 @@ def run_pretrain_effect_study(
             f"study budget_ratio must lie in (0, 1), got {budget_ratio}")
     epochs = tuple(sorted({int(e) for e in checkpoint_epochs if int(e) > 0}))
     seeds = tuple(int(s) for s in seeds)
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"study seeds must be distinct: {list(seeds)}")
     structures = len(seeds) * (1 + len(epochs))
     if structures < 2:
         # the cross-seed matrix correlates every structure with the rest
@@ -180,31 +182,19 @@ def run_pretrain_effect_study(
     full = A.count_flops(arch)
     search = S.SearchConfig(budget=int(round(budget_ratio * full)),
                             max_iters=max_iters, rel_tolerance=tolerance)
-    wanted = {0, *epochs}
-    features: list[StructureFeature] = []
     configs: dict[str, A.ChannelConfig] = {}
     accuracies: dict[str, float] = {}
     flops_ratios: dict[str, float] = {}
+    features: list[StructureFeature] = []
     per_seed: dict[int, SimilarityMatrix] = {}
-    channel_rows: list[tuple[str, str, int, int]] = []
-    gated_ids = A.place_gates(arch)
-    widths = A.gated_channel_counts(arch)
 
     for seed in seeds:
-        states: dict[int, dict[str, np.ndarray]] = {}
-
-        def sink(epoch, model, states=states):
-            if epoch in wanted:
-                states[epoch] = model.state_arrays()
-
         say(f"seed {seed}: training baseline ({baseline_schedule.epochs} "
             "epochs)")
-        baseline = A.Model(arch, None, D.derive_seed(seed, "study-baseline"))
-        TR.fit(baseline, data, baseline_schedule, seed, checkpoint_sink=sink)
-
-        seed_features = []
-        for epoch in (0,) + epochs:
-            label = feature_label(seed, epoch)
+        _, states = TR.train_baseline(arch, data, baseline_schedule, seed,
+                                      {0, *epochs})
+        labels = [feature_label(seed, epoch) for epoch in (0,) + epochs]
+        for epoch, label in zip((0,) + epochs, labels):
             say(f"seed {seed}: gates from "
                 + ("random init" if epoch == 0 else f"epoch {epoch}"))
             source = A.Model(arch, None, seed=0)
@@ -214,33 +204,34 @@ def run_pretrain_effect_study(
                 D.derive_seed(seed, "study-gates", str(epoch)))
             best = G.select_best_gates(snaps, importance.target_sparsity)
             result = S.search_structure(best, arch, search)
-            config = result.config
-            configs[label] = config
-            feat = structure_feature(config, arch, label)
-            features.append(feat)
-            seed_features.append(feat)
+            configs[label] = result.config
             pruned = result.achieved_flops
             flops_ratios[label] = pruned / full
             if not result.converged:
                 say(f"seed {seed}: search for {label} stopped outside "
                     f"tolerance at flops ratio {pruned / full:.3f}")
-            for lid, kept, orig in zip(gated_ids, config.kept_counts,
-                                       widths):
-                channel_rows.append((lid, label, kept, orig))
             eff = TR.budget_epochs(schedule.base_epochs, full, pruned)
             say(f"seed {seed}: scratch-training {label} ({eff} epochs)")
-            rep = TR.train_from_scratch(
-                arch, config, data, replace(schedule, effective_epochs=eff),
-                D.derive_seed(seed, "study-scratch", label))
-            accuracies[label] = rep.test_accuracy
+            accuracies[label] = TR.train_from_scratch(
+                arch, result.config, data,
+                replace(schedule, effective_epochs=eff),
+                D.derive_seed(seed, "study-scratch", label)).test_accuracy
+        # per seed, so a degenerate structure stops the study early
+        seed_features = [structure_feature(configs[l], arch, l)
+                         for l in labels]
+        features += seed_features
         if len(seed_features) >= 2:
             per_seed[seed] = correlation_matrix(seed_features)
 
-    cross = correlation_matrix(features)
+    widths = A.gated_channel_counts(arch)
+    channel_rows = [(lid, label, kept, orig)
+                    for label, config in configs.items()
+                    for lid, kept, orig in zip(A.place_gates(arch),
+                                               config.kept_counts, widths)]
     return StudyBundle(checkpoint_epochs=epochs, seeds=seeds,
                        features=features, configs=configs,
                        accuracies=accuracies, flops_ratios=flops_ratios,
-                       per_seed=per_seed, cross=cross,
+                       per_seed=per_seed, cross=correlation_matrix(features),
                        channel_rows=channel_rows)
 
 

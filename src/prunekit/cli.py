@@ -82,6 +82,8 @@ class PipelineConfig:
                               f"positive, got {self.expand}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be distinct: {list(self.seeds)}")
         # the search's own checks, before any work
         S.SearchConfig(budget=1, max_iters=self.max_iters,
                        rel_tolerance=self.tolerance)
@@ -313,6 +315,9 @@ def cmd_prune(cfg: PipelineConfig, progress=None) -> list[D.RunRecord]:
 
 def cmd_study(cfg: PipelineConfig, progress=None) -> list[Path]:
     """Pretraining-effect study; emits CSV reports into ``cfg.out``."""
+    if cfg.lottery_init:
+        raise ConfigError("lottery_init applies to prune only: the study "
+                          "trains every structure from fresh weights")
     data = resolve_dataset(cfg)
     bundle = AN.run_pretrain_effect_study(
         _pipeline_arch(cfg, data), data, cfg.importance, cfg.schedule,
@@ -374,37 +379,31 @@ def cmd_inspect(record_path, out_dir=None) -> int:
 # train-baseline
 
 def cmd_train_baseline(cfg: PipelineConfig) -> list[D.RunRecord]:
-    """Train full-width models, saving study-ready checkpoints."""
+    """Train each seed's full-width baseline and save its checkpoints,
+    which are the study's baseline states when the study's last checkpoint
+    epoch equals the schedule's epochs, as in the default config."""
+    last = cfg.schedule.epochs
     wanted = {e for e in cfg.checkpoint_epochs if e > 0}
-    late = sorted(e for e in wanted if e > cfg.schedule.epochs)
+    late = sorted(e for e in wanted if e > last)
     if late:
         raise ConfigError(
             f"checkpoint epoch(s) {', '.join(map(str, late))} lie beyond "
-            f"the schedule's {cfg.schedule.epochs} epochs")
+            f"the schedule's {last} epochs")
     data = resolve_dataset(cfg)
     arch = _pipeline_arch(cfg, data)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     records = []
     for seed in cfg.seeds:
+        report, states = TR.train_baseline(arch, data, cfg.schedule, seed,
+                                           wanted | {last})
         artifacts = []
-
-        def sink(epoch, model, seed=seed, artifacts=artifacts):
-            if epoch in wanted:
-                path = out / f"baseline_s{seed}_e{epoch}.weights"
-                D.save_weights(model.state_arrays(), path,
-                               {"seed": seed, "epoch": epoch,
-                                "arch": cfg.arch})
-                artifacts.append(str(path))
-
-        model = A.Model(arch, None, D.derive_seed(seed, "study-baseline"))
-        report = TR.fit(model, data, cfg.schedule, seed,
-                        checkpoint_sink=sink)
-        final = out / f"baseline_s{seed}_final.weights"
-        D.save_weights(model.state_arrays(), final,
-                       {"seed": seed, "epoch": cfg.schedule.epochs,
-                        "arch": cfg.arch})
-        artifacts.append(str(final))
+        saves = [(f"e{e}", e) for e in sorted(wanted)] + [("final", last)]
+        for name, epoch in saves:
+            path = out / f"baseline_s{seed}_{name}.weights"
+            D.save_weights(states[epoch], path,
+                           {"seed": seed, "epoch": epoch, "arch": cfg.arch})
+            artifacts.append(str(path))
         record = D.RunRecord(config=config_to_dict(cfg), seed=seed,
                              tool_version=__version__,
                              train_reports=[TR.report_to_dict(report)],
@@ -442,7 +441,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--lottery-init", action="store_const", const=True,
                      default=None, dest="lottery_init",
-                     help="reuse the sliced full-model init for training")
+                     help="prune only: train from the sliced full-model init")
     sub.add_argument("--tolerance", type=float,
                      help="relative FLOPS tolerance for the search")
     sub.add_argument("--max-iters", type=int, dest="max_iters",

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -409,9 +409,12 @@ class RunRecord:
         if self.gate_blob is not None and not np.array_equal(
                 self.gate_blob, other.gate_blob):
             return False
-        keys = ("config", "seed", "tool_version", "status", "snapshots",
-                "search", "train_reports", "artifacts")
-        return all(getattr(self, k) == getattr(other, k) for k in keys)
+        return all(getattr(self, k) == getattr(other, k) for k in _RECORD_KEYS)
+
+
+# the fields a record keeps in its metadata; ``gate_blob`` is an array
+_RECORD_KEYS = tuple(f.name for f in fields(RunRecord)
+                     if f.name != "gate_blob")
 
 
 def save_run(record: RunRecord, path) -> None:
@@ -419,18 +422,8 @@ def save_run(record: RunRecord, path) -> None:
     for p in record.artifacts:
         if not os.path.exists(p):
             raise ConfigError(f"artifact missing at save time: {p}")
-    meta = {
-        "schema": RUN_SCHEMA,
-        "config": record.config,
-        "config_hash": record.config_hash,
-        "seed": record.seed,
-        "tool_version": record.tool_version,
-        "status": record.status,
-        "snapshots": record.snapshots,
-        "search": record.search,
-        "train_reports": record.train_reports,
-        "artifacts": record.artifacts,
-    }
+    meta = {"schema": RUN_SCHEMA, "config_hash": record.config_hash,
+            **{k: getattr(record, k) for k in _RECORD_KEYS}}
     arrays = {}
     if record.gate_blob is not None:
         arrays["gate_blob"] = record.gate_blob
@@ -442,24 +435,13 @@ def load_run(path) -> RunRecord:
     if meta.get("schema") != RUN_SCHEMA:
         raise MigrationError(
             f"{path}: schema {meta.get('schema')!r}, expected {RUN_SCHEMA!r}")
-    missing = [k for k in ("config", "seed", "tool_version", "status",
-                           "snapshots", "search", "train_reports",
-                           "artifacts") if k not in meta]
+    missing = [k for k in _RECORD_KEYS if k not in meta]
     if missing:
         raise FormatError(f"{path}: record metadata lacks "
                           + ", ".join(map(repr, missing)))
     stored = meta.get("config_hash")
-    rec = RunRecord(
-        config=meta["config"],
-        seed=meta["seed"],
-        tool_version=meta["tool_version"],
-        status=meta["status"],
-        snapshots=meta["snapshots"],
-        gate_blob=arrays.get("gate_blob"),
-        search=meta["search"],
-        train_reports=meta["train_reports"],
-        artifacts=meta["artifacts"],
-    )
+    rec = RunRecord(gate_blob=arrays.get("gate_blob"),
+                    **{k: meta[k] for k in _RECORD_KEYS})
     if stored != rec.config_hash:
         raise CorruptionError(f"{path}: config hash mismatch")
     return rec

@@ -230,6 +230,22 @@ def train_from_scratch(arch: A.ArchSpec, config: A.ChannelConfig | None,
     return fit(model, data, schedule, seed, checkpoint_sink=checkpoint_sink)
 
 
+def train_baseline(arch: A.ArchSpec, data: dict[str, Dataset],
+                   schedule: TrainSchedule, seed: int, keep: set[int]
+                   ) -> tuple[TrainReport, dict[int, dict[str, np.ndarray]]]:
+    """The seed's full-width baseline, trained under ``schedule``; returns
+    the report and ``{epoch: state_arrays()}`` for each epoch in ``keep``
+    that the run reaches (0 is the initial weights)."""
+    states: dict[int, dict[str, np.ndarray]] = {}
+
+    def sink(epoch, model):
+        if epoch in keep:
+            states[epoch] = model.state_arrays()
+
+    model = A.Model(arch, None, derive_seed(seed, "study-baseline"))
+    return fit(model, data, schedule, seed, checkpoint_sink=sink), states
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 

@@ -62,6 +62,12 @@ def objective(model, images, labels, gates, gamma, r, train=False):
             + gamma * G.sparsity_penalty(gates, r))
 
 
+def restore_stats(model, backup):
+    """Put back running statistics that a train-mode forward updated."""
+    for name, a in model.stats.items():
+        a[...] = backup[name]
+
+
 def rel_err(a, b):
     """Relative error between two arrays under the Euclidean norm."""
     a = np.asarray(a, dtype=np.float64)

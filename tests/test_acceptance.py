@@ -25,7 +25,7 @@ from prunekit.errors import FormatError
 
 from helpers import (encode_cifar_batch, float64_mode, model_flops_oracle,
                      numeric_grad, objective, parse_matrix_csv,
-                     pearson_oracle, random_config, rel_err)
+                     pearson_oracle, random_config, rel_err, restore_stats)
 
 
 @contextlib.contextmanager
@@ -73,37 +73,47 @@ def _two_conv(c1=4, c2=5, classes=3):
 
 def test_criterion_01_gate_gradients():
     # analytic gate gradients of loss + gamma * penalty vs central
-    # differences, weights frozen throughout
+    # differences, weights frozen throughout; batch norm in eval mode and
+    # in the train mode that gate learning runs, with the running
+    # statistics a train-mode forward updates restored after each
     with verdict(1, "gate gradients match finite differences",
                  budget_s=30) as notes:
         gamma, r = 0.5, 0.4
-        worst = 0.0
+        worst = {False: 0.0, True: 0.0}
         with float64_mode():
             arch = _two_conv()
             model = A.Model(arch, None, seed=0)
             frozen = model.weight_hash()
+            backup = {name: a.copy() for name, a in model.stats.items()}
             rng = np.random.default_rng(10)
             x = rng.standard_normal((4, 2, 6, 6))
             y = rng.integers(0, 3, 4)
             for _setting in range(10):
                 lam = [rng.random(4), rng.random(5)]
                 gmap = dict(zip(model.gated_ids, lam))
-                tape = T.Tape()
-                logits = model.forward(x, train=False, gates=gmap, tape=tape)
-                ce = T.cross_entropy(logits, y, tape=tape)
-                grads = tape.backward(ce, lam)
                 pen = G.sparsity_penalty_grad(lam, r)
+                for train in (False, True):
+                    tape = T.Tape()
+                    logits = model.forward(x, train=train, gates=gmap,
+                                           tape=tape)
+                    ce = T.cross_entropy(logits, y, tape=tape)
+                    restore_stats(model, backup)
+                    grads = tape.backward(ce, lam)
 
-                def loss_fn():
-                    return objective(model, x, y, lam, gamma, r)
+                    def loss_fn():
+                        out = objective(model, x, y, lam, gamma, r,
+                                        train=train)
+                        restore_stats(model, backup)
+                        return out
 
-                for j, v in enumerate(lam):
-                    fd = numeric_grad(loss_fn, v)
-                    err = rel_err(grads[j] + gamma * pen[j], fd)
-                    worst = max(worst, err)
-                    assert err < 1e-4
+                    for j, v in enumerate(lam):
+                        fd = numeric_grad(loss_fn, v)
+                        err = rel_err(grads[j] + gamma * pen[j], fd)
+                        worst[train] = max(worst[train], err)
+                        assert err < 1e-4
             assert model.weight_hash() == frozen
-        notes.append(f"worst rel err {worst:.2e} over 10 settings")
+        notes.append(f"worst rel err {worst[False]:.2e} eval mode, "
+                     f"{worst[True]:.2e} train mode, over 10 settings")
 
 
 def test_criterion_02_penalty_exactness():

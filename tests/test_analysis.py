@@ -175,6 +175,38 @@ def test_study_rejects_full_budget_before_training(monkeypatch):
         AN.run_pretrain_effect_study(checkpoint_epochs=[2], **kwargs)
 
 
+def test_study_rejects_repeated_seeds_before_training(monkeypatch):
+    # the study keys its structures by seed and source, so a repeated seed
+    # would overwrite its own results
+    def no_training(*args, **kwargs):
+        raise AssertionError("the study trained before rejecting the seeds")
+    monkeypatch.setattr(TR, "fit", no_training)
+    kwargs = dict(tiny_study_kwargs(), seeds=(0, 0))
+    with pytest.raises(ConfigError, match="distinct"):
+        AN.run_pretrain_effect_study(checkpoint_epochs=[2], **kwargs)
+
+
+def test_study_stops_at_a_degenerate_seed_before_the_next_baseline(
+        monkeypatch):
+    baselines = []
+    real_baseline = TR.train_baseline
+
+    def baseline_spy(arch, data, schedule, seed, keep):
+        baselines.append(seed)
+        return real_baseline(arch, data, schedule, seed, keep)
+
+    def degenerate(features):
+        raise DegenerateFeatureError(
+            f"feature {features[0].label!r} has zero variance")
+
+    monkeypatch.setattr(TR, "train_baseline", baseline_spy)
+    monkeypatch.setattr(AN, "correlation_matrix", degenerate)
+    with pytest.raises(DegenerateFeatureError, match="s0:rand"):
+        AN.run_pretrain_effect_study(checkpoint_epochs=[1],
+                                     **tiny_study_kwargs())
+    assert baselines == [0]
+
+
 @pytest.fixture(scope="module")
 def small_bundle():
     return AN.run_pretrain_effect_study(checkpoint_epochs=[2],

@@ -119,11 +119,12 @@ def test_config_validation():
     {"importance": {"beta2": float("nan")}},
     {"importance": {"eps": 0.0}},
     {"synth": {"image_size": 1}},
+    {"seeds": [0, 0]},
 ], ids=["gate-batch-0", "per-class-0", "channels-0", "tolerance-0",
         "max-iters-0", "expand-inf", "lr0-inf", "lr0-nan",
         "weight-decay-nan", "tolerance-inf", "gate-epochs-0",
         "decay-factor-nan", "beta1-1", "beta2-nan", "eps-0",
-        "image-size-1"])
+        "image-size-1", "seeds-repeated"])
 def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
                                                 overrides):
     # each used to pass validation and fail or mislead mid-run: sizes of
@@ -132,8 +133,9 @@ def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
     # a NaN decay factor in training, beta1 = 1 in a division by zero at
     # the first gate step, zero gate epochs with no snapshot to select,
     # an image too small for the preset at stage expand, after the data
-    # was built; NaN slipped past the range checks. Python's json reads
-    # Infinity and NaN.
+    # was built; a repeated seed trained twice into the same files, and in
+    # a study correlated one seed with itself; NaN slipped past the range
+    # checks. Python's json reads Infinity and NaN.
     with pytest.raises(ConfigError):
         tiny_config(tmp_path, **overrides)
     path = tmp_path / "cfg.json"
@@ -534,6 +536,20 @@ def test_study_rejects_a_single_structure_before_training(tmp_path, capsys,
     assert not (tmp_path / "study").exists()
 
 
+def test_study_rejects_lottery_init_before_building_data(tmp_path, capsys,
+                                                         monkeypatch):
+    # the study trains every structure from fresh weights, so the flag
+    # would change nothing
+    def no_data(cfg):
+        raise AssertionError("built the dataset before rejecting the flag")
+    monkeypatch.setattr(CLI, "resolve_dataset", no_data)
+    out = tmp_path / "study"
+    assert CLI.main(["study", "--lottery-init", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: lottery_init applies to prune only")
+    assert not out.exists()
+
+
 def test_train_baseline_rejects_checkpoints_beyond_the_schedule(
         tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(TR, "fit", _no_training)
@@ -556,6 +572,55 @@ def test_train_baseline_saves_checkpoints(tmp_path):
     state, meta = D.load_weights(tmp_path / "baseline_s0_e1.weights")
     assert meta["epoch"] == 1
     assert "c1.w" in state or any(k.endswith(".w") for k in state)
+
+
+def _bits(state):
+    return {name: a.tobytes() for name, a in state.items()}
+
+
+def test_train_baseline_weights_read_back_bit_for_bit(tmp_path):
+    cfg = tiny_config(tmp_path, checkpoint_epochs=[1])
+    CLI.cmd_train_baseline(cfg)
+    data = CLI.resolve_dataset(cfg)
+    arch = CLI._pipeline_arch(cfg, data)
+    _, states = TR.train_baseline(arch, data, cfg.schedule, 0, {1, 2})
+    for name, epoch in (("e1", 1), ("final", 2)):
+        saved, meta = D.load_weights(tmp_path / f"baseline_s0_{name}.weights")
+        assert meta == {"seed": 0, "epoch": epoch, "arch": cfg.arch}
+        model = A.Model(arch, None, seed=1)
+        model.load_state(saved)
+        assert _bits(model.state_arrays()) == _bits(states[epoch])
+
+
+def test_train_baseline_and_study_share_one_baseline_path(tmp_path,
+                                                          monkeypatch):
+    baselines, structures = [], []
+    real_baseline, real_scratch = TR.train_baseline, TR.train_from_scratch
+
+    def baseline_spy(arch, data, schedule, seed, keep):
+        report, states = real_baseline(arch, data, schedule, seed, keep)
+        baselines.append((seed, set(keep), states))
+        return report, states
+
+    def scratch_spy(arch, config, *args, **kwargs):
+        structures.append(config)
+        return real_scratch(arch, config, *args, **kwargs)
+
+    monkeypatch.setattr(TR, "train_baseline", baseline_spy)
+    monkeypatch.setattr(TR, "train_from_scratch", scratch_spy)
+    cfg = tiny_config(tmp_path / "base", seeds=[0, 1], checkpoint_epochs=[2])
+    CLI.cmd_train_baseline(cfg)
+    assert [b[:2] for b in baselines] == [(0, {2}), (1, {2})]
+    assert structures == []
+    CLI.cmd_study(replace(cfg, out=str(tmp_path / "study")))
+    assert [b[:2] for b in baselines[2:]] == [(0, {0, 2}), (1, {0, 2})]
+    # every structure, and only structures, trains from scratch
+    assert len(structures) == 4
+    assert all(isinstance(c, A.ChannelConfig) for c in structures)
+    # the study's last checkpoint is the schedule's end, so its baseline
+    # is the one train-baseline saved
+    for (_, _, saved), (_, _, studied) in zip(baselines, baselines[2:]):
+        assert _bits(saved[2]) == _bits(studied[2])
 
 
 # ---------------------------------------------------------------------------

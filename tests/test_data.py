@@ -333,6 +333,23 @@ def test_run_round_trip_empty_trajectory(tmp_path):
     assert D.load_run(p) == rec
 
 
+# the record fields kept in the metadata, beside "schema" and "config_hash"
+RECORD_KEYS = ("config", "seed", "tool_version", "status", "snapshots",
+               "search", "train_reports", "artifacts")
+
+
+@pytest.mark.parametrize("key", RECORD_KEYS)
+def test_load_run_names_a_missing_metadata_key(tmp_path, key):
+    p = tmp_path / "run.bin"
+    D.save_run(_sample_record(tmp_path), p)
+    meta, arrays = D.read_container(p, D.RUN_MAGIC)
+    assert set(meta) == {"schema", "config_hash", *RECORD_KEYS}
+    del meta[key]
+    D.write_container(p, D.RUN_MAGIC, meta, arrays)
+    with pytest.raises(FormatError, match=f"lacks '{key}'$"):
+        D.load_run(p)
+
+
 def test_run_tampered_blob(tmp_path):
     rec = _sample_record(tmp_path)
     p = tmp_path / "run.bin"

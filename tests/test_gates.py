@@ -9,7 +9,8 @@ from prunekit import gates as G
 from prunekit import tensor as T
 from prunekit.errors import ConfigError, DivergenceError
 
-from helpers import float64_mode, numeric_grad, objective, rel_err
+from helpers import (float64_mode, numeric_grad, objective, rel_err,
+                     restore_stats)
 
 
 def two_conv_arch(c1=4, c2=5, classes=3):
@@ -25,11 +26,6 @@ def two_conv_arch(c1=4, c2=5, classes=3):
         A.LayerSpec("fc", "linear", inputs=("gap",), channels=classes),
     ), (A.Block("plain", ("conv1", "bn1", "relu1")),
         A.Block("plain", ("conv2", "bn2", "relu2"))), (2, 6, 6), classes)
-
-
-def restore_stats(model, backup):
-    for name, a in model.stats.items():
-        a[...] = backup[name]
 
 
 # ---------------------------------------------------------------------------

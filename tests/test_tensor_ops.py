@@ -38,6 +38,7 @@ def _dense_or_depthwise(groups, cin, cout):
     (2, 1, 1, 4, 6, 3),
     (1, 1, 2, 4, 6, 3),   # grouped: neither dense nor depthwise, rejected
     (1, 0, 4, 4, 4, 3),   # depthwise
+    (2, 1, 4, 4, 4, 3),   # strided depthwise, as depthwise-tiny's dw2/dw4
     (2, 2, 1, 2, 3, 5),
     (1, 0, 1, 3, 5, 1),   # pointwise
 ])
@@ -69,6 +70,7 @@ _GRAD_ROWS = [
     (2, 1, 1, 3, 4, 3),
     (1, 1, 2, 4, 4, 3),   # grouped: neither dense nor depthwise, rejected
     (1, 0, 3, 3, 3, 3),
+    (2, 1, 3, 3, 3, 3),   # strided depthwise, as depthwise-tiny's dw2/dw4
     (1, 1, 1, 3, 4, 3),   # vgg-small's convs: input gradient as a conv
     (1, 0, 1, 3, 4, 1),   # pointwise
     (2, 0, 1, 3, 4, 1),   # strided 1x1 projection: col2im input gradient
