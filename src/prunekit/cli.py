@@ -9,10 +9,11 @@ prints a saved record. ``train-baseline`` trains a full-width model and
 saves checkpoints.
 
 Settings merge in three layers: the config dataclasses' defaults, then
-a JSON config file (--config), then command-line flags. Every value,
-top-level or in a block, must have the JSON type of its field; a null
-is such a value, valid only for an optional field. An unset flag
-changes nothing, and a record's config must name every key.
+a JSON config file (--config), then command-line flags, each stored
+under its config key; a subcommand takes only the flags it reads. One
+reader checks every level of a config: every key known and present,
+and every value of its field's JSON type (a null only for an optional
+field). An unset flag changes nothing.
 
 ``main`` runs numpy's bundled OpenBLAS on one thread for the duration
 of a command, then restores the previous count: at these matrix sizes
@@ -84,6 +85,15 @@ class PipelineConfig:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds must be distinct: {list(self.seeds)}")
+        if any(e < 0 for e in self.checkpoint_epochs):
+            raise ConfigError(f"checkpoint epochs must be >= 0, got "
+                              f"{list(self.checkpoint_epochs)}")
+        if self.cifar_val_per_class < 0:
+            raise ConfigError(f"cifar_val_per_class must be >= 0, got "
+                              f"{self.cifar_val_per_class}")
+        if self.schedule.effective_epochs is not None:
+            raise ConfigError("schedule.effective_epochs must be null: "
+                              "budget scaling sets it")
         # the search's own checks, before any work
         S.SearchConfig(budget=1, max_iters=self.max_iters,
                        rel_tolerance=self.tolerance)
@@ -132,48 +142,41 @@ def _checked(key: str, value, hint):
     return tuple(value) if isinstance(value, list) else value
 
 
-def _require_all(d: dict, cls, where: str) -> None:
-    """A full config names every field of ``cls``: a missing key is never
-    filled in from a default."""
-    missing = [f.name for f in fields(cls) if f.name not in d]
+def _read(d, cls, block: str = ""):
+    """A ``cls`` from the dict ``d``, which names every field of ``cls``
+    and nothing else, each value checked against its field's annotation;
+    a dataclass field is a block, read the same way. ``block`` is where
+    ``d`` sits in the config, "" for the top level."""
+    where = f"config block {block!r}" if block else "config"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} is not an object")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(d) - set(names))
+    if unknown:
+        raise ConfigError(f"{where} has unknown key(s) "
+                          f"{', '.join(map(repr, unknown))}")
+    # a missing key is never filled in from a default
+    missing = [name for name in names if name not in d]
     if missing:
         raise ConfigError(f"{where} lacks {', '.join(map(repr, missing))}")
-
-
-def _block(d: dict, name: str, cls):
-    """The ``name`` block of a config dict as a ``cls``, each value
-    checked against its field's annotation."""
-    block = d[name]
-    if not isinstance(block, dict):
-        raise ConfigError(f"config block {name!r} is not an object")
-    unknown = sorted(set(block) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"config block {name!r} has unknown key(s) "
-                          f"{', '.join(map(repr, unknown))}")
-    _require_all(block, cls, f"config block {name!r}")
     hints = typing.get_type_hints(cls)
-    return cls(**{key: _checked(f"{name}.{key}", value, hints[key])
-                  for key, value in block.items()})
+    prefix = f"{block}." if block else ""
+    return cls(**{name: _read(d[name], hints[name], prefix + name)
+                  if is_dataclass(hints[name])
+                  else _checked(prefix + name, d[name], hints[name])
+                  for name in names})
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
     """A ``PipelineConfig`` from a dict holding every key, each value
     checked against its field's annotation; dataclass fields are blocks."""
-    _require_all(d, PipelineConfig, "config")
-    hints = typing.get_type_hints(PipelineConfig)
-    return PipelineConfig(**{
-        f.name: _block(d, f.name, hints[f.name])
-        if is_dataclass(hints[f.name])
-        else _checked(f.name, d[f.name], hints[f.name])
-        for f in fields(PipelineConfig)})
+    return _read(d, PipelineConfig)
 
 
 def _merge(base: dict, overrides: dict) -> dict:
     out = dict(base)
     for key, value in overrides.items():
-        if key not in out:
-            raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(value, dict) and isinstance(out[key], dict):
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
             out[key] = _merge(out[key], value)
         else:
             out[key] = value
@@ -423,48 +426,16 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--arch", choices=sorted(A.PRESETS))
-    sub.add_argument("--expand", type=float,
-                     help="channel expansion multiplier")
-    sub.add_argument("--budget", type=float, help="FLOPS budget ratio")
-    sub.add_argument("--gamma", type=float,
-                     help="sparsity penalty strength")
-    sub.add_argument("--sparsity-r", type=float, dest="sparsity_r",
-                     help="target gate sparsity")
-    sub.add_argument("--epochs", type=int,
-                     help="base training epochs (pre-budget-scaling)")
-    sub.add_argument("--seed", "--seeds", type=_int_list, dest="seeds",
-                     help="comma-separated seed list")
-    sub.add_argument("--dataset", help="synth or cifar10:<path>")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--lottery-init", action="store_const", const=True,
-                     default=None, dest="lottery_init",
-                     help="prune only: train from the sliced full-model init")
-    sub.add_argument("--tolerance", type=float,
-                     help="relative FLOPS tolerance for the search")
-    sub.add_argument("--max-iters", type=int, dest="max_iters",
-                     help="bisection iteration cap")
-    sub.add_argument("--checkpoint-epochs", type=_int_list,
-                     dest="checkpoint_epochs",
-                     help="comma-separated checkpoint epochs")
-
-
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    over = {key: getattr(args, key) for key in
-            ("arch", "expand", "budget", "dataset", "seeds", "out",
-             "lottery_init", "tolerance", "max_iters", "checkpoint_epochs")}
-    over["importance"] = {"gamma": args.gamma,
-                          "target_sparsity": args.sparsity_r}
-    over["schedule"] = {"base_epochs": args.epochs}
-    return _without_none(over)
-
-
-def _without_none(d: dict) -> dict:
-    # an unset flag is None and keeps the value of the layer below
-    return {key: _without_none(value) if isinstance(value, dict) else value
-            for key, value in d.items() if value is not None}
+    """The set flags as a nested config dict; an unset flag is None and
+    keeps the value of the layer below."""
+    over: dict = {}
+    for key, value in vars(args).items():
+        if value is None or key in ("command", "config"):
+            continue
+        block, _, name = key.rpartition(".")
+        (over.setdefault(block, {}) if block else over)[name] = value
+    return over
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,13 +443,46 @@ def build_parser() -> argparse.ArgumentParser:
         prog="prunekit",
         description="Channel pruning from randomly initialized weights")
     parser.add_argument("--version", action="version", version=__version__)
+    # parent parsers, one per group of flags; a flag's dest is the
+    # config key it sets, dotted into its block
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file")
+    shared.add_argument("--arch", choices=sorted(A.PRESETS))
+    shared.add_argument("--epochs", type=int, dest="schedule.base_epochs",
+                        help="base training epochs (pre-budget-scaling)")
+    shared.add_argument("--seeds", type=_int_list,
+                        help="comma-separated seed list")
+    shared.add_argument("--dataset", help="synth or cifar10:<path>")
+    shared.add_argument("--out", help="output directory")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--budget", type=float, help="FLOPS budget ratio")
+    search.add_argument("--gamma", type=float, dest="importance.gamma",
+                        help="sparsity penalty strength")
+    search.add_argument("--sparsity-r", type=float,
+                        dest="importance.target_sparsity",
+                        help="target gate sparsity")
+    search.add_argument("--tolerance", type=float,
+                        help="relative FLOPS tolerance for the search")
+    search.add_argument("--max-iters", type=int,
+                        help="bisection iteration cap")
+    checkpoints = argparse.ArgumentParser(add_help=False)
+    checkpoints.add_argument("--checkpoint-epochs", type=_int_list,
+                             help="comma-separated checkpoint epochs")
+    prune_only = argparse.ArgumentParser(add_help=False)
+    prune_only.add_argument("--expand", type=float,
+                            help="channel expansion multiplier")
+    prune_only.add_argument("--lottery-init", action="store_const",
+                            const=True,
+                            help="train from the sliced full-model init")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-            ("prune", "learn gates, search a structure, budget-train it"),
-            ("study", "compare random-init and checkpoint structures"),
-            ("train-baseline", "train a full model, saving checkpoints")):
-        sub = subs.add_parser(name, help=text)
-        _add_common(sub)
+    for name, parents, text in (
+            ("prune", [shared, search, prune_only],
+             "learn gates, search a structure, budget-train it"),
+            ("study", [shared, search, checkpoints],
+             "compare random-init and checkpoint structures"),
+            ("train-baseline", [shared, checkpoints],
+             "train a full model, saving checkpoints")):
+        subs.add_parser(name, parents=parents, help=text)
     inspect = subs.add_parser("inspect", help="print a saved run record")
     inspect.add_argument("record", help="path to a .pkrun file")
     inspect.add_argument("--out", help="directory for curve CSVs")

@@ -97,6 +97,9 @@ class SynthSpec:
             raise ConfigError(
                 f"need at least 1 sample per class and 1 channel, got "
                 f"per_class={self.per_class}, channels={self.channels}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(f"noise must be finite and >= 0, "
+                              f"got {self.noise}")
 
 
 def _class_templates(spec: SynthSpec) -> np.ndarray:
@@ -163,6 +166,9 @@ def synth_suite(spec: SynthSpec, seed: int) -> dict[str, Dataset]:
 def make_validation_split(train: Dataset, per_class: int,
                           seed: int) -> tuple[Dataset, Dataset]:
     """Carve ``per_class`` samples of each class out of ``train``."""
+    if per_class < 0:
+        raise SplitError(f"validation samples per class must be >= 0, "
+                         f"got {per_class}")
     if per_class == 0:
         empty = Dataset(train.images[:0], train.labels[:0], "val",
                         train.class_count, train.norm_mean, train.norm_std)

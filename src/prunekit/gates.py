@@ -74,8 +74,9 @@ class ImportanceConfig:
         if not math.isfinite(self.gamma) or self.gamma < 0:
             raise ConfigError(
                 f"gamma must be finite and >= 0, got {self.gamma}")
-        if not math.isfinite(self.lr):
-            raise ConfigError(f"lr must be finite, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, "
+                              f"got {self.lr}")
         if not 0.0 < self.target_sparsity <= 1.0:
             raise ConfigError(
                 f"target sparsity must be in (0, 1], got "

@@ -1,5 +1,6 @@
 """Pipeline subcommands: config layering, prune, study, inspect."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -85,7 +86,8 @@ def test_file_then_flags_precedence(tmp_path):
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"budgett": 0.7}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match=r"^config has unknown key\(s\) 'budgett'$"):
         CLI.resolve_config(str(path))
 
 
@@ -120,11 +122,16 @@ def test_config_validation():
     {"importance": {"eps": 0.0}},
     {"synth": {"image_size": 1}},
     {"seeds": [0, 0]},
+    {"synth": {"noise": float("nan")}},
+    {"synth": {"noise": float("inf")}},
+    {"importance": {"lr": 0.0}},
+    {"importance": {"lr": -0.02}},
 ], ids=["gate-batch-0", "per-class-0", "channels-0", "tolerance-0",
         "max-iters-0", "expand-inf", "lr0-inf", "lr0-nan",
         "weight-decay-nan", "tolerance-inf", "gate-epochs-0",
         "decay-factor-nan", "beta1-1", "beta2-nan", "eps-0",
-        "image-size-1", "seeds-repeated"])
+        "image-size-1", "seeds-repeated", "noise-nan", "noise-inf",
+        "gate-lr-0", "gate-lr-negative"])
 def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
                                                 overrides):
     # each used to pass validation and fail or mislead mid-run: sizes of
@@ -135,13 +142,46 @@ def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
     # an image too small for the preset at stage expand, after the data
     # was built; a repeated seed trained twice into the same files, and in
     # a study correlated one seed with itself; NaN slipped past the range
-    # checks. Python's json reads Infinity and NaN.
+    # checks; a NaN or infinite synth noise built the data, then failed
+    # the first gate step on a non-finite loss; a gate lr of 0 learned
+    # nothing, and a negative one walked the gates up the loss. Python's
+    # json reads Infinity and NaN.
     with pytest.raises(ConfigError):
         tiny_config(tmp_path, **overrides)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(TINY, out=str(tmp_path / "runs"),
                                     **overrides)))
     assert CLI.main(["prune", "--config", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("study", {"checkpoint_epochs": [-3, 2]}),
+    ("train-baseline", {"checkpoint_epochs": [-3, 2]}),
+    ("prune", {"cifar_val_per_class": -1}),
+    ("prune", {"schedule": {"base_epochs": 2, "effective_epochs": 5}}),
+    ("train-baseline", {"schedule": {"base_epochs": 2,
+                                     "effective_epochs": 5}}),
+], ids=["checkpoint-negative-study", "checkpoint-negative-baseline",
+        "val-per-class-negative", "effective-epochs-prune",
+        "effective-epochs-baseline"])
+def test_config_rejects_inputs_that_would_be_misread(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     overrides):
+    # each used to be dropped or misread without a word: a negative
+    # checkpoint epoch was filtered out (-3,2 ran as 2); a negative
+    # validation count put all but that many samples of each class into
+    # validation; a set effective_epochs was overwritten by budget
+    # scaling in prune and study, and read as the epoch count in
+    # train-baseline
+    monkeypatch.setattr(TR, "fit", _no_training)
+    with pytest.raises(ConfigError):
+        tiny_config(tmp_path, **overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY, out=str(tmp_path / "runs"),
+                                    **overrides)))
+    assert CLI.main([command, "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
@@ -210,21 +250,72 @@ def test_malformed_config_file_is_a_config_error(tmp_path, capsys, content,
     assert not (tmp_path / "runs").exists()
 
 
+FLAG_SETS = [  # (argv, the config keys they set)
+    (["prune", "--budget", "0.4", "--gamma", "3.0", "--sparsity-r", "0.6",
+      "--epochs", "7", "--seeds", "1,2", "--tolerance", "0.05",
+      "--max-iters", "12", "--lottery-init", "--expand", "1.5"],
+     {"budget": 0.4, "importance.gamma": 3.0,
+      "importance.target_sparsity": 0.6, "schedule.base_epochs": 7,
+      "seeds": [1, 2], "tolerance": 0.05, "max_iters": 12,
+      "lottery_init": True, "expand": 1.5}),
+    (["study", "--checkpoint-epochs", "0,5", "--arch", "resnet-tiny",
+      "--dataset", "cifar10:data", "--budget", "0.3", "--gamma", "2.0",
+      "--seeds", "3,4"],
+     {"checkpoint_epochs": [0, 5], "arch": "resnet-tiny",
+      "dataset": "cifar10:data", "budget": 0.3, "importance.gamma": 2.0,
+      "seeds": [3, 4]}),
+    (["train-baseline", "--checkpoint-epochs", "1", "--arch",
+      "depthwise-tiny", "--dataset", "synth", "--epochs", "3",
+      "--seeds", "5"],
+     {"checkpoint_epochs": [1], "arch": "depthwise-tiny",
+      "dataset": "synth", "schedule.base_epochs": 3, "seeds": [5]}),
+]
+
+
 def test_flag_parsing_maps_to_config(tmp_path):
-    parser = CLI.build_parser()
-    args = parser.parse_args([
-        "prune", "--budget", "0.4", "--gamma", "3.0", "--sparsity-r", "0.6",
-        "--epochs", "7", "--seeds", "1,2", "--out", str(tmp_path),
-        "--tolerance", "0.05", "--max-iters", "12", "--lottery-init"])
-    cfg = CLI.resolve_config(args.config, CLI._flag_overrides(args))
-    assert cfg.budget == 0.4
-    assert cfg.importance.gamma == 3.0
-    assert cfg.importance.target_sparsity == 0.6
-    assert cfg.schedule.base_epochs == 7
-    assert cfg.seeds == (1, 2)
-    assert cfg.tolerance == 0.05
-    assert cfg.max_iters == 12
-    assert cfg.lottery_init is True
+    for argv, expected in FLAG_SETS:
+        args = CLI.build_parser().parse_args(argv + ["--out", str(tmp_path)])
+        expected = dict(expected, out=str(tmp_path))
+        # each flag is stored under the config key it sets
+        assert {key: value for key, value in vars(args).items()
+                if value is not None} == dict(expected, command=argv[0])
+        resolved = CLI.config_to_dict(
+            CLI.resolve_config(args.config, CLI._flag_overrides(args)))
+        for key, value in expected.items():
+            block, _, name = key.rpartition(".")
+            assert (resolved[block] if block else resolved)[name] == value
+
+
+UNREAD_FLAGS = [("train-baseline", flag) for flag in (
+    "--budget", "--gamma", "--sparsity-r", "--tolerance", "--max-iters",
+    "--expand", "--lottery-init")] + [
+    ("prune", "--checkpoint-epochs"), ("study", "--expand"),
+    ("study", "--lottery-init")]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[" ".join(pair) for pair in UNREAD_FLAGS])
+def test_subcommand_rejects_flags_it_does_not_read(capsys, command, flag):
+    argv = [command, flag] + ([] if flag == "--lottery-init" else ["1"])
+    with pytest.raises(SystemExit) as exc:
+        CLI.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_train_baseline_refuses_search_flags_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # these flags used to land in the record's config and change nothing
+    monkeypatch.setattr(TR, "fit", _no_training)
+    out = tmp_path / "base"
+    with pytest.raises(SystemExit) as exc:
+        CLI.main(["train-baseline", "--lottery-init", "--budget", "0.3",
+                  "--gamma", "9", "--epochs", "1", "--checkpoint-epochs",
+                  "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --lottery-init --budget 0.3 --gamma 9"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +533,22 @@ def test_inspect_record_without_search(tmp_path, capsys):
         TR.report_from_dict(record.train_reports[0]))
 
 
-@pytest.mark.parametrize("block", ["synth", "importance", "schedule"])
+@pytest.mark.parametrize("block", [None, "synth", "importance",
+                                   "schedule"],
+                         ids=["top", "synth", "importance", "schedule"])
 def test_inspect_rejects_unknown_config_key(tmp_path, capsys, block):
+    # the top level is read as each block is
     config = CLI.config_to_dict(tiny_config(tmp_path))
-    config[block]["bogus"] = 1
+    (config[block] if block else config)["bogus"] = 1
+    message = (f"config block {block!r}" if block else "config") + (
+        " has unknown key(s) 'bogus'")
+    with pytest.raises(ConfigError) as exc:
+        CLI.config_from_dict(config)
+    assert str(exc.value) == message
     bad = tmp_path / "bad.pkrun"
     D.save_run(D.RunRecord(config=config, seed=0, tool_version="0"), bad)
     assert CLI.main(["inspect", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert repr(block) in err and "'bogus'" in err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +635,24 @@ def test_study_rejects_a_single_structure_before_training(tmp_path, capsys,
 
 def test_study_rejects_lottery_init_before_building_data(tmp_path, capsys,
                                                          monkeypatch):
-    # the study trains every structure from fresh weights, so the flag
-    # would change nothing
+    # the study trains every structure from fresh weights, so
+    # lottery_init would change nothing: a config file that sets it is a
+    # config error, and study has no such flag
     def no_data(cfg):
-        raise AssertionError("built the dataset before rejecting the flag")
+        raise AssertionError("built the dataset before rejecting the key")
     monkeypatch.setattr(CLI, "resolve_dataset", no_data)
     out = tmp_path / "study"
-    assert CLI.main(["study", "--lottery-init", "--out", str(out)]) == 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lottery_init": True, "out": str(out)}))
+    assert CLI.main(["study", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith(
         "error: lottery_init applies to prune only")
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        CLI.main(["study", "--lottery-init", "--out", str(out)])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --lottery-init"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -625,6 +731,33 @@ def test_train_baseline_and_study_share_one_baseline_path(tmp_path,
 
 # ---------------------------------------------------------------------------
 # entry point
+
+def _readme_flag_table() -> tuple[list[str], list[list[str]]]:
+    """The README's table of flags per subcommand: its subcommand
+    columns, and one row of cells per flag."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quickstart (CLI)", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| ")]
+    header, _rule, *body = rows
+    return header[2:], body
+
+
+def test_readme_lists_each_subcommands_flags():
+    commands, rows = _readme_flag_table()
+    parser = CLI.build_parser()
+    subs = next(action for action in parser._actions if isinstance(
+        action, argparse._SubParsersAction)).choices
+    assert commands == ["prune", "study", "train-baseline"]
+    for i, command in enumerate(commands):
+        actions = {opt: action for action in subs[command]._actions
+                   for opt in action.option_strings
+                   if opt not in ("-h", "--help")}
+        listed = {row[0]: row[1] for row in rows if row[2 + i]}
+        assert set(listed) == set(actions), command
+        for flag, key in listed.items():
+            # a flag's dest is the config key the table names for it
+            assert actions[flag].dest == (key or "config"), flag
 
 def test_module_entry_point_reports_version():
     proc = subprocess.run([sys.executable, "-m", "prunekit", "--version"],

@@ -109,6 +109,13 @@ def test_split_deterministic():
     assert v1.images.tobytes() != v3.images.tobytes()
 
 
+def test_split_negative_count_rejected():
+    # -1 used to put all but one sample of each class into validation
+    ds = _toy_dataset(n_per_class=5)
+    with pytest.raises(SplitError, match="must be >= 0"):
+        D.make_validation_split(ds, -1, seed=0)
+
+
 def test_split_insufficient_population():
     ds = _toy_dataset(n_per_class=3)
     with pytest.raises(SplitError):
