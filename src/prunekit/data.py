@@ -165,7 +165,8 @@ def synth_suite(spec: SynthSpec, seed: int) -> dict[str, Dataset]:
 
 def make_validation_split(train: Dataset, per_class: int,
                           seed: int) -> tuple[Dataset, Dataset]:
-    """Carve ``per_class`` samples of each class out of ``train``."""
+    """Carve ``per_class`` samples of each class out of ``train``; every
+    class keeps at least one training sample."""
     if per_class < 0:
         raise SplitError(f"validation samples per class must be >= 0, "
                          f"got {per_class}")
@@ -177,10 +178,10 @@ def make_validation_split(train: Dataset, per_class: int,
     val_idx: list[np.ndarray] = []
     for k in range(train.class_count):
         members = np.flatnonzero(train.labels == k)
-        if len(members) < per_class:
+        if len(members) <= per_class:
             raise SplitError(
-                f"class {k} has {len(members)} samples, "
-                f"need {per_class} for validation")
+                f"class {k} has {len(members)} samples, need more than "
+                f"{per_class} to keep one for training")
         val_idx.append(rng.permutation(members)[:per_class])
     val_set = np.sort(np.concatenate(val_idx))
     mask = np.ones(len(train), dtype=bool)

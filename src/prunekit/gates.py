@@ -150,6 +150,8 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
     """
     if val.split == "test" or train.split == "test":
         raise ConfigError("importance learning must not touch the test split")
+    if len(train) == 0:
+        raise ConfigError("importance learning needs a non-empty train split")
     state = init_gates(model)
     # one set of arrays: forward gates, backward targets, updated in place
     gate_map = dict(zip(model.gated_ids, state.lam))

@@ -5,21 +5,22 @@ classifiers: conv2d (dense and depthwise), batch norm,
 channel gating, ReLU, average pooling, global average pooling, linear,
 residual add, and label-smoothed cross-entropy.
 
-Dense convolution is im2col on channels-last memory: the input is
-copied once into a zero-padded [N, H, W, C] buffer, and each patch row
-is kh*kw runs of C contiguous values, so one matmul per sample sums K in
-(kh, kw, Cin) order. Its output keeps the [N, C, H, W] shape as a view of
-[N, H, W, C] memory; numpy's elementwise ops and reductions follow that
-layout, and the next conv reads it without a transposing copy. The
-input gradient of a stride-1 conv is the same patch matmul over the
-padded upstream gradient and the flipped weight; other strides use
-col2im into channels-last memory, whose kh*kw slab adds read runs of C
-contiguous values. Batch norm, gating and pooling work on the
-[N*H*W, C] rows of that memory and reduce them with ``np.add.reduce``:
-the rows are a free view of a conv's output and one copy of any other
-layout, and batch norm returns channels-last memory too. Conv and pool
-windows are ``as_strided`` views built from the input's own strides.
-Results do not depend on the memory layout of the input.
+One layout rule: every op takes [N, C, H, W] arrays in any memory
+layout, and for channels-last input (the [N, C, H, W] shape as a view of
+[N, H, W, C] memory) every 4-d output is channels-last too. Convolution,
+batch norm and pooling write channels-last memory from any input;
+elementwise ops follow their input's layout. Results do not depend on
+the memory layout of the input.
+
+Convolution is im2col: the input is copied once into a zero-padded
+channels-last buffer, and each patch row is kh*kw runs of C contiguous
+values. The dense conv contracts the rows with one matmul, the depthwise
+conv per channel. The input gradient of a stride-1 dense conv is the
+same patch matmul over the padded upstream gradient and the flipped
+weight; every other conv and average pooling add kh*kw gradient slabs
+onto a padded channels-last buffer. Batch norm, gating and pooling
+reduce the [N*H*W, C] rows of channels-last memory with
+``np.add.reduce``.
 
 Ops take and return plain ``np.ndarray``. Run them with a ``Tape``,
 then call ``tape.backward(loss, targets)`` for one gradient per target,
@@ -180,19 +181,17 @@ def _patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
     return np.ascontiguousarray(win).reshape(n, -1, kh * kw * c)
 
 
-def _scatter_windows(shape, grad_win_fn, kh, kw, sh, sw, ho, wo, ph, pw, h, w):
-    """Accumulate per-window gradients back onto a padded input buffer.
-
-    ``grad_win_fn(i, j)`` must return the [N, C, Ho, Wo] gradient slab for
-    kernel offset (i, j). The buffer takes the memory layout of that slab.
-    """
-    first = grad_win_fn(0, 0)
-    dxp = np.zeros_like(first, shape=shape)
+def _scatter_windows(dcols: np.ndarray, sh: int, sw: int, ph: int, pw: int,
+                     h: int, w: int) -> np.ndarray:
+    """Sum [N, Ho, Wo, kh, kw, C] per-window gradients back onto a
+    zero-padded [N, H+2ph, W+2pw, C] buffer, one kh*kw slab add at a time;
+    returns the [N, C, H, W] view of its unpadded part."""
+    n, ho, wo, kh, kw, c = dcols.shape
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=dcols.dtype)
     for i in range(kh):
         for j in range(kw):
-            slab = first if (i == 0 and j == 0) else grad_win_fn(i, j)
-            dxp[:, :, i:i + ho * sh:sh, j:j + wo * sw:sw] += slab
-    return dxp[:, :, ph:ph + h, pw:pw + w]
+            dxp[:, i:i + ho * sh:sh, j:j + wo * sw:sw] += dcols[:, :, :, i, j]
+    return dxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
@@ -221,36 +220,28 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
             f"conv2d output {ho}x{wo} non-positive for input {h}x{wd}, "
             f"kernel {kh}x{kw}, stride {sh}x{sw}, padding {ph}x{pw}")
 
-    if groups == cin == cout:
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        wsq = w[:, 0]  # [C, kh, kw]
-        win = _windows(xp.transpose(0, 2, 3, 1), kh, kw, sh, sw
-                       ).transpose(0, 5, 1, 2, 3, 4)
-        out = np.einsum("nchwij,cij->nchw", win, wsq, optimize=True)
-
-        def bwd(gout, needs):
-            dx = dw = None
-            if needs[0]:
-                dx = _scatter_windows(
-                    xp.shape,
-                    lambda i, j: gout * wsq[None, :, i, j, None, None],
-                    kh, kw, sh, sw, ho, wo, ph, pw, h, wd)
-            if needs[1]:
-                dw = np.einsum("nchwij,nchw->cij", win, gout,
-                               optimize=True)[:, None]
-            return dx, dw
-
-        return _emit(tape, "conv2d", (x, w), out, bwd)
-
-    # dense: channels-last patches, each row in (kh, kw, Cin) order
+    # channels-last patches, each row in (kh, kw, Cin) order; the dense
+    # conv contracts a row with one GEMM, the depthwise conv per channel
+    depthwise = groups > 1
     cols = _patches(x, kh, kw, sh, sw, ph, pw)
-    wk = w.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
-    out = (cols @ wk).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    if depthwise:
+        cols = cols.reshape(n, ho * wo, kh * kw, cin)
+        wk = w.reshape(cin, kh * kw).T.copy()
+        out = np.einsum("npkc,kc->npc", cols, wk)
+    else:
+        wk = w.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
+        out = cols @ wk
+    out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def bwd(gout, needs):
         g2 = gout.transpose(0, 2, 3, 1).reshape(n, ho * wo, cout)
         dx = dw = None
-        if needs[0] and sh == sw == 1 and ph < kh and pw < kw:
+        if needs[0] and depthwise:
+            # [kh, kw, N, Ho, Wo, C] memory: each slab add reads one block
+            dcols = (wk[:, None, None] * g2).reshape(kh, kw, n, ho, wo, cin)
+            dx = _scatter_windows(dcols.transpose(2, 3, 4, 0, 1, 5),
+                                  sh, sw, ph, pw, h, wd)
+        elif needs[0] and sh == sw == 1 and ph < kh and pw < kw:
             # transposed conv: patches of the upstream gradient padded by
             # k-1-p against the flipped weight, in/out channels swapped.
             # At 10-80 channels one patch copy beats kh*kw short slab adds.
@@ -259,11 +250,10 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
             dx = dx.reshape(n, h, wd, cin).transpose(0, 3, 1, 2)
         elif needs[0]:
             dcols = (g2 @ wk.T).reshape(n, ho, wo, kh, kw, cin)
-            dx = _scatter_windows(
-                (n, cin, h + 2 * ph, wd + 2 * pw),
-                lambda i, j: dcols[:, :, :, i, j].transpose(0, 3, 1, 2),
-                kh, kw, sh, sw, ho, wo, ph, pw, h, wd)
-        if needs[1]:
+            dx = _scatter_windows(dcols, sh, sw, ph, pw, h, wd)
+        if needs[1] and depthwise:
+            dw = np.einsum("npkc,npc->ck", cols, g2).reshape(cout, 1, kh, kw)
+        elif needs[1]:
             dw = g2.reshape(-1, cout).T @ cols.reshape(-1, kh * kw * cin)
             dw = dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
         return dx, dw
@@ -274,15 +264,18 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
 # ---------------------------------------------------------------------------
 # normalization and gating
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
               running_mean: np.ndarray, running_var: np.ndarray, train: bool,
-              momentum: float = 0.1, eps: float = 1e-5,
               tape: Tape | None = None) -> np.ndarray:
     """Per-channel batch normalization with affine transform.
 
     Train mode normalizes by biased batch statistics and moves
-    ``running_mean`` and ``running_var`` in place one momentum step
-    toward them; eval mode normalizes by the running statistics and
+    ``running_mean`` and ``running_var`` in place one ``BN_MOMENTUM``
+    step toward them; eval mode normalizes by the running statistics and
     leaves them untouched.
     """
     if x.ndim != 4:
@@ -290,8 +283,6 @@ def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
-    if eps <= 0:
-        raise StatsError(f"eps must be positive, got {eps}")
 
     x2, m = _rows(x), n * h * w
     if train:
@@ -301,14 +292,14 @@ def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         d = x2 - mu
         var = np.add.reduce(d * d, axis=0) / m
         for run, batch in ((running_mean, mu), (running_var, var)):
-            run += momentum * (batch.astype(run.dtype) - run)
-        invstd = 1.0 / np.sqrt(var + eps)
+            run += BN_MOMENTUM * (batch.astype(run.dtype) - run)
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
         xhat = d * invstd
         out = xhat * gamma + beta
     else:
         # the running statistics as one per-channel scale and shift
         mu = running_mean.astype(x.dtype)
-        invstd = 1.0 / np.sqrt(running_var.astype(x.dtype) + eps)
+        invstd = 1.0 / np.sqrt(running_var.astype(x.dtype) + BN_EPS)
         scale = gamma * invstd
         out = x2 * scale + (beta - mu * scale)
     out = out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
@@ -388,9 +379,10 @@ def avg_pool2d(x: np.ndarray, kernel, stride=None,
     def bwd(gout, needs):
         if not needs[0]:
             return (None,)
-        gs = gout * scale
-        return (_scatter_windows(x.shape, lambda i, j: gs,
-                                 kh, kw, sh, sw, ho, wo, 0, 0, h, w),)
+        gs = gout.transpose(0, 2, 3, 1) * scale
+        dcols = np.broadcast_to(gs[:, :, :, None, None],
+                                (n, ho, wo, kh, kw, c))
+        return (_scatter_windows(dcols, sh, sw, 0, 0, h, w),)
 
     return _emit(tape, "avg_pool2d", (x,), out, bwd)
 

@@ -173,6 +173,8 @@ def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
         if split not in data:
             raise ConfigError(f"missing data split {split!r}")
     train, val, test = data["train"], data["val"], data["test"]
+    if len(train) == 0:
+        raise ConfigError("training needs a non-empty train split")
     params = [p for _, p in model.trainable()]
     vel = [np.zeros_like(p) for p in params]
     total = schedule.epochs
@@ -224,10 +226,10 @@ def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
 
 def train_from_scratch(arch: A.ArchSpec, config: A.ChannelConfig | None,
                        data: dict[str, Dataset], schedule: TrainSchedule,
-                       seed: int, checkpoint_sink=None) -> TrainReport:
+                       seed: int) -> TrainReport:
     """Fresh seeded weights for ``config``, then a full ``fit`` run."""
     model = A.Model(arch, config, derive_seed(seed, "scratch-init"))
-    return fit(model, data, schedule, seed, checkpoint_sink=checkpoint_sink)
+    return fit(model, data, schedule, seed)
 
 
 def train_baseline(arch: A.ArchSpec, data: dict[str, Dataset],

@@ -373,6 +373,25 @@ def test_forward_calls_one_op_per_layer(monkeypatch):
     assert len(model.gated_ids) == kinds.count("batchnorm")
 
 
+def test_train_step_keeps_every_activation_channels_last(any_arch):
+    # one train-mode forward and backward with gates, as gate learning runs
+    model = A.Model(any_arch, None, seed=0)
+    gates = {lid: np.full(model.widths[lid].cout, 0.5, np.float32)
+             for lid in model.gated_ids}
+    x = np.random.default_rng(0).standard_normal(
+        (4,) + tuple(any_arch.input_shape)).astype(np.float32)
+    tape = T.Tape()
+    logits = model.forward(x, train=True, gates=gates, tape=tape)
+    loss = T.cross_entropy(logits, np.arange(4) % any_arch.num_classes,
+                           tape=tape)
+    tape.backward(loss, list(gates.values()))
+    outs = [(node.op, node.output) for node in tape.nodes
+            if node.output.ndim == 4]
+    assert {op for op, _ in outs} >= {"conv2d", "batchnorm", "relu"}
+    for op, out in outs:
+        assert out.transpose(0, 2, 3, 1).flags.c_contiguous, op
+
+
 def test_evaluate_accuracy_perfect_and_chance():
     arch = A.preset("vgg-small")
     model = A.Model(arch, None, seed=0)

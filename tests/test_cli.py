@@ -18,7 +18,7 @@ from prunekit import search as S
 from prunekit import train as TR
 from prunekit.errors import ConfigError, PipelineError
 
-from helpers import checksummed_container
+from helpers import checksummed_container, encode_cifar_batch
 
 ROOT = Path(__file__).resolve().parent.parent
 TINY = {
@@ -154,6 +154,28 @@ def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
     assert CLI.main(["prune", "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_validation_split_that_empties_a_class_is_an_error(tmp_path,
+                                                           capsys):
+    # every class has 10 training images and validation takes all 10:
+    # gate learning ran on the empty rest, then training ended in a bare
+    # ZeroDivisionError
+    root = tmp_path / "cifar"
+    root.mkdir()
+    rng = np.random.default_rng(0)
+    for name in D.CIFAR_FILES:
+        images = rng.integers(0, 256, (20, 3, 32, 32), dtype=np.uint8)
+        labels = np.repeat(np.arange(10, dtype=np.uint8), 2)
+        (root / name).write_bytes(encode_cifar_batch(images, labels))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"cifar_val_per_class": 10,
+                                "importance": {"epochs": 1}}))
+    out = tmp_path / "runs"
+    assert CLI.main(["prune", "--dataset", f"cifar10:{root}", "--config",
+                     str(path), "--epochs", "1", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, overrides", [

@@ -122,6 +122,16 @@ def test_split_insufficient_population():
         D.make_validation_split(ds, 4, seed=0)
 
 
+def test_split_must_leave_each_class_a_training_sample():
+    # a class split wholly into validation used to leave an empty train
+    # split, which gate learning ran on and training divided by
+    ds = _toy_dataset(n_per_class=4)
+    with pytest.raises(SplitError, match="keep one for training"):
+        D.make_validation_split(ds, 4, seed=0)
+    rest, _ = D.make_validation_split(ds, 3, seed=0)
+    assert np.array_equal(np.bincount(rest.labels), np.ones(3))
+
+
 def test_augment_preserves_shape_and_pixels():
     rng = np.random.default_rng(4)
     images = rng.standard_normal((6, 3, 8, 8)).astype(np.float32)

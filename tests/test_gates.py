@@ -241,6 +241,16 @@ def test_learning_rejects_test_split():
                                    cfg, seed=0)
 
 
+def test_learning_rejects_an_empty_train_split():
+    model, suite = toy_setup()
+    train = suite["train"]
+    empty = D.Dataset(train.images[:0], train.labels[:0], "train",
+                      train.class_count, train.norm_mean, train.norm_std)
+    with pytest.raises(ConfigError, match="non-empty train split"):
+        G.learn_channel_importance(model, empty, suite["val"],
+                                   G.ImportanceConfig(epochs=1), seed=0)
+
+
 def test_learning_is_deterministic():
     outs = []
     for _ in range(2):

@@ -10,6 +10,7 @@ from prunekit.errors import (
     LabelError,
     NonFiniteError,
     ShapeError,
+    StatsError,
 )
 
 from helpers import (
@@ -106,9 +107,10 @@ def test_conv2d_gradients(stride, padding, groups, cin, cout, k):
         assert rel_err(gw, numeric_grad(loss_fn, w)) < GRAD_TOL
 
 
-def _conv_loss_and_grads(x, w, stride, padding):
+def _conv_loss_and_grads(x, w, stride, padding, groups):
     tape = T.Tape()
-    y = T.conv2d(x, w, stride=stride, padding=padding, tape=tape)
+    y = T.conv2d(x, w, stride=stride, padding=padding, groups=groups,
+                 tape=tape)
     loss = T.sum_all(T.relu(y, tape=tape), tape=tape)
     return (y, *tape.backward(loss, [x, w]))
 
@@ -117,26 +119,31 @@ def _channels_last(x):
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
-@pytest.mark.parametrize("stride,padding,k", [(1, 1, 3), (2, 0, 1)])
+@pytest.mark.parametrize("stride,padding,k,groups", [
+    (1, 1, 3, 1), (2, 0, 1, 1), (2, 1, 3, 1), (1, 1, 3, 5), (2, 1, 3, 5),
+], ids=["1-1-3", "2-0-1", "2-1-3", "dw-1-1-3", "dw-2-1-3"])
 def test_conv2d_result_independent_of_input_memory_layout(stride, padding,
-                                                          k):
+                                                          k, groups):
     rng = np.random.default_rng(12)
     x = rng.standard_normal((2, 5, 6, 6)).astype(np.float32)
-    w = rng.standard_normal((4, 5, k, k)).astype(np.float32)
+    cout = 5 if groups > 1 else 4
+    w = rng.standard_normal((cout, 5 // groups, k, k)).astype(np.float32)
     x_cl = _channels_last(x)
     assert x.flags.c_contiguous and not x_cl.flags.c_contiguous
-    for a, b in zip(_conv_loss_and_grads(x, w, stride, padding),
-                    _conv_loss_and_grads(x_cl, w, stride, padding)):
+    for a, b in zip(_conv_loss_and_grads(x, w, stride, padding, groups),
+                    _conv_loss_and_grads(x_cl, w, stride, padding, groups)):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
 
 
-def test_dense_conv2d_output_is_channels_last_in_memory():
+@pytest.mark.parametrize("groups", [1, 3], ids=["dense", "depthwise"])
+def test_conv2d_output_is_channels_last_in_memory(groups):
     rng = np.random.default_rng(13)
     x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
-    w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-    out = T.conv2d(x, w, padding=1)
-    assert out.shape == (2, 4, 6, 6)
+    cout = 4 if groups == 1 else 3
+    w = rng.standard_normal((cout, 3 // groups, 3, 3)).astype(np.float32)
+    out = T.conv2d(x, w, padding=1, groups=groups)
+    assert out.shape == (2, cout, 6, 6)
     assert out.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
@@ -246,6 +253,16 @@ def test_batchnorm_gradients(train):
         grads = tape.backward(loss, [x, gamma, beta])
         for t, g in zip((x, gamma, beta), grads):
             assert rel_err(g, numeric_grad(loss_fn, t)) < GRAD_TOL
+
+
+def test_batchnorm_rejects_an_empty_train_batch():
+    c = 3
+    x = np.zeros((0, c, 4, 4), np.float32)
+    args = (np.ones(c, np.float32), np.zeros(c, np.float32),
+            np.zeros(c, np.float32), np.ones(c, np.float32))
+    with pytest.raises(StatsError, match="empty batch"):
+        T.batchnorm(x, *args, train=True)
+    assert T.batchnorm(x, *args, train=False).shape == x.shape
 
 
 @pytest.mark.parametrize("train", [True, False])

@@ -289,11 +289,23 @@ def test_checkpoint_sink_sees_every_epoch():
     data = toy_suite()
     seen = []
     sched = TR.TrainSchedule(base_epochs=2, lr0=0.05, batch_size=24)
-    TR.train_from_scratch(A.preset("vgg-small"), None, data, sched, 0,
-                          checkpoint_sink=lambda e, m: seen.append(
-                              (e, m.weight_hash())))
+    TR.fit(A.Model(A.preset("vgg-small"), None, 0), data, sched, 0,
+           checkpoint_sink=lambda e, m: seen.append((e, m.weight_hash())))
     assert [e for e, _ in seen] == [0, 1, 2]
     assert seen[0][1] != seen[-1][1]
+
+
+def test_fit_rejects_an_empty_train_split():
+    data = toy_suite()
+    train = data["train"]
+    empty = dict(data, train=D.Dataset(
+        train.images[:0], train.labels[:0], "train", train.class_count,
+        train.norm_mean, train.norm_std))
+    model = A.Model(A.preset("vgg-small"), None, 0)
+    before = model.weight_hash()
+    with pytest.raises(ConfigError, match="non-empty train split"):
+        TR.fit(model, empty, TR.TrainSchedule(base_epochs=1), 0)
+    assert model.weight_hash() == before
 
 
 def test_divergence_reports_epoch():
@@ -323,8 +335,8 @@ def test_divergence_reports_optimizer_step():
 
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(DivergenceError) as err:
-            TR.train_from_scratch(A.preset("vgg-small"), None, data, sched,
-                                  0, checkpoint_sink=poison)
+            TR.fit(A.Model(A.preset("vgg-small"), None, 0), data, sched, 0,
+                   checkpoint_sink=poison)
     assert err.value.step == 2
 
 
