@@ -191,12 +191,14 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
             epoch_ce[1] += 1
             pen = sparsity_penalty_grad(state, cfg.target_sparsity)
             step += 1
-            for j, v in enumerate(state.lam):
-                g = grads[j] + cfg.gamma * pen[j]
-                m[j] = cfg.beta1 * m[j] + (1 - cfg.beta1) * g
-                v2[j] = cfg.beta2 * v2[j] + (1 - cfg.beta2) * g * g
-                mhat = m[j] / (1 - cfg.beta1 ** step)
-                vhat = v2[j] / (1 - cfg.beta2 ** step)
+            for v, mj, vj, gj, pj in zip(state.lam, m, v2, grads, pen):
+                g = gj + cfg.gamma * pj
+                mj *= cfg.beta1
+                mj += (1 - cfg.beta1) * g
+                vj *= cfg.beta2
+                vj += (1 - cfg.beta2) * g * g
+                mhat = mj / (1 - cfg.beta1 ** step)
+                vhat = vj / (1 - cfg.beta2 ** step)
                 v -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
             project_gates(state)
             if cfg.evals_per_epoch > 1 and (b + 1) % eval_every == 0 \

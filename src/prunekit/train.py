@@ -207,9 +207,10 @@ def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
             grads = tape.backward(loss, params)
             step += 1
             for j, p in enumerate(params):
-                g = grads[j] + schedule.weight_decay * p
-                vel[j] = schedule.momentum * vel[j] + g
-                p -= lr * vel[j]
+                v = vel[j]
+                v *= schedule.momentum
+                v += grads[j] + schedule.weight_decay * p
+                p -= lr * v
             loss_sum += float(loss) * len(idx)
             seen += len(idx)
         losses.append(loss_sum / seen)
