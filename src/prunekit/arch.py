@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import blas
 from . import tensor as T
 from .errors import ArchError, ConfigError, GeometryError
 
@@ -485,6 +486,7 @@ class Model:
             a[...] = state[name]
 
 
+@blas.one_thread()
 def evaluate_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
                       batch_size: int = 256,
                       gates: dict[str, np.ndarray] | None = None) -> float:

@@ -14,24 +14,13 @@ under its config key; a subcommand takes only the flags it reads. One
 reader checks every level of a config: every key known and present,
 and every value of its field's JSON type (a null only for an optional
 field). An unset flag changes nothing.
-
-``main`` runs numpy's bundled OpenBLAS on one thread for the duration
-of a command, then restores the previous count: at these matrix sizes
-a second thread buys no wall time and nearly doubles ``prune``'s CPU
-time. A thread count set in the environment (``_THREAD_VARS``) leaves
-the pool alone, as does a missing library or symbol. The count is set
-through ``ctypes`` because numpy, and with it OpenBLAS, is loaded
-before ``main`` runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import json
 import math
-import os
 import sys
 import time
 import types
@@ -39,8 +28,6 @@ import typing
 from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
                          replace)
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import analysis as AN
@@ -88,9 +75,11 @@ class PipelineConfig:
         if any(e < 0 for e in self.checkpoint_epochs):
             raise ConfigError(f"checkpoint epochs must be >= 0, got "
                               f"{list(self.checkpoint_epochs)}")
-        if self.cifar_val_per_class < 0:
-            raise ConfigError(f"cifar_val_per_class must be >= 0, got "
-                              f"{self.cifar_val_per_class}")
+        if self.cifar_val_per_class < 1:
+            raise ConfigError(
+                f"cifar_val_per_class must be >= 1, got "
+                f"{self.cifar_val_per_class}: gate snapshot selection and "
+                "the per-epoch val accuracy read the validation split")
         if self.schedule.effective_epochs is not None:
             raise ConfigError("schedule.effective_epochs must be null: "
                               "budget scaling sets it")
@@ -489,55 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ---------------------------------------------------------------------------
-# BLAS threads
-
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                "OMP_NUM_THREADS")
-# (get, set) symbol pairs: numpy >= 2 wheels first, then older builds
-_BLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"))
-
-
-def _openblas():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS,
-    or None where no such library or symbol exists."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for get_name, set_name in _BLAS_SYMBOLS:
-            get = getattr(lib, get_name, None)
-            set_ = getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread unless the user chose a
-    count through the environment; restore the previous count after."""
-    blas = (None if any(os.environ.get(v) for v in _THREAD_VARS)
-            else _openblas())
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def _stderr(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -545,20 +485,19 @@ def _stderr(msg: str) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _one_blas_thread():
-            if args.command == "inspect":
-                return cmd_inspect(args.record, args.out)
-            cfg = resolve_config(args.config, _flag_overrides(args))
-            if args.command == "prune":
-                records = cmd_prune(cfg, progress=_stderr)
-                ok = all(r.status == "completed"
-                         and r.search["converged"] for r in records)
-                return 0 if ok else 1
-            if args.command == "study":
-                cmd_study(cfg, progress=_stderr)
-                return 0
-            cmd_train_baseline(cfg)
+        if args.command == "inspect":
+            return cmd_inspect(args.record, args.out)
+        cfg = resolve_config(args.config, _flag_overrides(args))
+        if args.command == "prune":
+            records = cmd_prune(cfg, progress=_stderr)
+            ok = all(r.status == "completed"
+                     and r.search["converged"] for r in records)
+            return 0 if ok else 1
+        if args.command == "study":
+            cmd_study(cfg, progress=_stderr)
             return 0
+        cmd_train_baseline(cfg)
+        return 0
     except (PruneKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

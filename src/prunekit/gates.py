@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from . import tensor as T
 from .arch import Model, evaluate_accuracy
 from .data import Dataset, derive_rng
@@ -137,6 +138,7 @@ def init_gates(model: Model) -> GateState:
     return GateState(lam)
 
 
+@blas.one_thread()
 def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
                              cfg: ImportanceConfig,
                              seed: int) -> list[GateSnapshot]:

@@ -6,21 +6,21 @@ channel gating, ReLU, average pooling, global average pooling, linear,
 residual add, and label-smoothed cross-entropy.
 
 One layout rule: every op takes [N, C, H, W] arrays in any memory
-layout, and for channels-last input (the [N, C, H, W] shape as a view of
-[N, H, W, C] memory) every 4-d output is channels-last too. Convolution,
-batch norm and pooling write channels-last memory from any input;
-elementwise ops follow their input's layout. Results do not depend on
+layout, and every 4-d output of convolution, batch norm and pooling is
+batch-last: the [N, C, H, W] shape as a view of [C, H, W, N] memory.
+Elementwise ops follow their input's layout. Results do not depend on
 the memory layout of the input.
 
-Convolution is im2col: the input is copied once into a zero-padded
-channels-last buffer, and each patch row is kh*kw runs of C contiguous
-values. The dense conv contracts the rows with one matmul, the depthwise
-conv per channel. The input gradient of a stride-1 dense conv is the
-same patch matmul over the padded upstream gradient and the flipped
-weight; every other conv and average pooling add kh*kw gradient slabs
-onto a padded channels-last buffer. Batch norm, gating and pooling
-reduce the [N*H*W, C] rows of channels-last memory with
-``np.add.reduce``.
+At 10-80 channels, per-channel work is loop overhead unless a channel
+is one contiguous run: ``_rows`` is the free [C, H*W*N] view of
+batch-last memory, whose rows batch norm, gating and global pooling
+reduce and scale. Convolution is im2col: kh*kw slab copies of a padded
+batch-last buffer fill [kh*kw*C, Ho*Wo*N] patches, which the dense conv
+contracts in one GEMM and the depthwise conv per channel. A stride-1
+conv's input gradient is the same product over the padded upstream
+gradient and the flipped weight; other convs and average pooling add
+kh*kw gradient slabs onto a padded buffer, and pooling's forward is
+the mirror kh*kw slab adds.
 
 Ops take and return plain ``np.ndarray``. Run them with a ``Tape``,
 then call ``tape.backward(loss, targets)`` for one gradient per target,
@@ -153,45 +153,48 @@ def _pair(v) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # convolution
 
-def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Read-only [N, Ho, Wo, kh, kw, C] view of the windows of [N,H,W,C]
-    ``x``, built from its own strides."""
-    n, h, w, c = x.shape
-    s0, s1, s2, s3 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, (n, (h - kh) // sh + 1, (w - kw) // sw + 1, kh, kw, c),
-        (s0, s1 * sh, s2 * sw, s1, s2, s3), writeable=False)
-
-
 def _rows(x: np.ndarray) -> np.ndarray:
-    """[N*H*W, C] rows of [N,C,H,W] ``x``: a free view of channels-last
+    """[C, H*W*N] rows of [N,C,H,W] ``x``: a free view of batch-last
     memory, one copy from any other layout."""
-    return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
+    return x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
+
+
+def _slabs(kh: int, kw: int, sh: int, sw: int, ho: int, wo: int):
+    """(i, j, index of the [C, Ho, Wo, N] slab that offset (i, j) of
+    every window reads from a batch-last [C, H, W, N] buffer)."""
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, (slice(None), slice(i, i + ho * sh, sh),
+                         slice(j, j + wo * sw, sw))
 
 
 def _patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
              ph: int, pw: int) -> np.ndarray:
-    """[N, Ho*Wo, kh*kw*C] im2col copy of [N,C,H,W] ``x`` zero-padded by
-    (ph, pw), built in channels-last memory: each row holds kh*kw runs of
-    C contiguous values."""
+    """[kh*kw*C, Ho*Wo*N] im2col copy of [N,C,H,W] ``x`` zero-padded by
+    (ph, pw): kh*kw slab copies out of a padded batch-last buffer, each
+    in runs of Wo*N contiguous values at stride 1."""
     n, c, h, w = x.shape
-    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
-    xp[:, ph:ph + h, pw:pw + w] = x.transpose(0, 2, 3, 1)
-    win = _windows(xp, kh, kw, sh, sw)
-    return np.ascontiguousarray(win).reshape(n, -1, kh * kw * c)
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        return _rows(x)
+    xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
+    xp[:, ph:ph + h, pw:pw + w] = x.transpose(1, 2, 3, 0)
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    cols = np.empty((kh, kw, c, ho, wo, n), dtype=x.dtype)
+    for i, j, slab in _slabs(kh, kw, sh, sw, ho, wo):
+        cols[i, j] = xp[slab]
+    return cols.reshape(kh * kw * c, -1)
 
 
 def _scatter_windows(dcols: np.ndarray, sh: int, sw: int, ph: int, pw: int,
                      h: int, w: int) -> np.ndarray:
-    """Sum [N, Ho, Wo, kh, kw, C] per-window gradients back onto a
-    zero-padded [N, H+2ph, W+2pw, C] buffer, one kh*kw slab add at a time;
-    returns the [N, C, H, W] view of its unpadded part."""
-    n, ho, wo, kh, kw, c = dcols.shape
-    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=dcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i:i + ho * sh:sh, j:j + wo * sw:sw] += dcols[:, :, :, i, j]
-    return dxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)
+    """Sum [kh, kw, C, Ho, Wo, N] per-window gradients back onto a
+    zero-padded batch-last [C, H+2ph, W+2pw, N] buffer, one kh*kw slab
+    add at a time; returns the [N, C, H, W] view of its unpadded part."""
+    kh, kw, c, ho, wo, n = dcols.shape
+    dxp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=dcols.dtype)
+    for i, j, slab in _slabs(kh, kw, sh, sw, ho, wo):
+        dxp[slab] += dcols[i, j]
+    return dxp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
@@ -220,42 +223,41 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
             f"conv2d output {ho}x{wo} non-positive for input {h}x{wd}, "
             f"kernel {kh}x{kw}, stride {sh}x{sw}, padding {ph}x{pw}")
 
-    # channels-last patches, each row in (kh, kw, Cin) order; the dense
-    # conv contracts a row with one GEMM, the depthwise conv per channel
+    # batch-last patches, rows in (kh, kw, Cin) order, against a weight:
+    # one GEMM when dense, one [1, kh*kw] product per channel when
+    # depthwise; either way the output is batch-last
     depthwise = groups > 1
+
+    def contract(wt, cols):
+        if depthwise:
+            rows = cols.reshape(kh * kw, cin, -1).transpose(1, 0, 2)
+            return (wt.reshape(cin, 1, -1) @ rows).reshape(cin, -1)
+        return wt.transpose(0, 2, 3, 1).reshape(len(wt), -1) @ cols
+
     cols = _patches(x, kh, kw, sh, sw, ph, pw)
-    if depthwise:
-        cols = cols.reshape(n, ho * wo, kh * kw, cin)
-        wk = w.reshape(cin, kh * kw).T.copy()
-        out = np.einsum("npkc,kc->npc", cols, wk)
-    else:
-        wk = w.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
-        out = cols @ wk
-    out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    out = contract(w, cols).reshape(cout, ho, wo, n).transpose(3, 0, 1, 2)
 
     def bwd(gout, needs):
-        g2 = gout.transpose(0, 2, 3, 1).reshape(n, ho * wo, cout)
+        g2 = _rows(gout)
         dx = dw = None
-        if needs[0] and depthwise:
-            # [kh, kw, N, Ho, Wo, C] memory: each slab add reads one block
-            dcols = (wk[:, None, None] * g2).reshape(kh, kw, n, ho, wo, cin)
-            dx = _scatter_windows(dcols.transpose(2, 3, 4, 0, 1, 5),
-                                  sh, sw, ph, pw, h, wd)
-        elif needs[0] and sh == sw == 1 and ph < kh and pw < kw:
+        if needs[0] and sh == sw == 1 and ph < kh and pw < kw:
             # transposed conv: patches of the upstream gradient padded by
             # k-1-p against the flipped weight, in/out channels swapped.
-            # At 10-80 channels one patch copy beats kh*kw short slab adds.
-            wt = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, cin)
-            dx = _patches(gout, kh, kw, 1, 1, kh - 1 - ph, kw - 1 - pw) @ wt
-            dx = dx.reshape(n, h, wd, cin).transpose(0, 3, 1, 2)
+            # At 10-80 channels one patch copy beats kh*kw slab adds.
+            wt = w if depthwise else w.transpose(1, 0, 2, 3)
+            gcols = _patches(gout, kh, kw, 1, 1, kh - 1 - ph, kw - 1 - pw)
+            dx = contract(wt[:, :, ::-1, ::-1], gcols)
+            dx = dx.reshape(cin, h, wd, n).transpose(3, 0, 1, 2)
         elif needs[0]:
-            dcols = (g2 @ wk.T).reshape(n, ho, wo, kh, kw, cin)
-            dx = _scatter_windows(dcols, sh, sw, ph, pw, h, wd)
+            dcols = (w.reshape(cin, -1).T[:, :, None] * g2 if depthwise
+                     else w.transpose(2, 3, 1, 0).reshape(-1, cout) @ g2)
+            dx = _scatter_windows(dcols.reshape(kh, kw, cin, ho, wo, n),
+                                  sh, sw, ph, pw, h, wd)
         if needs[1] and depthwise:
-            dw = np.einsum("npkc,npc->ck", cols, g2).reshape(cout, 1, kh, kw)
+            rows = cols.reshape(kh * kw, cin, -1).transpose(1, 0, 2)
+            dw = (rows @ g2[:, :, None]).reshape(cout, 1, kh, kw)
         elif needs[1]:
-            dw = g2.reshape(-1, cout).T @ cols.reshape(-1, kh * kw * cin)
-            dw = dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+            dw = (cols @ g2.T).reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
         return dx, dw
 
     return _emit(tape, "conv2d", (x, w), out, bwd)
@@ -288,33 +290,33 @@ def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     if train:
         if n == 0:
             raise StatsError("batch statistics over an empty batch")
-        mu = np.add.reduce(x2, axis=0) / m
-        d = x2 - mu
-        var = np.add.reduce(d * d, axis=0) / m
+        mu = np.add.reduce(x2, axis=1) / m
+        d = x2 - mu[:, None]
+        var = np.add.reduce(d * d, axis=1) / m
         for run, batch in ((running_mean, mu), (running_var, var)):
             run += BN_MOMENTUM * (batch.astype(run.dtype) - run)
         invstd = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = d * invstd
-        out = xhat * gamma + beta
+        xhat = d * invstd[:, None]
+        out = xhat * gamma[:, None] + beta[:, None]
     else:
         # the running statistics as one per-channel scale and shift
         mu = running_mean.astype(x.dtype)
         invstd = 1.0 / np.sqrt(running_var.astype(x.dtype) + BN_EPS)
         scale = gamma * invstd
-        out = x2 * scale + (beta - mu * scale)
-    out = out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+        out = x2 * scale[:, None] + (beta - mu * scale)[:, None]
+    out = out.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
     def bwd(gout, needs):
         g2 = _rows(gout)
-        xh = xhat if train else (x2 - mu) * invstd
-        sg = np.add.reduce(g2, axis=0)
-        sgx = np.add.reduce(g2 * xh, axis=0)
+        xh = xhat if train else (x2 - mu[:, None]) * invstd[:, None]
+        sg = np.add.reduce(g2, axis=1)
+        sgx = np.add.reduce(g2 * xh, axis=1)
         dx = None
         if needs[0]:
             if train:
-                g2 = g2 - sg / m - xh * (sgx / m)
-            dx = (g2 * (gamma * invstd)).reshape(n, h, w, c)
-            dx = dx.transpose(0, 3, 1, 2)
+                g2 = g2 - (sg / m)[:, None] - xh * (sgx / m)[:, None]
+            dx = (g2 * (gamma * invstd)[:, None]).reshape(c, h, w, n)
+            dx = dx.transpose(3, 0, 1, 2)
         return dx, sgx if needs[1] else None, sg if needs[2] else None
 
     return _emit(tape, "batchnorm", (x, gamma, beta), out, bwd)
@@ -330,7 +332,7 @@ def gate_modulate(x: np.ndarray, gates: np.ndarray,
 
     def bwd(gout, needs):
         dx = gout * gates[None, :, None, None] if needs[0] else None
-        dg = np.add.reduce(_rows(gout * x), axis=0) if needs[1] else None
+        dg = np.add.reduce(_rows(gout * x), axis=1) if needs[1] else None
         return dx, dg
 
     return _emit(tape, "gate_modulate", (x, gates), out, bwd)
@@ -369,19 +371,17 @@ def avg_pool2d(x: np.ndarray, kernel, stride=None,
     n, c, h, w = x.shape
     if kh > h or kw > w:
         raise GeometryError(f"pool kernel {kh}x{kw} exceeds input {h}x{w}")
-    ho = (h - kh) // sh + 1
-    wo = (w - kw) // sw + 1
+    ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
     scale = 1.0 / (kh * kw)
-    win = _windows(np.ascontiguousarray(x.transpose(0, 2, 3, 1)),
-                   kh, kw, sh, sw)
-    out = (np.add.reduce(win, axis=(3, 4)) * scale).transpose(0, 3, 1, 2)
+    xb = x.transpose(1, 2, 3, 0)
+    acc = sum(xb[slab] for *_, slab in _slabs(kh, kw, sh, sw, ho, wo))
+    out = (acc * scale).transpose(3, 0, 1, 2)
 
     def bwd(gout, needs):
         if not needs[0]:
             return (None,)
-        gs = gout.transpose(0, 2, 3, 1) * scale
-        dcols = np.broadcast_to(gs[:, :, :, None, None],
-                                (n, ho, wo, kh, kw, c))
+        gs = gout.transpose(1, 2, 3, 0) * scale
+        dcols = np.broadcast_to(gs, (kh, kw, c, ho, wo, n))
         return (_scatter_windows(dcols, sh, sw, 0, 0, h, w),)
 
     return _emit(tape, "avg_pool2d", (x,), out, bwd)
@@ -392,13 +392,13 @@ def global_avg_pool(x: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     if x.ndim != 4:
         raise ShapeError(f"global_avg_pool expects 4-d input, got {x.shape}")
     n, c, h, w = x.shape
-    out = np.add.reduce(_rows(x).reshape(n, h * w, c), axis=1) / (h * w)
+    out = (np.add.reduce(_rows(x).reshape(c, h * w, n), axis=1) / (h * w)).T
 
     def bwd(gout, needs):
         if not needs[0]:
             return (None,)
-        g = np.broadcast_to((gout / (h * w))[:, None, None], (n, h, w, c))
-        return (g.copy().transpose(0, 3, 1, 2),)
+        g = np.broadcast_to((gout / (h * w)).T[:, None, None], (c, h, w, n))
+        return (g.copy().transpose(3, 0, 1, 2),)
 
     return _emit(tape, "global_avg_pool", (x,), out, bwd)
 

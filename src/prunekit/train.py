@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arch as A
+from . import blas
 from . import tensor as T
 from .data import Dataset, augment_batch, derive_rng, derive_seed
 from .errors import BudgetError, ConfigError, DivergenceError, NonFiniteError
@@ -161,6 +162,7 @@ def lottery_model(full_model: A.Model, config: A.ChannelConfig) -> A.Model:
 # ---------------------------------------------------------------------------
 # training loop
 
+@blas.one_thread()
 def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
         seed: int, checkpoint_sink=None) -> TrainReport:
     """Train ``model`` in place and report per-epoch metrics.

@@ -374,7 +374,8 @@ def test_forward_calls_one_op_per_layer(monkeypatch):
 
 
 def test_train_step_keeps_every_activation_channels_last(any_arch):
-    # one train-mode forward and backward with gates, as gate learning runs
+    # one train-mode forward and backward with gates, as gate learning
+    # runs; the layout contract is batch-last: [C, H, W, N] memory
     model = A.Model(any_arch, None, seed=0)
     gates = {lid: np.full(model.widths[lid].cout, 0.5, np.float32)
              for lid in model.gated_ids}
@@ -389,7 +390,7 @@ def test_train_step_keeps_every_activation_channels_last(any_arch):
             if node.output.ndim == 4]
     assert {op for op, _ in outs} >= {"conv2d", "batchnorm", "relu"}
     for op, out in outs:
-        assert out.transpose(0, 2, 3, 1).flags.c_contiguous, op
+        assert out.transpose(1, 2, 3, 0).flags.c_contiguous, op
 
 
 def test_evaluate_accuracy_perfect_and_chance():

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from prunekit import arch as A
+from prunekit import blas
 from prunekit import cli as CLI
 from prunekit import data as D
 from prunekit import gates as G
 from prunekit import search as S
+from prunekit import tensor as T
 from prunekit import train as TR
 from prunekit.errors import ConfigError, PipelineError
 
@@ -182,11 +184,13 @@ def test_validation_split_that_empties_a_class_is_an_error(tmp_path,
     ("study", {"checkpoint_epochs": [-3, 2]}),
     ("train-baseline", {"checkpoint_epochs": [-3, 2]}),
     ("prune", {"cifar_val_per_class": -1}),
+    ("prune", {"cifar_val_per_class": 0}),
     ("prune", {"schedule": {"base_epochs": 2, "effective_epochs": 5}}),
     ("train-baseline", {"schedule": {"base_epochs": 2,
                                      "effective_epochs": 5}}),
 ], ids=["checkpoint-negative-study", "checkpoint-negative-baseline",
-        "val-per-class-negative", "effective-epochs-prune",
+        "val-per-class-negative", "val-per-class-zero",
+        "effective-epochs-prune",
         "effective-epochs-baseline"])
 def test_config_rejects_inputs_that_would_be_misread(tmp_path, capsys,
                                                      monkeypatch, command,
@@ -194,7 +198,9 @@ def test_config_rejects_inputs_that_would_be_misread(tmp_path, capsys,
     # each used to be dropped or misread without a word: a negative
     # checkpoint epoch was filtered out (-3,2 ran as 2); a negative
     # validation count put all but that many samples of each class into
-    # validation; a set effective_epochs was overwritten by budget
+    # validation; a zero one left validation empty, so every val
+    # accuracy read 0.0 and gate selection fell to its tie rule; a set
+    # effective_epochs was overwritten by budget
     # scaling in prune and study, and read as the epoch count in
     # train-baseline
     monkeypatch.setattr(TR, "fit", _no_training)
@@ -414,7 +420,7 @@ def test_prune_reports_each_stage(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # BLAS threads
 
-BLAS = CLI._openblas()
+BLAS = blas.openblas()
 needs_blas = pytest.mark.skipif(
     BLAS is None, reason="numpy's bundled OpenBLAS not found")
 
@@ -423,7 +429,7 @@ needs_blas = pytest.mark.skipif(
 def blas_pool(monkeypatch):
     """A two-thread pool and no thread variable set; the test's count
     is restored after."""
-    for var in CLI._THREAD_VARS:
+    for var in blas.THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     get, set_ = BLAS
     before = get()
@@ -432,23 +438,43 @@ def blas_pool(monkeypatch):
     set_(before)
 
 
-def _fit_spy(monkeypatch, get):
-    seen = []
-    real_fit = TR.fit
+def _conv_spy(monkeypatch, get):
+    """The set of pool sizes that ``T.conv2d`` calls ran on."""
+    seen = set()
+    real_conv = T.conv2d
 
     def spy(*args, **kwargs):
-        seen.append(get())
-        return real_fit(*args, **kwargs)
-    monkeypatch.setattr(TR, "fit", spy)
+        seen.add(get())
+        return real_conv(*args, **kwargs)
+    monkeypatch.setattr(T, "conv2d", spy)
     return seen
 
 
 @needs_blas
 def test_prune_trains_on_one_blas_thread(tmp_path, monkeypatch, blas_pool):
-    seen = _fit_spy(monkeypatch, blas_pool)
+    seen = _conv_spy(monkeypatch, blas_pool)
     assert CLI.main(_prune_argv(tmp_path)) == 0
-    assert seen == [1]
+    assert seen == {1}
     assert blas_pool() == 2
+
+
+@needs_blas
+def test_library_loops_run_on_one_blas_thread(tmp_path, monkeypatch,
+                                              blas_pool):
+    cfg = tiny_config(tmp_path)
+    data = D.synth_suite(cfg.synth, seed=0)
+    arch = A.expand_channels(A.preset(cfg.arch), cfg.expand)
+    model = A.Model(arch, None, seed=0)
+    seen = _conv_spy(monkeypatch, blas_pool)
+    G.learn_channel_importance(model, data["train"], data["val"],
+                               cfg.importance, seed=0)
+    assert seen == {1} and blas_pool() == 2
+    seen.clear()
+    TR.fit(model, data, cfg.schedule, seed=0)
+    assert seen == {1} and blas_pool() == 2
+    seen.clear()
+    A.evaluate_accuracy(model, data["test"].images, data["test"].labels)
+    assert seen == {1} and blas_pool() == 2
 
 
 @needs_blas
@@ -458,18 +484,21 @@ def test_blas_threads_restored_after_error_exit(tmp_path, blas_pool):
 
 
 @needs_blas
-@pytest.mark.parametrize("var", CLI._THREAD_VARS)
+@pytest.mark.parametrize("var", blas.THREAD_VARS)
 def test_thread_variable_leaves_blas_pool_alone(tmp_path, monkeypatch,
                                                 blas_pool, var):
     monkeypatch.setenv(var, "2")
-    seen = _fit_spy(monkeypatch, blas_pool)
+    seen = _conv_spy(monkeypatch, blas_pool)
     assert CLI.main(_prune_argv(tmp_path)) == 0
-    assert seen == [2]
+    assert seen == {2}
 
 
 def test_prune_completes_without_blas_symbols(tmp_path, monkeypatch):
-    monkeypatch.setattr(CLI, "_BLAS_SYMBOLS", (("no_get", "no_set"),))
-    assert CLI._openblas() is None
+    # the lookup is cached per process: run it afresh on missing symbols
+    monkeypatch.setattr(blas, "_BLAS_SYMBOLS", (("no_get", "no_set"),))
+    lookup = blas.openblas.__wrapped__
+    assert lookup() is None
+    monkeypatch.setattr(blas, "openblas", lookup)
     assert CLI.main(_prune_argv(tmp_path)) == 0
     assert (tmp_path / "runs" / "run_s0.weights").exists()
 

@@ -72,6 +72,7 @@ _GRAD_ROWS = [
     (1, 1, 2, 4, 4, 3),   # grouped: neither dense nor depthwise, rejected
     (1, 0, 3, 3, 3, 3),
     (2, 1, 3, 3, 3, 3),   # strided depthwise, as depthwise-tiny's dw2/dw4
+    (1, 1, 3, 3, 3, 3),   # dw1/dw3: depthwise input gradient as a conv
     (1, 1, 1, 3, 4, 3),   # vgg-small's convs: input gradient as a conv
     (1, 0, 1, 3, 4, 1),   # pointwise
     (2, 0, 1, 3, 4, 1),   # strided 1x1 projection: col2im input gradient
@@ -115,8 +116,27 @@ def _conv_loss_and_grads(x, w, stride, padding, groups):
     return (y, *tape.backward(loss, [x, w]))
 
 
-def _channels_last(x):
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+def _layouts(x):
+    """``x`` as C-contiguous [N,C,H,W], channels-last ([N,H,W,C] memory)
+    and batch-last ([C,H,W,N] memory), each a distinct memory layout."""
+    x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    x_bl = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    assert x.flags.c_contiguous and not x_cl.flags.c_contiguous
+    assert x_bl.transpose(1, 2, 3, 0).flags.c_contiguous
+    assert not x_cl.transpose(1, 2, 3, 0).flags.c_contiguous
+    return x, x_cl, x_bl
+
+
+def _is_batch_last(a):
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+def _same_bytes(results):
+    first, *rest = results
+    for other in rest:
+        for a, b in zip(first, other, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("stride,padding,k,groups", [
@@ -128,23 +148,20 @@ def test_conv2d_result_independent_of_input_memory_layout(stride, padding,
     x = rng.standard_normal((2, 5, 6, 6)).astype(np.float32)
     cout = 5 if groups > 1 else 4
     w = rng.standard_normal((cout, 5 // groups, k, k)).astype(np.float32)
-    x_cl = _channels_last(x)
-    assert x.flags.c_contiguous and not x_cl.flags.c_contiguous
-    for a, b in zip(_conv_loss_and_grads(x, w, stride, padding, groups),
-                    _conv_loss_and_grads(x_cl, w, stride, padding, groups)):
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
+    _same_bytes([_conv_loss_and_grads(xl, w, stride, padding, groups)
+                 for xl in _layouts(x)])
 
 
 @pytest.mark.parametrize("groups", [1, 3], ids=["dense", "depthwise"])
 def test_conv2d_output_is_channels_last_in_memory(groups):
+    # the layout contract is batch-last: [N, C, H, W] over [C, H, W, N]
     rng = np.random.default_rng(13)
     x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
     cout = 4 if groups == 1 else 3
     w = rng.standard_normal((cout, 3 // groups, 3, 3)).astype(np.float32)
     out = T.conv2d(x, w, padding=1, groups=groups)
     assert out.shape == (2, cout, 6, 6)
-    assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert _is_batch_last(out)
 
 
 @pytest.mark.parametrize("op", ["batchnorm-train", "batchnorm-eval",
@@ -179,11 +196,7 @@ def test_ops_result_independent_of_input_memory_layout(op):
         loss = T.sum_all(T.relu(y, tape=tape), tape=tape)
         return (y, *tape.backward(loss, targets), *running)
 
-    x_cl = _channels_last(x)
-    assert x.flags.c_contiguous and not x_cl.flags.c_contiguous
-    for a, b in zip(run(x), run(x_cl)):
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
+    _same_bytes([run(xl) for xl in _layouts(x)])
 
 
 def test_conv2d_rejects_bad_geometry():
@@ -267,6 +280,7 @@ def test_batchnorm_rejects_an_empty_train_batch():
 
 @pytest.mark.parametrize("train", [True, False])
 def test_batchnorm_output_is_channels_last_in_memory(train):
+    # the layout contract is batch-last: [N, C, H, W] over [C, H, W, N]
     rng = np.random.default_rng(15)
     x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
     assert x.flags.c_contiguous
@@ -274,7 +288,7 @@ def test_batchnorm_output_is_channels_last_in_memory(train):
                       np.zeros(3, np.float32), np.ones(3, np.float32),
                       train=train)
     assert out.shape == x.shape
-    assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert _is_batch_last(out)
 
 
 # ---------------------------------------------------------------------------
