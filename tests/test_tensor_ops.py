@@ -154,14 +154,16 @@ def test_conv2d_result_independent_of_input_memory_layout(stride, padding,
 
 @pytest.mark.parametrize("groups", [1, 3], ids=["dense", "depthwise"])
 def test_conv2d_output_is_channels_last_in_memory(groups):
-    # the layout contract is batch-last: [N, C, H, W] over [C, H, W, N]
+    # the layout contract is batch-last: [N, C, H, W] over [C, H, W, N],
+    # from every input layout
     rng = np.random.default_rng(13)
     x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
     cout = 4 if groups == 1 else 3
     w = rng.standard_normal((cout, 3 // groups, 3, 3)).astype(np.float32)
-    out = T.conv2d(x, w, padding=1, groups=groups)
-    assert out.shape == (2, cout, 6, 6)
-    assert _is_batch_last(out)
+    for xl in _layouts(x):
+        out = T.conv2d(xl, w, padding=1, groups=groups)
+        assert out.shape == (2, cout, 6, 6)
+        assert _is_batch_last(out)
 
 
 @pytest.mark.parametrize("op", ["batchnorm-train", "batchnorm-eval",
@@ -280,15 +282,16 @@ def test_batchnorm_rejects_an_empty_train_batch():
 
 @pytest.mark.parametrize("train", [True, False])
 def test_batchnorm_output_is_channels_last_in_memory(train):
-    # the layout contract is batch-last: [N, C, H, W] over [C, H, W, N]
+    # the layout contract is batch-last: [N, C, H, W] over [C, H, W, N],
+    # from every input layout
     rng = np.random.default_rng(15)
     x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
-    assert x.flags.c_contiguous
-    out = T.batchnorm(x, np.ones(3, np.float32), np.zeros(3, np.float32),
-                      np.zeros(3, np.float32), np.ones(3, np.float32),
-                      train=train)
-    assert out.shape == x.shape
-    assert _is_batch_last(out)
+    for xl in _layouts(x):
+        out = T.batchnorm(xl, np.ones(3, np.float32),
+                          np.zeros(3, np.float32), np.zeros(3, np.float32),
+                          np.ones(3, np.float32), train=train)
+        assert out.shape == x.shape
+        assert _is_batch_last(out)
 
 
 # ---------------------------------------------------------------------------
