@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from prunekit import analysis as AN
 from prunekit import arch as A
 from prunekit import blas
 from prunekit import cli as CLI
@@ -404,6 +405,64 @@ def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"budget": 7}))
     assert CLI.main(["prune", "--config", str(bad)]) == 1
+
+
+def _hand_unit(source, data, importance, search, schedule, gate_seed,
+               pruned_model, train_seed):
+    """The pruning chain written out in library calls: gates on the
+    frozen ``source``, the best snapshot, the search, then ``fit`` of
+    ``pruned_model(config)`` on budget-scaled epochs."""
+    snaps = G.learn_channel_importance(source, data["train"], data["val"],
+                                       importance, gate_seed)
+    best = G.select_best_gates(snaps, importance.target_sparsity)
+    result = S.search_structure(best, source.arch, search)
+    full = A.count_flops(source.arch)
+    sched = replace(schedule, effective_epochs=TR.budget_epochs(
+        schedule.base_epochs, full, result.achieved_flops))
+    model = pruned_model(result.config)
+    return result, model, TR.fit(model, data, sched, train_seed)
+
+
+def test_prune_and_study_derive_each_seed_as_the_hand_chain(tmp_path):
+    # fixes the derive_seed label of every stage: prune inits from
+    # "pipeline-init", learns gates on the run seed and trains from
+    # "scratch-init"; the study learns gates from "study-gates" and
+    # trains from "study-scratch"
+    cfg = tiny_config(tmp_path / "runs")
+    CLI.cmd_prune(cfg)
+    data = CLI.resolve_dataset(cfg)
+    arch = A.expand_channels(CLI._pipeline_arch(cfg, data), cfg.expand)
+    search = S.SearchConfig(budget=int(round(0.5 * A.count_flops(arch))),
+                            rel_tolerance=cfg.tolerance,
+                            max_iters=cfg.max_iters)
+    source = A.Model(arch, None, D.derive_seed(0, "pipeline-init"))
+    result, model, _ = _hand_unit(
+        source, data, cfg.importance, search, cfg.schedule, 0,
+        lambda c: A.Model(arch, c, D.derive_seed(0, "scratch-init")), 0)
+    record = D.load_run(tmp_path / "runs" / "run_s0.pkrun")
+    assert record.search["kept_indices"] == [
+        list(ix) for ix in result.config.kept_indices]
+    saved, _ = D.load_weights(tmp_path / "runs" / "run_s0.weights")
+    assert _bits(saved) == _bits(model.state_arrays())
+
+    arch = CLI._pipeline_arch(cfg, data)
+    bundle = AN.run_pretrain_effect_study(
+        arch, data, cfg.importance, cfg.schedule, [2], [0], 0.5,
+        cfg.tolerance, cfg.max_iters)
+    _, states = TR.train_baseline(arch, data, cfg.schedule, 0, {0, 2})
+    search = replace(search, budget=int(round(0.5 * A.count_flops(arch))))
+    for epoch, label in ((0, "s0:rand"), (2, "s0:e2")):
+        source = A.Model(arch, None, seed=0)
+        source.load_state(states[epoch])
+        scratch = D.derive_seed(0, "study-scratch", label)
+        result, _, report = _hand_unit(
+            source, data, cfg.importance, search, cfg.schedule,
+            D.derive_seed(0, "study-gates", str(epoch)),
+            lambda c: A.Model(arch, c, D.derive_seed(scratch,
+                                                     "scratch-init")),
+            scratch)
+        assert bundle.configs[label] == result.config
+        assert bundle.accuracies[label] == report.test_accuracy
 
 
 def test_prune_reports_each_stage(tmp_path, capsys):
