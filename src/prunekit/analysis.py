@@ -20,7 +20,8 @@ from . import data as D
 from . import gates as G
 from . import search as S
 from . import train as TR
-from .errors import ConfigError, DegenerateFeatureError
+from .errors import (ConfigError, DegenerateFeatureError, PipelineError,
+                     PruneKitError)
 
 
 @dataclass(frozen=True)
@@ -148,16 +149,19 @@ def run_pretrain_effect_study(
     """Prune from random weights and from checkpoints, then compare.
 
     For every seed: train a baseline (checkpointing at the given epochs),
-    learn gates from the epoch-0 weights and from every checkpoint,
-    bisect each gate set to the FLOPS budget, and train every resulting
-    structure from scratch under budget scaling. Structures are compared
-    by keep-ratio correlation and by from-scratch test accuracy. Each
-    search bisects for at most ``max_iters`` steps towards a relative
-    FLOPS gap of ``tolerance``; one that stops outside it is reported
-    through ``progress``.
+    then run the pruning unit ``train.prune_and_train`` from the epoch-0
+    weights and from every checkpoint: learn gates, bisect them to the
+    FLOPS budget, and train the structure from scratch under budget
+    scaling. Structures are compared by keep-ratio correlation and by
+    from-scratch test accuracy. Each search bisects for at most
+    ``max_iters`` steps towards a relative FLOPS gap of ``tolerance``;
+    one that stops outside it is reported through ``progress``, as is
+    each finished stage.
 
     Every run trains under ``schedule``: the baseline up to the last
-    checkpoint, each structure for its budget-scaled epochs.
+    checkpoint, each structure for its budget-scaled epochs. A failure
+    in the baseline or a unit is a ``PipelineError`` naming the stage
+    (baseline, gates, search, train) and the seed or structure label.
     """
     if not 0.0 < budget_ratio < 1.0:
         # at 1.0 every structure keeps every channel, so no keep-ratio
@@ -188,34 +192,36 @@ def run_pretrain_effect_study(
     features: list[StructureFeature] = []
     per_seed: dict[int, SimilarityMatrix] = {}
 
+    def done(finished, value):
+        # the stage a failure names, and a progress line per stage
+        nonlocal stage
+        stage = {"gates": "search", "search": "train"}.get(finished, stage)
+        if finished == "search" and not value.converged:
+            say(f"seed {seed}: search for {where} stopped outside "
+                f"tolerance at flops ratio {value.achieved_flops / full:.3f}")
+        say(f"seed {seed}: {finished} done for {where}")
+
     for seed in seeds:
+        stage, where = "baseline", f"seed {seed}"
+        labels = [feature_label(seed, epoch) for epoch in (0,) + epochs]
         say(f"seed {seed}: training baseline ({baseline_schedule.epochs} "
             "epochs)")
-        _, states = TR.train_baseline(arch, data, baseline_schedule, seed,
-                                      {0, *epochs})
-        labels = [feature_label(seed, epoch) for epoch in (0,) + epochs]
-        for epoch, label in zip((0,) + epochs, labels):
-            say(f"seed {seed}: gates from "
-                + ("random init" if epoch == 0 else f"epoch {epoch}"))
-            source = A.Model(arch, None, seed=0)
-            source.load_state(states[epoch])
-            snaps = G.learn_channel_importance(
-                source, data["train"], data["val"], importance,
-                D.derive_seed(seed, "study-gates", str(epoch)))
-            best = G.select_best_gates(snaps, importance.target_sparsity)
-            result = S.search_structure(best, arch, search)
-            configs[label] = result.config
-            pruned = result.achieved_flops
-            flops_ratios[label] = pruned / full
-            if not result.converged:
-                say(f"seed {seed}: search for {label} stopped outside "
-                    f"tolerance at flops ratio {pruned / full:.3f}")
-            eff = TR.budget_epochs(schedule.base_epochs, full, pruned)
-            say(f"seed {seed}: scratch-training {label} ({eff} epochs)")
-            accuracies[label] = TR.train_from_scratch(
-                arch, result.config, data,
-                replace(schedule, effective_epochs=eff),
-                D.derive_seed(seed, "study-scratch", label)).test_accuracy
+        try:
+            _, states = TR.train_baseline(arch, data, baseline_schedule,
+                                          seed, {0, *epochs})
+            for epoch, label in zip((0,) + epochs, labels):
+                stage, where = "gates", label
+                source = A.Model(arch, None, seed=0)
+                source.load_state(states[epoch])
+                result, report = TR.prune_and_train(
+                    source, data, importance, search, schedule,
+                    D.derive_seed(seed, "study-gates", str(epoch)),
+                    D.derive_seed(seed, "study-scratch", label), done=done)
+                configs[label] = result.config
+                flops_ratios[label] = result.achieved_flops / full
+                accuracies[label] = report.test_accuracy
+        except (PruneKitError, MemoryError) as exc:
+            raise PipelineError(stage, f"{where}: {exc}") from exc
         # per seed, so a degenerate structure stops the study early
         seed_features = [structure_feature(configs[l], arch, l)
                          for l in labels]

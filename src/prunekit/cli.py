@@ -1,12 +1,12 @@
 """Command-line pipeline: prune, study, inspect, train-baseline.
 
-``prune`` runs the full chain per seed: expand the preset, draw random
-weights, learn channel gates on the frozen net, bisect to the FLOPS
-budget, budget-train the found structure from scratch, and save a
-run record. ``study`` compares structures pruned from random
-weights against structures pruned from trained checkpoints. ``inspect``
-prints a saved record. ``train-baseline`` trains a full-width model and
-saves checkpoints.
+``prune`` expands the preset and draws random weights per seed, runs
+the pruning unit ``train.prune_and_train`` on them (learn channel gates
+on the frozen net, bisect to the FLOPS budget, budget-train the found
+structure from scratch), and saves a run record. ``study`` runs the same
+unit from random weights and from trained checkpoints, and compares the
+structures. ``inspect`` prints a saved record. ``train-baseline`` trains
+a full-width model and saves checkpoints.
 
 Settings merge in three layers: the config dataclasses' defaults, then
 a JSON config file (--config), then command-line flags, each stored
@@ -25,8 +25,7 @@ import sys
 import time
 import types
 import typing
-from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
-                         replace)
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
@@ -232,6 +231,18 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
     record_path = out / f"run_s{seed}.pkrun"
     stage = "expand"
     t = time.perf_counter()
+    trained = {}
+
+    def done(finished, value):
+        # the record fills stage by stage, so a failed one keeps the rest
+        nonlocal stage, t
+        if finished == "gates":
+            record.snapshots, record.gate_blob = G.snapshot_dump(value)
+        elif finished == "search":
+            record.search = S.result_to_dict(value)
+        t = _lap(say, seed, finished, t)
+        stage = {"gates": "search", "search": "train"}.get(finished, "save")
+
     try:
         arch = A.expand_channels(_pipeline_arch(cfg, data), cfg.expand)
         full = A.count_flops(arch)
@@ -240,39 +251,17 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
         model = A.Model(arch, None, D.derive_seed(seed, "pipeline-init"))
 
         stage = "gates"
-        snaps = G.learn_channel_importance(model, data["train"], data["val"],
-                                           cfg.importance, seed)
-        record.snapshots, record.gate_blob = G.snapshot_dump(snaps)
-
-        stage = "select"
-        best = G.select_best_gates(snaps, cfg.importance.target_sparsity)
-        t = _lap(say, seed, "gates", t)
-
-        stage = "search"
-        result = S.search_structure(
-            best, arch, S.SearchConfig(budget=int(round(cfg.budget * full)),
-                                       rel_tolerance=cfg.tolerance,
-                                       max_iters=cfg.max_iters))
-        record.search = S.result_to_dict(result)
-        t = _lap(say, seed, "search", t)
-
-        stage = "train"
-        pruned_flops = result.achieved_flops
-        sched = replace(cfg.schedule,
-                        effective_epochs=TR.budget_epochs(
-                            cfg.schedule.base_epochs, full, pruned_flops))
-        if cfg.lottery_init:
-            pruned = TR.lottery_model(model, result.config)
-        else:
-            pruned = A.Model(arch, result.config,
-                             D.derive_seed(seed, "scratch-init"))
-        report = TR.fit(pruned, data, sched, seed)
+        result, report = TR.prune_and_train(
+            model, data, cfg.importance,
+            S.SearchConfig(budget=int(round(cfg.budget * full)),
+                           rel_tolerance=cfg.tolerance,
+                           max_iters=cfg.max_iters),
+            cfg.schedule, seed, seed, lottery=cfg.lottery_init, done=done,
+            checkpoint_sink=lambda epoch, m: trained.update(model=m))
         record.train_reports.append(TR.report_to_dict(report))
-        t = _lap(say, seed, "train", t)
 
-        stage = "save"
         weights_path = out / f"run_s{seed}.weights"
-        D.save_weights(pruned.state_arrays(), weights_path,
+        D.save_weights(trained["model"].state_arrays(), weights_path,
                        {"seed": seed, "arch": cfg.arch,
                         "status": "budget-trained"})
         curve_path = out / f"run_s{seed}_train.csv"
@@ -281,7 +270,7 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
         record.status = "completed"
         D.save_run(record, record_path)
         _lap(say, seed, "save", t)
-        print(f"seed {seed}: flops ratio {pruned_flops / full:.3f} "
+        print(f"seed {seed}: flops ratio {result.achieved_flops / full:.3f} "
               f"(converged={result.converged}), "
               f"test accuracy {report.test_accuracy:.3f}")
         return record
@@ -289,7 +278,7 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
         record.status = f"failed:{stage}"
         record.artifacts = []
         D.save_run(record, record_path)
-        if isinstance(exc, PruneKitError):
+        if isinstance(exc, (PruneKitError, MemoryError)):
             raise PipelineError(stage, str(exc)) from exc
         raise
 

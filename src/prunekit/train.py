@@ -1,4 +1,4 @@
-"""From-scratch training with budget-scaled epochs.
+"""From-scratch training with budget-scaled epochs, and the pruning unit.
 
 A pruned network gets its epoch count scaled by the FLOPS ratio so the
 total compute spent matches what the full network would have used. Runs
@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import arch as A
 from . import blas
+from . import gates as G
+from . import search as S
 from . import tensor as T
 from .data import Dataset, augment_batch, derive_rng, derive_seed
 from .errors import BudgetError, ConfigError, DivergenceError, NonFiniteError
@@ -229,10 +231,41 @@ def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
 
 def train_from_scratch(arch: A.ArchSpec, config: A.ChannelConfig | None,
                        data: dict[str, Dataset], schedule: TrainSchedule,
-                       seed: int) -> TrainReport:
+                       seed: int, *, checkpoint_sink=None) -> TrainReport:
     """Fresh seeded weights for ``config``, then a full ``fit`` run."""
     model = A.Model(arch, config, derive_seed(seed, "scratch-init"))
-    return fit(model, data, schedule, seed)
+    return fit(model, data, schedule, seed, checkpoint_sink=checkpoint_sink)
+
+
+def prune_and_train(source: A.Model, data: dict[str, Dataset],
+                    importance: G.ImportanceConfig, search: S.SearchConfig,
+                    schedule: TrainSchedule, gate_seed: int, train_seed: int,
+                    *, lottery: bool = False, checkpoint_sink=None,
+                    done=lambda stage, value: None
+                    ) -> tuple[S.SearchResult, TrainReport]:
+    """Learn gates on the frozen full-width ``source``, bisect the best
+    snapshot to ``search``'s budget, and train the structure on
+    budget-scaled epochs from fresh weights of ``train_seed``, or from
+    ``source``'s slice with ``lottery``. ``done(stage, value)`` fires
+    after "gates", "search" and "train", with what each stage returns."""
+    snaps = G.learn_channel_importance(source, data["train"], data["val"],
+                                       importance, gate_seed)
+    best = G.select_best_gates(snaps, importance.target_sparsity)
+    done("gates", snaps)
+    result = S.search_structure(best, source.arch, search)
+    done("search", result)
+    sched = replace(schedule, effective_epochs=budget_epochs(
+        schedule.base_epochs, A.count_flops(source.arch),
+        result.achieved_flops))
+    if lottery:
+        report = fit(lottery_model(source, result.config), data, sched,
+                     train_seed, checkpoint_sink=checkpoint_sink)
+    else:
+        report = train_from_scratch(source.arch, result.config, data, sched,
+                                    train_seed,
+                                    checkpoint_sink=checkpoint_sink)
+    done("train", report)
+    return result, report
 
 
 def train_baseline(arch: A.ArchSpec, data: dict[str, Dataset],

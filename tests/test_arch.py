@@ -373,7 +373,7 @@ def test_forward_calls_one_op_per_layer(monkeypatch):
     assert len(model.gated_ids) == kinds.count("batchnorm")
 
 
-def test_train_step_keeps_every_activation_channels_last(any_arch):
+def test_train_step_keeps_every_activation_batch_last(any_arch):
     # one train-mode forward and backward with gates, as gate learning
     # runs; the layout contract is batch-last: [C, H, W, N] memory
     model = A.Model(any_arch, None, seed=0)

@@ -19,7 +19,7 @@ from prunekit import gates as G
 from prunekit import search as S
 from prunekit import tensor as T
 from prunekit import train as TR
-from prunekit.errors import ConfigError, PipelineError
+from prunekit.errors import BudgetError, ConfigError, PipelineError
 
 from helpers import checksummed_container, encode_cifar_batch
 
@@ -397,6 +397,27 @@ def test_prune_failure_saves_partial_record(tmp_path):
     assert record.artifacts == []
 
 
+def _raises(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_prune_out_of_memory_is_a_stage_error(tmp_path, capsys,
+                                              monkeypatch):
+    # "expand": 1000 asks numpy for 8.58 GiB for one conv weight; the
+    # failed:init record was saved, then a bare _ArrayMemoryError ended
+    # the run in a traceback
+    monkeypatch.setattr(A, "Model", _raises(MemoryError(
+        "Unable to allocate 8.58 GiB for an array")))
+    assert CLI.main(_prune_argv(tmp_path)) == 1
+    assert capsys.readouterr().err == ("error: stage 'init' failed: Unable "
+                                       "to allocate 8.58 GiB for an array\n")
+    record = D.load_run(tmp_path / "runs" / "run_s0.pkrun")
+    assert record.status == "failed:init"
+    assert record.artifacts == []
+
+
 def test_exit_codes(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(TINY, out=str(tmp_path / "runs"),
@@ -725,6 +746,33 @@ def test_study_searches_under_the_config_tolerance(tmp_path, monkeypatch):
     assert "s0:e1" in stopped[1]
 
 
+@pytest.mark.parametrize("overrides, patch, error", [
+    ({"schedule": {"base_epochs": 2, "lr0": 1e10, "batch_size": 12}}, None,
+     "stage 'baseline' failed: seed 0: non-finite values"),
+    ({}, (S, "search_structure", BudgetError("no threshold meets it")),
+     "stage 'search' failed: s0:rand: no threshold meets it"),
+    ({}, (G, "learn_channel_importance", MemoryError("Unable to allocate")),
+     "stage 'gates' failed: s0:rand: Unable to allocate"),
+], ids=["baseline-diverges", "search-fails", "gates-out-of-memory"])
+def test_study_failure_names_its_seed_and_stage(tmp_path, capsys,
+                                                monkeypatch, overrides,
+                                                patch, error):
+    # a diverging baseline ended in "error: non-finite values in output of
+    # conv2d", naming neither the seed nor the stage
+    if patch is not None:
+        module, name, exc = patch
+        monkeypatch.setattr(module, name, _raises(exc))
+    out = tmp_path / "study"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY, out=str(out), seeds=[0, 1],
+                                    checkpoint_epochs=[2], **overrides)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert CLI.main(["study", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"error: {error}")
+    assert not out.exists()
+
+
 def _no_training(*args, **kwargs):
     raise AssertionError("trained before rejecting the config")
 
@@ -837,6 +885,45 @@ def test_train_baseline_and_study_share_one_baseline_path(tmp_path,
     # is the one train-baseline saved
     for (_, _, saved), (_, _, studied) in zip(baselines, baselines[2:]):
         assert _bits(saved[2]) == _bits(studied[2])
+
+
+@pytest.mark.parametrize("lottery", [False, True], ids=["fresh", "lottery"])
+def test_prune_trains_through_the_benchmark_hooks(tmp_path, monkeypatch,
+                                                  lottery):
+    # bench/workloads.py wraps train.train_from_scratch, called with five
+    # positional arguments, and bench/tracing.py times train.fit
+    scratch, fitted = [], []
+    real_scratch, real_fit = TR.train_from_scratch, TR.fit
+
+    def scratch_spy(*args, **kwargs):
+        scratch.append((len(args), args[-1], sorted(kwargs)))
+        return real_scratch(*args, **kwargs)
+
+    def fit_spy(model, *args, **kwargs):
+        fitted.append((model.config, model.state_arrays()))
+        return real_fit(model, *args, **kwargs)
+
+    monkeypatch.setattr(TR, "train_from_scratch", scratch_spy)
+    monkeypatch.setattr(TR, "fit", fit_spy)
+    argv = _prune_argv(tmp_path, seeds=[0, 1], budget=0.5)
+    CLI.main(argv + ["--lottery-init"] * lottery)
+    records = [D.load_run(tmp_path / "runs" / f"run_s{s}.pkrun")
+               for s in (0, 1)]
+    assert [r.status for r in records] == ["completed", "completed"]
+    configs = [A.ChannelConfig(r.search["kept_indices"]) for r in records]
+    assert [config for config, _ in fitted] == configs
+    if not lottery:
+        assert scratch == [(5, seed, ["checkpoint_sink"]) for seed in (0, 1)]
+        return
+    assert scratch == []
+    # the sliced full-width init: weights stay frozen while gates learn
+    arch = A.expand_channels(A.preset("vgg-small"), 1.25)
+    for seed, config, (_, state) in zip((0, 1), configs, fitted):
+        full = A.Model(arch, None, D.derive_seed(seed, "pipeline-init"))
+        sliced = TR.lottery_slice_init(full, config)
+        for name, array in sliced.items():
+            if not name.endswith(("running_mean", "running_var")):
+                assert array.tobytes() == state[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------

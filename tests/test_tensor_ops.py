@@ -153,7 +153,7 @@ def test_conv2d_result_independent_of_input_memory_layout(stride, padding,
 
 
 @pytest.mark.parametrize("groups", [1, 3], ids=["dense", "depthwise"])
-def test_conv2d_output_is_channels_last_in_memory(groups):
+def test_conv2d_output_is_batch_last_in_memory(groups):
     # the layout contract is batch-last: [N, C, H, W] over [C, H, W, N],
     # from every input layout
     rng = np.random.default_rng(13)
@@ -281,7 +281,7 @@ def test_batchnorm_rejects_an_empty_train_batch():
 
 
 @pytest.mark.parametrize("train", [True, False])
-def test_batchnorm_output_is_channels_last_in_memory(train):
+def test_batchnorm_output_is_batch_last_in_memory(train):
     # the layout contract is batch-last: [N, C, H, W] over [C, H, W, N],
     # from every input layout
     rng = np.random.default_rng(15)
