@@ -243,10 +243,12 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
         if needs[0] and sh == sw == 1 and ph < kh and pw < kw:
             # transposed conv: patches of the upstream gradient padded by
             # k-1-p against the flipped weight, in/out channels swapped.
-            # At 10-80 channels one patch copy beats kh*kw slab adds.
+            # At 10-80 channels one patch copy beats kh*kw slab adds. The
+            # flipped weight is copied contiguous: with negative strides
+            # the depthwise product leaves BLAS for numpy's own loop.
             wt = w if depthwise else w.transpose(1, 0, 2, 3)
             gcols = _patches(gout, kh, kw, 1, 1, kh - 1 - ph, kw - 1 - pw)
-            dx = contract(wt[:, :, ::-1, ::-1], gcols)
+            dx = contract(np.ascontiguousarray(wt[:, :, ::-1, ::-1]), gcols)
             dx = dx.reshape(cin, h, wd, n).transpose(3, 0, 1, 2)
         elif needs[0]:
             dcols = (w.reshape(cin, -1).T[:, :, None] * g2 if depthwise
