@@ -201,6 +201,62 @@ def test_ops_result_independent_of_input_memory_layout(op):
     _same_bytes([run(xl) for xl in _layouts(x)])
 
 
+def _sweep_geometries(count=30, seed=19):
+    """(H, W, k, stride, padding, pool kernel) rows drawn at random: maps
+    1x1 to 9x8, kernels 1-5, strides 1-3, padding below the kernel."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < count:
+        h, w = int(rng.integers(1, 10)), int(rng.integers(1, 9))
+        k, s = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        p = int(rng.integers(0, k))
+        if k <= min(h, w) + 2 * p:
+            rows.append((h, w, k, s, p, int(rng.integers(1, min(h, w, 5) + 1))))
+    return rows
+
+
+_SWEEP = _sweep_geometries()
+
+
+def test_sweep_reaches_maps_whose_last_rows_no_window_reads():
+    assert any((h + 2 * p - k) % s for h, _, k, s, p, _ in _SWEEP)
+    assert any(h % kp and w % kp for h, w, *_, kp in _SWEEP)
+
+
+@pytest.mark.parametrize("h,w,k,s,p,kp", _SWEEP,
+                         ids=["{}x{}-k{}s{}p{}-pool{}".format(*row)
+                              for row in _SWEEP])
+def test_window_ops_match_oracles_over_a_geometry_sweep(h, w, k, s, p, kp):
+    rng = np.random.default_rng(h * 1000 + w * 100 + k * 10 + s)
+    with float64_mode():
+        x = rng.standard_normal((2, 2, h, w))
+        for weight, groups in ((rng.standard_normal((3, 2, k, k)), 1),
+                               (rng.standard_normal((2, 1, k, k)), 2)):
+            def conv_loss(tape=None):
+                y = T.conv2d(x, weight, stride=s, padding=p, groups=groups,
+                             tape=tape)
+                return T.sum_all(T.relu(y, tape=tape), tape=tape)
+
+            want = conv2d_oracle(x, weight, stride=s, padding=p,
+                                 groups=groups)
+            got = T.conv2d(x, weight, stride=s, padding=p, groups=groups)
+            assert got.shape == want.shape and rel_err(got, want) < 1e-12
+            tape = T.Tape()
+            gx, gw = tape.backward(conv_loss(tape), [x, weight])
+            assert rel_err(gx, numeric_grad(conv_loss, x)) < GRAD_TOL
+            assert rel_err(gw, numeric_grad(conv_loss, weight)) < GRAD_TOL
+
+        def pool_loss(tape=None):
+            y = T.avg_pool2d(x, kernel=kp, tape=tape)
+            return T.sum_all(T.relu(y, tape=tape), tape=tape)
+
+        got = T.avg_pool2d(x, kernel=kp)
+        assert rel_err(got, avg_pool_oracle(x, kp)) < 1e-12
+        tape = T.Tape()
+        [gx] = tape.backward(pool_loss(tape), [x])
+        assert rel_err(gx, numeric_grad(pool_loss, x)) < GRAD_TOL
+
+
 def test_conv2d_rejects_bad_geometry():
     x = np.zeros((1, 2, 3, 3))
     w = np.zeros((4, 2, 5, 5))
