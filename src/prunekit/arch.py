@@ -48,6 +48,10 @@ class LayerSpec:
             raise ArchError(f"layer {self.id!r}: channels must be >= 1")
         if self.kind in ("conv", "depthwise-conv", "pool") and self.kernel < 1:
             raise ArchError(f"layer {self.id!r}: kernel must be >= 1")
+        if self.kind == "pool" and (self.stride, self.padding) != (
+                self.kernel, 0):
+            raise ArchError(f"layer {self.id!r}: a pool tiles its map, so its "
+                            "stride must equal its kernel and padding be 0")
         if self.kind == "add-join" and len(self.inputs) != 2:
             raise ArchError(f"layer {self.id!r}: add-join takes 2 inputs")
 
@@ -441,8 +445,7 @@ class Model:
             elif l.kind == "relu":
                 out = T.relu(inp(l), tape=tape)
             elif l.kind == "pool":
-                out = T.avg_pool2d(inp(l), kernel=l.kernel, stride=l.stride,
-                                   tape=tape)
+                out = T.avg_pool2d(inp(l), kernel=l.kernel, tape=tape)
             elif l.kind == "global-pool":
                 out = T.global_avg_pool(inp(l), tape=tape)
             elif l.kind == "linear":
@@ -487,6 +490,7 @@ class Model:
 
 
 @blas.one_thread()
+@T.quiet_float_errors
 def evaluate_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
                       batch_size: int = 256,
                       gates: dict[str, np.ndarray] | None = None) -> float:

@@ -139,6 +139,7 @@ def init_gates(model: Model) -> GateState:
 
 
 @blas.one_thread()
+@T.quiet_float_errors
 def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
                              cfg: ImportanceConfig,
                              seed: int) -> list[GateSnapshot]:

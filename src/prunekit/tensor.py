@@ -14,13 +14,13 @@ the memory layout of the input.
 At 10-80 channels, per-channel work is loop overhead unless a channel
 is one contiguous run: ``_rows`` is the free [C, H*W*N] view of
 batch-last memory, whose rows batch norm, gating and global pooling
-reduce and scale. Convolution is im2col: kh*kw slab copies of a padded
-batch-last buffer fill [kh*kw*C, Ho*Wo*N] patches, which the dense conv
-contracts in one GEMM and the depthwise conv per channel. A stride-1
-conv's input gradient is the same product over the padded upstream
-gradient and the flipped weight; other convs and average pooling add
-kh*kw gradient slabs onto a padded buffer, and pooling's forward is
-the mirror kh*kw slab adds.
+reduce and scale. Convolution is im2col, the one way windows are
+walked: kh*kw slab copies of a padded batch-last buffer fill
+[kh*kw*C, Ho*Wo*N] patches, which the dense conv contracts in one GEMM
+and the depthwise conv per channel. Every conv's input gradient is the
+transposed conv, the same product over the upstream gradient spread
+stride apart and the flipped weight. Average pooling averages the
+kh*kw tiles of its map, which are free views of it.
 
 Ops take and return plain ``np.ndarray``. Run them with a ``Tape``,
 then call ``tape.backward(loss, targets)`` for one gradient per target,
@@ -32,7 +32,8 @@ plain arrays as well, which train-mode ``batchnorm`` updates in place;
 they are never tape inputs.
 
 Every op validates that its output is finite; NaN/Inf raises
-``NonFiniteError``.
+``NonFiniteError``, which is a diverging loop's one report when the loop
+runs under ``quiet_float_errors``.
 """
 
 from __future__ import annotations
@@ -127,10 +128,7 @@ class Tape:
                 if not need or gin is None:
                     continue
                 key = id(tin)
-                if key in table:
-                    table[key] = table[key] + gin
-                else:
-                    table[key] = gin
+                table[key] = table[key] + gin if key in table else gin
         return [table.get(id(t), np.zeros_like(t)) for t in targets]
 
 
@@ -141,6 +139,13 @@ def _emit(tape: Tape | None, op: str, inputs: tuple[np.ndarray, ...],
     if tape is not None:
         tape.record(op, inputs, out, backward)
     return out
+
+
+def quiet_float_errors(fn):
+    """Run ``fn``, a loop of ops, with numpy's floating-point warnings
+    off: an overflow or NaN then surfaces once, as the ``NonFiniteError``
+    of the first op whose output holds it."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")(fn)
 
 
 def _pair(v) -> tuple[int, int]:
@@ -159,42 +164,25 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
 
 
-def _slabs(kh: int, kw: int, sh: int, sw: int, ho: int, wo: int):
-    """(i, j, index of the [C, Ho, Wo, N] slab that offset (i, j) of
-    every window reads from a batch-last [C, H, W, N] buffer)."""
+def _patches(x: np.ndarray, kh: int, kw: int, stride=(1, 1), pad=(0, 0),
+             spread=(1, 1), extra=(0, 0)) -> np.ndarray:
+    """[kh*kw*C, Ho*Wo*N] im2col copy of [N,C,H,W] ``x`` placed ``spread``
+    apart in a zero batch-last buffer padded by ``pad``, plus ``extra`` at
+    the bottom and right: kh*kw slab copies, in runs of Wo*N values."""
+    n, c, h, w = x.shape
+    if kh == kw == 1 and (stride, pad, spread, extra) == (
+            (1, 1), (0, 0), (1, 1), (0, 0)):
+        return _rows(x)
+    (sh, sw), (ph, pw), (dh, dw), (eh, ew) = stride, pad, spread, extra
+    hp, wp = (h - 1) * dh + 1 + 2 * ph + eh, (w - 1) * dw + 1 + 2 * pw + ew
+    xp = np.zeros((c, hp, wp, n), dtype=x.dtype)
+    xp[:, ph:ph + h * dh:dh, pw:pw + w * dw:dw] = x.transpose(1, 2, 3, 0)
+    ho, wo = (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    cols = np.empty((kh, kw, c, ho, wo, n), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            yield i, j, (slice(None), slice(i, i + ho * sh, sh),
-                         slice(j, j + wo * sw, sw))
-
-
-def _patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-             ph: int, pw: int) -> np.ndarray:
-    """[kh*kw*C, Ho*Wo*N] im2col copy of [N,C,H,W] ``x`` zero-padded by
-    (ph, pw): kh*kw slab copies out of a padded batch-last buffer, each
-    in runs of Wo*N contiguous values at stride 1."""
-    n, c, h, w = x.shape
-    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        return _rows(x)
-    xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
-    xp[:, ph:ph + h, pw:pw + w] = x.transpose(1, 2, 3, 0)
-    ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
-    cols = np.empty((kh, kw, c, ho, wo, n), dtype=x.dtype)
-    for i, j, slab in _slabs(kh, kw, sh, sw, ho, wo):
-        cols[i, j] = xp[slab]
+            cols[i, j] = xp[:, i:i + ho * sh:sh, j:j + wo * sw:sw]
     return cols.reshape(kh * kw * c, -1)
-
-
-def _scatter_windows(dcols: np.ndarray, sh: int, sw: int, ph: int, pw: int,
-                     h: int, w: int) -> np.ndarray:
-    """Sum [kh, kw, C, Ho, Wo, N] per-window gradients back onto a
-    zero-padded batch-last [C, H+2ph, W+2pw, N] buffer, one kh*kw slab
-    add at a time; returns the [N, C, H, W] view of its unpadded part."""
-    kh, kw, c, ho, wo, n = dcols.shape
-    dxp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=dcols.dtype)
-    for i, j, slab in _slabs(kh, kw, sh, sw, ho, wo):
-        dxp[slab] += dcols[i, j]
-    return dxp[:, ph:ph + h, pw:pw + w].transpose(3, 0, 1, 2)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
@@ -209,19 +197,18 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
         raise ShapeError(f"conv2d expects 4-d input/weight, got {x.shape}/{w.shape}")
     n, cin, h, wd = x.shape
     cout, cin_g, kh, kw = w.shape
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
+    (sh, sw), (ph, pw) = _pair(stride), _pair(padding)
     if groups != 1 and not groups == cin == cout:
         raise ShapeError(f"groups={groups} with Cin={cin}, Cout={cout} is "
                          "neither dense nor depthwise")
     if cin_g != cin // groups:
         raise ShapeError(f"weight expects Cin/groups={cin_g}, input gives {cin // groups}")
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (wd + 2 * pw - kw) // sw + 1
-    if ho < 1 or wo < 1 or kh > h + 2 * ph or kw > wd + 2 * pw:
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    if ho < 1 or wo < 1 or ph >= kh or pw >= kw:
         raise GeometryError(
-            f"conv2d output {ho}x{wo} non-positive for input {h}x{wd}, "
-            f"kernel {kh}x{kw}, stride {sh}x{sw}, padding {ph}x{pw}")
+            f"conv2d output {ho}x{wo} for input {h}x{wd}, kernel {kh}x{kw}, "
+            f"stride {sh}x{sw}, padding {ph}x{pw}: the output must be "
+            "positive and the padding below the kernel")
 
     # batch-last patches, rows in (kh, kw, Cin) order, against a weight:
     # one GEMM when dense, one [1, kh*kw] product per channel when
@@ -234,27 +221,24 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
             return (wt.reshape(cin, 1, -1) @ rows).reshape(cin, -1)
         return wt.transpose(0, 2, 3, 1).reshape(len(wt), -1) @ cols
 
-    cols = _patches(x, kh, kw, sh, sw, ph, pw)
+    cols = _patches(x, kh, kw, (sh, sw), (ph, pw))
     out = contract(w, cols).reshape(cout, ho, wo, n).transpose(3, 0, 1, 2)
 
     def bwd(gout, needs):
         g2 = _rows(gout)
         dx = dw = None
-        if needs[0] and sh == sw == 1 and ph < kh and pw < kw:
-            # transposed conv: patches of the upstream gradient padded by
-            # k-1-p against the flipped weight, in/out channels swapped.
-            # At 10-80 channels one patch copy beats kh*kw slab adds. The
-            # flipped weight is copied contiguous: with negative strides
-            # the depthwise product leaves BLAS for numpy's own loop.
+        if needs[0]:
+            # transposed conv: the upstream gradient spread stride apart,
+            # padded by k-1-p plus the rows past the last window, against
+            # the flipped weight, copied contiguous so that the depthwise
+            # product stays on BLAS, with in/out channels swapped
             wt = w if depthwise else w.transpose(1, 0, 2, 3)
-            gcols = _patches(gout, kh, kw, 1, 1, kh - 1 - ph, kw - 1 - pw)
+            gcols = _patches(gout, kh, kw, pad=(kh - 1 - ph, kw - 1 - pw),
+                             spread=(sh, sw),
+                             extra=((h + 2 * ph - kh) % sh,
+                                    (wd + 2 * pw - kw) % sw))
             dx = contract(np.ascontiguousarray(wt[:, :, ::-1, ::-1]), gcols)
             dx = dx.reshape(cin, h, wd, n).transpose(3, 0, 1, 2)
-        elif needs[0]:
-            dcols = (w.reshape(cin, -1).T[:, :, None] * g2 if depthwise
-                     else w.transpose(2, 3, 1, 0).reshape(-1, cout) @ g2)
-            dx = _scatter_windows(dcols.reshape(kh, kw, cin, ho, wo, n),
-                                  sh, sw, ph, pw, h, wd)
         if needs[1] and depthwise:
             rows = cols.reshape(kh * kw, cin, -1).transpose(1, 0, 2)
             dw = (rows @ g2[:, :, None]).reshape(cout, 1, kh, kw)
@@ -363,28 +347,33 @@ def add(a: np.ndarray, b: np.ndarray, tape: Tape | None = None) -> np.ndarray:
     return _emit(tape, "add", (a, b), a + b, bwd)
 
 
-def avg_pool2d(x: np.ndarray, kernel, stride=None,
-               tape: Tape | None = None) -> np.ndarray:
-    """Average pooling without padding; stride defaults to the kernel."""
+def avg_pool2d(x: np.ndarray, kernel, tape: Tape | None = None) -> np.ndarray:
+    """Mean of each kh x kw tile of the map, without padding; rows and
+    columns past the last whole tile are not read."""
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects 4-d input, got {x.shape}")
     kh, kw = _pair(kernel)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
     n, c, h, w = x.shape
     if kh > h or kw > w:
         raise GeometryError(f"pool kernel {kh}x{kw} exceeds input {h}x{w}")
-    ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
-    scale = 1.0 / (kh * kw)
-    xb = x.transpose(1, 2, 3, 0)
-    acc = sum(xb[slab] for *_, slab in _slabs(kh, kw, sh, sw, ho, wo))
+    ho, wo, scale = h // kh, w // kw, 1.0 / (kh * kw)
+
+    def tiles(a):  # [C, Ho, kh, Wo, kw, N] view of [C, H, W, N] memory
+        return a[:, :ho * kh, :wo * kw].reshape(c, ho, kh, wo, kw, n)
+
+    xt = tiles(x.transpose(1, 2, 3, 0))
+    acc = xt[:, :, 0, :, 0].copy()
+    for k in range(1, kh * kw):
+        acc += xt[:, :, k // kw, :, k % kw]
     out = (acc * scale).transpose(3, 0, 1, 2)
 
     def bwd(gout, needs):
         if not needs[0]:
             return (None,)
-        gs = gout.transpose(1, 2, 3, 0) * scale
-        dcols = np.broadcast_to(gs, (kh, kw, c, ho, wo, n))
-        return (_scatter_windows(dcols, sh, sw, 0, 0, h, w),)
+        dx = np.zeros((c, h, w, n), dtype=gout.dtype)
+        g = gout.transpose(1, 2, 3, 0) * scale
+        tiles(dx)[...] = g[:, :, None, :, None]
+        return (dx.transpose(3, 0, 1, 2),)
 
     return _emit(tape, "avg_pool2d", (x,), out, bwd)
 

@@ -132,20 +132,15 @@ def cross_entropy_oracle(logits, labels, smoothing=0.0):
     return total / n
 
 
-def avg_pool_oracle(x, kernel, stride=None):
-    kh, kw = (kernel, kernel) if np.isscalar(kernel) else kernel
-    if stride is None:
-        sh, sw = kh, kw
-    else:
-        sh, sw = (stride, stride) if np.isscalar(stride) else stride
+def avg_pool_oracle(x, kernel):
+    """Mean of each whole kernel x kernel tile, one tile at a time."""
     n, c, h, w = x.shape
-    ho = (h - kh) // sh + 1
-    wo = (w - kw) // sw + 1
-    out = np.zeros((n, c, ho, wo), dtype=np.float64)
-    for oy in range(ho):
-        for ox in range(wo):
-            out[:, :, oy, ox] = x[:, :, oy * sh:oy * sh + kh,
-                                  ox * sw:ox * sw + kw].mean(axis=(2, 3))
+    out = np.zeros((n, c, h // kernel, w // kernel), dtype=np.float64)
+    for oy in range(h // kernel):
+        for ox in range(w // kernel):
+            out[:, :, oy, ox] = x[:, :, oy * kernel:(oy + 1) * kernel,
+                                  ox * kernel:(ox + 1) * kernel].mean(
+                                      axis=(2, 3))
     return out
 
 

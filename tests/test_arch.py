@@ -56,6 +56,15 @@ def test_arch_rejects_join_width_mismatch():
         ), (), (3, 8, 8), 3)
 
 
+@pytest.mark.parametrize("stride,padding", [(1, 0), (3, 0), (2, 1)],
+                         ids=["overlapping", "gapped", "padded"])
+def test_pool_must_tile_its_map(stride, padding):
+    # avg_pool2d averages the kernel x kernel tiles of its map
+    A.LayerSpec("p", "pool", kernel=2, stride=2)
+    with pytest.raises(ArchError, match="stride must equal its kernel"):
+        A.LayerSpec("p", "pool", kernel=2, stride=stride, padding=padding)
+
+
 def test_unknown_block_kind_rejected():
     with pytest.raises(ArchError):
         A.Block("spiral", ("x",))

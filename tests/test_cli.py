@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -766,11 +767,29 @@ def test_study_failure_names_its_seed_and_stage(tmp_path, capsys,
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(TINY, out=str(out), seeds=[0, 1],
                                     checkpoint_epochs=[2], **overrides)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert CLI.main(["study", "--config", str(path)]) == 1
+    assert CLI.main(["study", "--config", str(path)]) == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         f"error: {error}")
     assert not out.exists()
+
+
+def test_diverging_study_prints_one_error_line(tmp_path, capsys):
+    # numpy printed ten overflow and invalid-value RuntimeWarnings before
+    # the error line; the first op whose output is not finite reports it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(
+        TINY, out=str(tmp_path / "study"), seeds=[0, 1], checkpoint_epochs=[2],
+        schedule={"base_epochs": 2, "lr0": 1e10, "batch_size": 12})))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert CLI.main(["study", "--config", str(path)]) == 1
+    assert [str(w.message) for w in seen
+            if issubclass(w.category, RuntimeWarning)
+            and "encountered" in str(w.message)] == []
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: stage 'baseline' failed: seed 0: non-finite "
+                      "values in output of conv2d"]
 
 
 def _no_training(*args, **kwargs):
@@ -924,6 +943,20 @@ def test_prune_trains_through_the_benchmark_hooks(tmp_path, monkeypatch,
         for name, array in sliced.items():
             if not name.endswith(("running_mean", "running_var")):
                 assert array.tobytes() == state[name].tobytes(), name
+
+
+@pytest.mark.parametrize("command,config,flags", [
+    ("prune", "prune-vgg.json", ["--epochs", "1", "--seeds", "0"]),
+    ("study", "study-2seed.json",
+     ["--epochs", "1", "--checkpoint-epochs", "1", "--seeds", "3,4"]),
+], ids=["prune-vgg", "study-2seed"])
+def test_pinned_benchmark_configs_run_at_full_data_size(tmp_path, command,
+                                                        config, flags):
+    # the benchmark's own data size and gate settings, where selection
+    # falls back, in two short runs
+    path = ROOT / "bench" / "configs" / config
+    assert CLI.main([command, "--config", str(path), *flags,
+                     "--out", str(tmp_path)]) == 0
 
 
 # ---------------------------------------------------------------------------

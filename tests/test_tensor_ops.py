@@ -75,7 +75,7 @@ _GRAD_ROWS = [
     (1, 1, 3, 3, 3, 3),   # dw1/dw3: depthwise input gradient as a conv
     (1, 1, 1, 3, 4, 3),   # vgg-small's convs: input gradient as a conv
     (1, 0, 1, 3, 4, 1),   # pointwise
-    (2, 0, 1, 3, 4, 1),   # strided 1x1 projection: col2im input gradient
+    (2, 0, 1, 3, 4, 1),   # strided 1x1 projection: spread input gradient
 ]
 
 
@@ -168,7 +168,7 @@ def test_conv2d_output_is_batch_last_in_memory(groups):
 
 @pytest.mark.parametrize("op", ["batchnorm-train", "batchnorm-eval",
                                 "gate_modulate", "avg_pool2d",
-                                "avg_pool2d-k3s2", "global_avg_pool"])
+                                "avg_pool2d-k3", "global_avg_pool"])
 def test_ops_result_independent_of_input_memory_layout(op):
     rng = np.random.default_rng(14)
     x = rng.standard_normal((2, 5, 7, 7)).astype(np.float32)
@@ -191,8 +191,9 @@ def test_ops_result_independent_of_input_memory_layout(op):
             targets.append(gamma)
         elif op == "avg_pool2d":
             y = T.avg_pool2d(x, kernel=2, tape=tape)
-        elif op == "avg_pool2d-k3s2":
-            y = T.avg_pool2d(x, kernel=3, stride=2, tape=tape)
+        elif op == "avg_pool2d-k3":
+            # 3x3 tiles leave the last row and column of the 7x7 map
+            y = T.avg_pool2d(x, kernel=3, tape=tape)
         else:
             y = T.global_avg_pool(x, tape=tape)
         loss = T.sum_all(T.relu(y, tape=tape), tape=tape)
@@ -262,6 +263,12 @@ def test_conv2d_rejects_bad_geometry():
     w = np.zeros((4, 2, 5, 5))
     with pytest.raises(GeometryError):
         T.conv2d(x, w)
+    # padding that reaches the kernel leaves edge windows reading only
+    # padding, and no transposed conv for the input gradient
+    with pytest.raises(GeometryError, match="padding below the kernel"):
+        T.conv2d(x, np.zeros((4, 2, 3, 3)), padding=3)
+    with pytest.raises(GeometryError, match="padding below the kernel"):
+        T.conv2d(x, np.zeros((4, 2, 1, 1)), padding=(0, 1))
 
 
 def test_conv2d_rejects_group_mismatch():
@@ -391,8 +398,11 @@ def test_avg_pool2d_matches_oracle():
     x = rng.standard_normal((2, 3, 6, 6))
     got = T.avg_pool2d(x, kernel=2)
     assert rel_err(got, avg_pool_oracle(x, 2)) < 1e-12
-    got = T.avg_pool2d(x, kernel=3, stride=2)
-    assert rel_err(got, avg_pool_oracle(x, 3, 2)) < 1e-12
+    # 3x3 tiles of a 7x7 map leave its last row and column unread
+    x = rng.standard_normal((2, 3, 7, 7))
+    got = T.avg_pool2d(x, kernel=3)
+    assert got.shape == (2, 3, 2, 2)
+    assert rel_err(got, avg_pool_oracle(x, 3)) < 1e-12
 
 
 def test_pool_linear_add_gradients():
@@ -401,12 +411,12 @@ def test_pool_linear_add_gradients():
         x = rng.standard_normal((2, 3, 4, 4))
         w = rng.standard_normal((5, 3))
         b = rng.standard_normal(5)
-        # 3x3 windows at stride 2 overlap on a 5x5 input
-        x_overlap = rng.standard_normal((2, 3, 5, 5))
+        # 2x2 tiles of a 5x5 map leave its last row and column unread
+        x_ragged = rng.standard_normal((2, 3, 5, 5))
 
-        for x, kernel, stride in ((x, 2, None), (x_overlap, 3, 2)):
+        for x in (x, x_ragged):
             def loss_fn(tape=None):
-                p = T.avg_pool2d(x, kernel=kernel, stride=stride, tape=tape)
+                p = T.avg_pool2d(x, kernel=2, tape=tape)
                 q = T.add(p, p, tape=tape)
                 f = T.global_avg_pool(q, tape=tape)
                 y = T.linear(f, w, b, tape=tape)
