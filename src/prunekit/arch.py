@@ -489,8 +489,7 @@ class Model:
             a[...] = state[name]
 
 
-@blas.one_thread()
-@T.quiet_float_errors
+@blas.loop_policy()
 def evaluate_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
                       batch_size: int = 256,
                       gates: dict[str, np.ndarray] | None = None) -> float:

@@ -1,11 +1,14 @@
-"""The BLAS thread policy of the training and evaluation loops.
+"""The numeric policy of the training and evaluation loops.
 
-``one_thread`` runs numpy's bundled OpenBLAS on one thread for the
+``loop_policy`` runs numpy's bundled OpenBLAS on one thread for the
 duration of a call, then restores the previous count: at these matrix
 sizes a second thread buys no wall time and nearly doubles the CPU time
-of ``prune``. It wraps ``gates.learn_channel_importance``, ``train.fit``
-and ``arch.evaluate_accuracy``, so every command and every library
-caller of those loops gets the same pool. A thread count set in the
+of ``prune``. It also turns numpy's floating-point warnings off, so a
+diverging loop reports once, through the ``NonFiniteError`` of the
+first op whose output is not finite. It wraps
+``gates.learn_channel_importance``, ``train.fit`` and
+``arch.evaluate_accuracy``, so every command and every library caller
+of those loops gets the same policy. A thread count set in the
 environment (``THREAD_VARS``) leaves the pool alone, as does a missing
 library or symbol. The count is set through ``ctypes`` because numpy,
 and with it OpenBLAS, is loaded before any loop runs; the library is
@@ -52,19 +55,20 @@ def openblas():
 
 
 @contextlib.contextmanager
-def one_thread():
-    """Run the block, or the decorated function, on one OpenBLAS thread
-    unless the user chose a count through the environment; restore the
-    previous count after."""
+def loop_policy():
+    """Run the block, or the decorated function, with floating-point
+    warnings off and on one OpenBLAS thread unless the user chose a count
+    through the environment; restore the previous count after."""
     blas = (None if any(os.environ.get(v) for v in THREAD_VARS)
             else openblas())
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if blas is None:
+            yield
+            return
+        get, set_ = blas
+        before = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(before)

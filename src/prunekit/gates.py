@@ -138,8 +138,7 @@ def init_gates(model: Model) -> GateState:
     return GateState(lam)
 
 
-@blas.one_thread()
-@T.quiet_float_errors
+@blas.loop_policy()
 def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
                              cfg: ImportanceConfig,
                              seed: int) -> list[GateSnapshot]:

@@ -32,8 +32,7 @@ plain arrays as well, which train-mode ``batchnorm`` updates in place;
 they are never tape inputs.
 
 Every op validates that its output is finite; NaN/Inf raises
-``NonFiniteError``, which is a diverging loop's one report when the loop
-runs under ``quiet_float_errors``.
+``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -128,7 +127,10 @@ class Tape:
                 if not need or gin is None:
                     continue
                 key = id(tin)
-                table[key] = table[key] + gin if key in table else gin
+                if key in table:
+                    table[key] = table[key] + gin
+                else:
+                    table[key] = gin
         return [table.get(id(t), np.zeros_like(t)) for t in targets]
 
 
@@ -139,13 +141,6 @@ def _emit(tape: Tape | None, op: str, inputs: tuple[np.ndarray, ...],
     if tape is not None:
         tape.record(op, inputs, out, backward)
     return out
-
-
-def quiet_float_errors(fn):
-    """Run ``fn``, a loop of ops, with numpy's floating-point warnings
-    off: an overflow or NaN then surfaces once, as the ``NonFiniteError``
-    of the first op whose output holds it."""
-    return np.errstate(over="ignore", invalid="ignore", divide="ignore")(fn)
 
 
 def _pair(v) -> tuple[int, int]:
@@ -197,13 +192,15 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
         raise ShapeError(f"conv2d expects 4-d input/weight, got {x.shape}/{w.shape}")
     n, cin, h, wd = x.shape
     cout, cin_g, kh, kw = w.shape
-    (sh, sw), (ph, pw) = _pair(stride), _pair(padding)
+    sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
     if groups != 1 and not groups == cin == cout:
         raise ShapeError(f"groups={groups} with Cin={cin}, Cout={cout} is "
                          "neither dense nor depthwise")
     if cin_g != cin // groups:
         raise ShapeError(f"weight expects Cin/groups={cin_g}, input gives {cin // groups}")
-    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (wd + 2 * pw - kw) // sw + 1
     if ho < 1 or wo < 1 or ph >= kh or pw >= kw:
         raise GeometryError(
             f"conv2d output {ho}x{wo} for input {h}x{wd}, kernel {kh}x{kw}, "

@@ -164,8 +164,7 @@ def lottery_model(full_model: A.Model, config: A.ChannelConfig) -> A.Model:
 # ---------------------------------------------------------------------------
 # training loop
 
-@blas.one_thread()
-@T.quiet_float_errors
+@blas.loop_policy()
 def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
         seed: int, checkpoint_sink=None) -> TrainReport:
     """Train ``model`` in place and report per-epoch metrics.
