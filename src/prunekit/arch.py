@@ -7,6 +7,13 @@ their input's group, and add-joins merge the groups of their operands.
 A gate attaches to the group of one batch-norm layer, so pruning a gated
 group consistently narrows every producer and consumer of that group.
 
+Building an ``ArchSpec`` walks its layers once, in order: that walk
+resolves every layer's channel group and output map size, and the blocks
+then place the gates. A malformed spec (bad order or geometry, a join of
+mismatched widths or map sizes, a bad block, no gated layer) is rejected
+right there, before any work; the gate, width and FLOPS functions below
+read what the walk stored.
+
 FLOPS here means multiply-accumulate count, summed over convolution and
 linear layers only.
 """
@@ -70,7 +77,9 @@ class Block:
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Immutable network description."""
+    """Immutable network description, checked when built. What the walk
+    works out is kept in private attributes, not fields, so equality,
+    hashing, ``repr`` and ``replace`` see only the description."""
     name: str
     layers: tuple[LayerSpec, ...]
     blocks: tuple[Block, ...]
@@ -81,37 +90,111 @@ class ArchSpec:
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        ids = [l.id for l in self.layers]
-        if len(set(ids)) != len(ids):
-            raise ArchError(f"{self.name}: duplicate layer ids")
-        seen: set[str] = set()
+        parent: list[int] = []  # union-find over channel groups
+        width: dict[int, int] = {}  # full width per group root
+
+        def find(g: int) -> int:
+            while parent[g] != g:
+                parent[g] = parent[parent[g]]
+                g = parent[g]
+            return g
+
+        group: dict[str, int] = {}
+        size: dict[str, tuple[int, int]] = {}
         for l in self.layers:
+            if l.id in group:
+                raise ArchError(f"{self.name}: duplicate layer id {l.id!r}")
             for ref in l.inputs:
-                if ref not in seen:
+                if ref not in group:
                     raise ArchError(
                         f"{self.name}: layer {l.id!r} references {ref!r} "
                         "before definition (layers must be topologically "
                         "ordered)")
-            seen.add(l.id)
+            h, w = size[l.inputs[0]] if l.inputs else self.input_shape[1:]
+            if l.kind in ("conv", "linear"):
+                g = len(parent)
+                parent.append(g)
+                width[g] = l.channels
+            elif l.kind == "add-join":
+                a, b = (find(group[ref]) for ref in l.inputs)
+                if width[a] != width[b]:
+                    raise ArchError(
+                        f"{self.name}: add-join {l.id!r} operands have "
+                        f"widths {width[a]} and {width[b]}")
+                if (h, w) != size[l.inputs[1]]:
+                    raise GeometryError(
+                        f"{self.name}: add-join {l.id!r} operands "
+                        f"{(h, w)} vs {size[l.inputs[1]]}")
+                if a != b:
+                    parent[b] = a
+                    del width[b]
+                g = a
+            elif not l.inputs:
+                raise ArchError(
+                    f"{self.name}: layer {l.id!r} of kind {l.kind} cannot "
+                    "consume the raw network input")
+            else:
+                g = group[l.inputs[0]]
+            if l.kind in ("conv", "depthwise-conv", "pool"):
+                ho = (h + 2 * l.padding - l.kernel) // l.stride + 1
+                wo = (w + 2 * l.padding - l.kernel) // l.stride + 1
+                if ho < 1 or wo < 1:
+                    raise GeometryError(
+                        f"{self.name}: layer {l.id!r} output "
+                        f"{ho}x{wo} for input {h}x{w}")
+                h, w = ho, wo
+            elif l.kind == "global-pool":
+                h, w = 1, 1
+            group[l.id] = g
+            size[l.id] = (h, w)
         consumed = {ref for l in self.layers for ref in l.inputs}
-        terminals = [i for i in ids if i not in consumed]
+        terminals = [lid for lid in group if lid not in consumed]
         if len(terminals) != 1:
             raise ArchError(
                 f"{self.name}: expected a single output layer, "
                 f"found {terminals}")
-        known = set(ids)
+        group = {lid: find(g) for lid, g in group.items()}
+        for name, value in (("_groups", group), ("_widths", width),
+                            ("_sizes", size), ("_output", terminals[0])):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_gated", self._place_gates())
+
+    def _place_gates(self) -> tuple[str, ...]:
+        by_id = {l.id: l for l in self.layers}
+        gated: list[str] = []
         for b in self.blocks:
             for lid in b.layers:
-                if lid not in known:
+                if lid not in by_id:
+                    raise ArchError(f"{self.name}: block references "
+                                    f"unknown layer {lid!r}")
+            bns = [lid for lid in b.layers if by_id[lid].kind == "batchnorm"]
+            if b.kind == "plain":
+                gated.extend(bns)
+            elif b.kind == "residual":
+                joins = [lid for lid in b.layers
+                         if by_id[lid].kind == "add-join"]
+                if len(joins) != 1:
                     raise ArchError(
-                        f"{self.name}: block references unknown layer {lid!r}")
-        # group resolution validates add-join width agreement
-        _channel_groups(self)
+                        f"{self.name}: residual block needs exactly one "
+                        f"add-join, found {len(joins)}")
+                jg = self._groups[joins[0]]
+                gated.extend(lid for lid in bns if self._groups[lid] != jg)
+            elif b.kind == "depthwise":
+                if len(bns) != 2:
+                    raise ArchError(
+                        f"{self.name}: depthwise block needs exactly two "
+                        f"batch norms, found {len(bns)}")
+                gated.append(bns[1])
+        if not gated:
+            raise ArchError(f"{self.name}: no gated layers")
+        gate_groups = [self._groups[lid] for lid in gated]
+        if len(set(gate_groups)) != len(gate_groups):
+            raise ArchError(f"{self.name}: two gates share a channel group")
+        return tuple(gated)
 
     @property
     def output_layer(self) -> str:
-        consumed = {ref for l in self.layers for ref in l.inputs}
-        return next(l.id for l in self.layers if l.id not in consumed)
+        return self._output
 
 
 @dataclass(frozen=True)
@@ -137,48 +220,7 @@ class ChannelConfig:
 
 
 # ---------------------------------------------------------------------------
-# channel groups
-
-def _channel_groups(arch: ArchSpec) -> tuple[dict[str, int], dict[int, int]]:
-    """Map each layer to its output channel group and each group root to
-    its full width. Add-joins merge operand groups (widths must agree)."""
-    parent: dict[int, int] = {}
-    width: dict[int, int] = {}
-
-    def find(g: int) -> int:
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
-    out_group: dict[str, int] = {}
-    nxt = 0
-    for l in arch.layers:
-        if l.kind in ("conv", "linear"):
-            g = nxt
-            nxt += 1
-            parent[g] = g
-            width[g] = l.channels
-        elif l.kind == "add-join":
-            a = find(out_group[l.inputs[0]])
-            b = find(out_group[l.inputs[1]])
-            if width[a] != width[b]:
-                raise ArchError(
-                    f"{arch.name}: add-join {l.id!r} operands have widths "
-                    f"{width[a]} and {width[b]}")
-            if a != b:
-                parent[b] = a
-                del width[b]
-            g = a
-        else:
-            if not l.inputs:
-                raise ArchError(
-                    f"{arch.name}: layer {l.id!r} of kind {l.kind} cannot "
-                    "consume the raw network input")
-            g = find(out_group[l.inputs[0]])
-        out_group[l.id] = g
-    return {lid: find(g) for lid, g in out_group.items()}, width
-
+# gates and widths
 
 def place_gates(arch: ArchSpec) -> tuple[str, ...]:
     """Ids of the batch norms that carry a gate, one per prunable
@@ -189,39 +231,12 @@ def place_gates(arch: ArchSpec) -> tuple[str, ...]:
     gate their second batch norm. Layers outside any block are never
     gated.
     """
-    groups, _ = _channel_groups(arch)
-    by_id = {l.id: l for l in arch.layers}
-    gated: list[str] = []
-    for b in arch.blocks:
-        bns = [lid for lid in b.layers if by_id[lid].kind == "batchnorm"]
-        if b.kind == "plain":
-            gated.extend(bns)
-        elif b.kind == "residual":
-            joins = [lid for lid in b.layers if by_id[lid].kind == "add-join"]
-            if len(joins) != 1:
-                raise ArchError(
-                    f"{arch.name}: residual block needs exactly one "
-                    f"add-join, found {len(joins)}")
-            jg = groups[joins[0]]
-            gated.extend(lid for lid in bns if groups[lid] != jg)
-        elif b.kind == "depthwise":
-            if len(bns) != 2:
-                raise ArchError(
-                    f"{arch.name}: depthwise block needs exactly two batch "
-                    f"norms, found {len(bns)}")
-            gated.append(bns[1])
-    if not gated:
-        raise ArchError(f"{arch.name}: no gated layers")
-    gate_groups = [groups[lid] for lid in gated]
-    if len(set(gate_groups)) != len(gate_groups):
-        raise ArchError(f"{arch.name}: two gates share a channel group")
-    return tuple(gated)
+    return arch._gated
 
 
 def gated_channel_counts(arch: ArchSpec) -> tuple[int, ...]:
     """Full channel width of each gated layer, in gate order."""
-    groups, width = _channel_groups(arch)
-    return tuple(width[groups[lid]] for lid in place_gates(arch))
+    return tuple(arch._widths[arch._groups[lid]] for lid in arch._gated)
 
 
 def full_config(arch: ArchSpec) -> ChannelConfig:
@@ -243,16 +258,14 @@ class LayerWidths:
 def resolve_widths(arch: ArchSpec, config: ChannelConfig | None = None
                    ) -> dict[str, LayerWidths]:
     """Per-layer effective channel widths under ``config`` (None = full)."""
-    groups, width = _channel_groups(arch)
-
+    groups, width = arch._groups, arch._widths
     kept: dict[int, tuple[int, ...]] = {}
     if config is not None:
-        gated = place_gates(arch)
-        if len(config.kept_indices) != len(gated):
+        if len(config.kept_indices) != len(arch._gated):
             raise ConfigError(
                 f"config has {len(config.kept_indices)} entries for "
-                f"{len(gated)} gated layers")
-        for lid, idx in zip(gated, config.kept_indices):
+                f"{len(arch._gated)} gated layers")
+        for lid, idx in zip(arch._gated, config.kept_indices):
             g = groups[lid]
             if idx[-1] >= width[g]:
                 raise ConfigError(
@@ -318,50 +331,16 @@ def prune_by_threshold(gates, tau: float) -> ChannelConfig:
 # ---------------------------------------------------------------------------
 # FLOPS model
 
-def _spatial_plan(arch: ArchSpec) -> dict[str, tuple[int, int]]:
-    """Output spatial size of every layer, validated against geometry."""
-    _, h0, w0 = arch.input_shape
-    size: dict[str, tuple[int, int]] = {}
-
-    def src(l: LayerSpec) -> tuple[int, int]:
-        return size[l.inputs[0]] if l.inputs else (h0, w0)
-
-    for l in arch.layers:
-        h, w = src(l)
-        if l.kind in ("conv", "depthwise-conv", "pool"):
-            ho = (h + 2 * l.padding - l.kernel) // l.stride + 1
-            wo = (w + 2 * l.padding - l.kernel) // l.stride + 1
-            if ho < 1 or wo < 1:
-                raise GeometryError(
-                    f"{arch.name}: layer {l.id!r} output "
-                    f"{ho}x{wo} for input {h}x{w}")
-            size[l.id] = (ho, wo)
-        elif l.kind == "global-pool":
-            size[l.id] = (1, 1)
-        elif l.kind == "add-join":
-            other = size[l.inputs[1]]
-            if (h, w) != other:
-                raise GeometryError(
-                    f"{arch.name}: add-join {l.id!r} operands "
-                    f"{(h, w)} vs {other}")
-            size[l.id] = (h, w)
-        else:
-            size[l.id] = (h, w)
-    return size
-
-
 def count_flops(arch: ArchSpec, config: ChannelConfig | None = None) -> int:
     """Multiply-accumulate count of conv and linear layers under ``config``."""
     widths = resolve_widths(arch, config)
-    size = _spatial_plan(arch)
     total = 0
     for l in arch.layers:
         lw = widths[l.id]
+        ho, wo = arch._sizes[l.id]
         if l.kind == "conv":
-            ho, wo = size[l.id]
             total += lw.cin * lw.cout * l.kernel * l.kernel * ho * wo
         elif l.kind == "depthwise-conv":
-            ho, wo = size[l.id]
             total += lw.cout * l.kernel * l.kernel * ho * wo
         elif l.kind == "linear":
             total += lw.cin * lw.cout

@@ -91,11 +91,10 @@ class PipelineConfig:
                 f"dataset must be 'synth' or 'cifar10:<path>', "
                 f"got {self.dataset!r}")
         if self.dataset == "synth":
-            # the preset's geometry check, before any data is built
+            # building the preset checks its geometry, before any data
             size = self.synth.image_size
             try:
-                A.count_flops(A.preset(self.arch, (self.synth.channels,
-                                                   size, size)))
+                A.preset(self.arch, (self.synth.channels, size, size))
             except GeometryError as exc:
                 raise ConfigError(f"synth.image_size {size} is too small: "
                                   f"{exc}") from None

@@ -167,13 +167,9 @@ def make_validation_split(train: Dataset, per_class: int,
                           seed: int) -> tuple[Dataset, Dataset]:
     """Carve ``per_class`` samples of each class out of ``train``; every
     class keeps at least one training sample."""
-    if per_class < 0:
-        raise SplitError(f"validation samples per class must be >= 0, "
+    if per_class < 1:
+        raise SplitError(f"validation samples per class must be >= 1, "
                          f"got {per_class}")
-    if per_class == 0:
-        empty = Dataset(train.images[:0], train.labels[:0], "val",
-                        train.class_count, train.norm_mean, train.norm_std)
-        return train, empty
     rng = derive_rng(seed, "val-split")
     val_idx: list[np.ndarray] = []
     for k in range(train.class_count):

@@ -178,8 +178,6 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
         epoch_ce = [0.0, 0]
         for b in range(steps_per_epoch):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            if idx.size == 0:
-                continue
             tape = T.Tape()
             try:
                 logits = model.forward(train.images[idx], train=True,
@@ -236,10 +234,6 @@ def snapshot_dump(snapshots: list[GateSnapshot]) -> tuple[list[dict],
     meta = [{"epoch": s.epoch, "sparsity": float(s.sparsity),
              "val_accuracy": float(s.val_accuracy),
              "train_loss": float(s.train_loss)} for s in snapshots]
-    if snapshots:
-        blob = np.stack([np.concatenate(s.gates.lam).astype(np.float32)
-                         for s in snapshots])
-    else:
-        blob = np.zeros((0, 0), dtype=np.float32)
-    return meta, blob
+    return meta, np.stack([np.concatenate(s.gates.lam).astype(np.float32)
+                           for s in snapshots])
 

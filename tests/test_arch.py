@@ -1,11 +1,14 @@
 """Architecture graph, gate placement, FLOPS model, and model generation."""
 
+import pickle
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from prunekit import arch as A
 from prunekit import tensor as T
-from prunekit.errors import ArchError, ConfigError
+from prunekit.errors import ArchError, ConfigError, GeometryError
 
 from helpers import model_flops_oracle, random_config
 
@@ -68,6 +71,60 @@ def test_pool_must_tile_its_map(stride, padding):
 def test_unknown_block_kind_rejected():
     with pytest.raises(ArchError):
         A.Block("spiral", ("x",))
+
+
+def _head(prev):
+    return (A.LayerSpec("g", "global-pool", inputs=(prev,)),
+            A.LayerSpec("fc", "linear", inputs=("g",), channels=3))
+
+
+_CONV_BN = (A.LayerSpec("c", "conv", channels=4, kernel=1),
+            A.LayerSpec("b", "batchnorm", inputs=("c",))) + _head("b")
+_JOIN = (A.LayerSpec("c1", "conv", channels=4, kernel=1),
+         A.LayerSpec("c2", "conv", inputs=("c1",), channels=4, kernel=1,
+                     stride=2),
+         A.LayerSpec("j", "add-join", inputs=("c1", "c2")),
+         A.LayerSpec("b", "batchnorm", inputs=("j",))) + _head("b")
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: A.preset("vgg-small", (3, 4, 4)), GeometryError,
+     "'pool3' output 0x0"),
+    (lambda: A.ArchSpec("bad", _CONV_BN, (A.Block("residual", ("c", "b")),),
+                        (3, 8, 8), 3), ArchError, "exactly one add-join"),
+    (lambda: A.ArchSpec("bad", _CONV_BN, (A.Block("depthwise", ("c", "b")),),
+                        (3, 8, 8), 3), ArchError, "exactly two batch norms"),
+    (lambda: A.ArchSpec("bad", _CONV_BN, (), (3, 8, 8), 3), ArchError,
+     "no gated layers"),
+    (lambda: A.ArchSpec("bad", _JOIN, (A.Block("plain", ("b",)),),
+                        (3, 8, 8), 3), GeometryError,
+     r"'j' operands \(8, 8\) vs \(4, 4\)"),
+], ids=["geometry", "residual-without-join", "depthwise-one-bn",
+        "no-gates", "join-map-sizes"])
+def test_malformed_spec_rejected_when_built(build, error, match):
+    # before any gate, width or FLOPS question is asked of it
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_checked_results_stay_out_of_the_description(any_arch):
+    assert A.expand_channels(any_arch, 1.0) == any_arch
+    assert hash(A.expand_channels(any_arch, 1.0)) == hash(any_arch)
+    assert repr(any_arch) == "ArchSpec(" + ", ".join(
+        f"{f.name}={getattr(any_arch, f.name)!r}"
+        for f in fields(any_arch)) + ")"
+    # worker processes receive pickled specs
+    back = pickle.loads(pickle.dumps(any_arch))
+    assert back == any_arch
+    cfg = random_config(A, any_arch, np.random.default_rng(4))
+    assert A.place_gates(back) == A.place_gates(any_arch)
+    assert A.count_flops(back, cfg) == A.count_flops(any_arch, cfg)
+    # replace builds anew, so the walk sees the new fields
+    larger = replace(any_arch, input_shape=(3, 16, 16))
+    assert A.count_flops(larger) == A.count_flops(
+        A.preset(any_arch.name, (3, 16, 16)))
+    assert A.place_gates(replace(any_arch, blocks=any_arch.blocks[:1])) == \
+        A.place_gates(any_arch)[:1]
 
 
 # ---------------------------------------------------------------------------

@@ -959,6 +959,29 @@ def test_pinned_benchmark_configs_run_at_full_data_size(tmp_path, command,
                      "--out", str(tmp_path)]) == 0
 
 
+def test_pinned_structure_config_runs_at_full_data_size():
+    # the structure-dw workload runs through library calls, not cli.main:
+    # its pinned geometry and data, one gate epoch, every budget searched
+    cfg = json.loads((ROOT / "bench" / "configs" / "structure-dw.json")
+                     .read_text())
+    syn = cfg["synth"]
+    data = D.synth_suite(D.SynthSpec(**syn), cfg["data_seed"])
+    shape = (syn["channels"], syn["image_size"], syn["image_size"])
+    arch = A.expand_channels(A.preset(cfg["arch"], shape, syn["classes"]),
+                             cfg["expand"])
+    model = A.Model(arch, None, D.derive_seed(1000, "pipeline-init"))
+    imp = G.ImportanceConfig(**dict(cfg["importance"], epochs=1))
+    snaps = G.learn_channel_importance(model, data["train"], data["val"],
+                                       imp, 1000)
+    best = G.select_best_gates(snaps, imp.target_sparsity)
+    full = A.count_flops(arch)
+    for b in cfg["budgets"]:
+        res = S.search_structure(best, arch, S.SearchConfig(
+            budget=int(round(b * full)), rel_tolerance=cfg["tolerance"],
+            max_iters=cfg["max_iters"]))
+        assert A.count_flops(arch, res.config) == res.achieved_flops
+
+
 # ---------------------------------------------------------------------------
 # entry point
 

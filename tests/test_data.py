@@ -78,14 +78,6 @@ def _toy_dataset(n_per_class=10, classes=3, seed=0):
                      np.zeros(3), np.ones(3))
 
 
-def test_split_zero_is_noop():
-    ds = _toy_dataset()
-    rest, val = D.make_validation_split(ds, 0, seed=1)
-    assert rest is ds
-    assert len(val) == 0
-    assert val.split == "val"
-
-
 def test_split_exact_counts_and_disjoint():
     ds = _toy_dataset(n_per_class=10, classes=3)
     rest, val = D.make_validation_split(ds, 4, seed=3)
@@ -110,10 +102,12 @@ def test_split_deterministic():
 
 
 def test_split_negative_count_rejected():
-    # -1 used to put all but one sample of each class into validation
+    # -1 used to put all but one sample of each class into validation,
+    # and 0 left it empty, so every gate snapshot read accuracy 0.0
     ds = _toy_dataset(n_per_class=5)
-    with pytest.raises(SplitError, match="must be >= 0"):
-        D.make_validation_split(ds, -1, seed=0)
+    for per_class in (-1, 0):
+        with pytest.raises(SplitError, match="must be >= 1"):
+            D.make_validation_split(ds, per_class, seed=0)
 
 
 def test_split_insufficient_population():
