@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import arch as A
 from . import data as D
 from . import gates as G
 from . import search as S
 from . import train as TR
-from .errors import (ConfigError, DegenerateFeatureError, PipelineError,
-                     PruneKitError)
+from .errors import ConfigError, DegenerateFeatureError
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,15 @@ def run_pretrain_effect_study(
     FLOPS budget, and train the structure from scratch under budget
     scaling. Structures are compared by keep-ratio correlation and by
     from-scratch test accuracy. Each search bisects for at most
-    ``max_iters`` steps towards a relative FLOPS gap of ``tolerance``;
-    one that stops outside it is reported through ``progress``, as is
-    each finished stage.
-
+    ``max_iters`` steps towards a relative FLOPS gap of ``tolerance``.
     Every run trains under ``schedule``: the baseline up to the last
-    checkpoint, each structure for its budget-scaled epochs. A failure
-    in the baseline or a unit is a ``PipelineError`` naming the stage
-    (baseline, gates, search, train) and the seed or structure label.
+    checkpoint, each structure for its budget-scaled epochs.
+
+    The baseline is the seed's stage "baseline"; a unit's stages run under
+    its structure label, filling a fresh record the study does not write.
+    Stage wall times, and any search stopped outside its tolerance, go to
+    ``progress``; a failure is a ``PipelineError`` naming the stage and
+    the seed or label.
     """
     if not 0.0 < budget_ratio < 1.0:
         # at 1.0 every structure keeps every channel, so no keep-ratio
@@ -181,7 +182,6 @@ def run_pretrain_effect_study(
             "gate source(s)")
     baseline_schedule = replace(schedule, base_epochs=max(epochs, default=0),
                                 effective_epochs=None)
-    say = progress if progress is not None else (lambda msg: None)
 
     full = A.count_flops(arch)
     search = S.SearchConfig(budget=int(round(budget_ratio * full)),
@@ -192,36 +192,26 @@ def run_pretrain_effect_study(
     features: list[StructureFeature] = []
     per_seed: dict[int, SimilarityMatrix] = {}
 
-    def done(finished, value):
-        # the stage a failure names, and a progress line per stage
-        nonlocal stage
-        stage = {"gates": "search", "search": "train"}.get(finished, stage)
-        if finished == "search" and not value.converged:
-            say(f"seed {seed}: search for {where} stopped outside "
-                f"tolerance at flops ratio {value.achieved_flops / full:.3f}")
-        say(f"seed {seed}: {finished} done for {where}")
-
     for seed in seeds:
-        stage, where = "baseline", f"seed {seed}"
         labels = [feature_label(seed, epoch) for epoch in (0,) + epochs]
-        say(f"seed {seed}: training baseline ({baseline_schedule.epochs} "
-            "epochs)")
-        try:
+        stages = TR.Stages(f"seed {seed}", progress)
+        stages.say(f"seed {seed}: training baseline "
+                   f"({baseline_schedule.epochs} epochs)")
+        with stages("baseline"):
             _, states = TR.train_baseline(arch, data, baseline_schedule,
                                           seed, {0, *epochs})
-            for epoch, label in zip((0,) + epochs, labels):
-                stage, where = "gates", label
-                source = A.Model(arch, None, seed=0)
-                source.load_state(states[epoch])
-                result, report = TR.prune_and_train(
-                    source, data, importance, search, schedule,
-                    D.derive_seed(seed, "study-gates", str(epoch)),
-                    D.derive_seed(seed, "study-scratch", label), done=done)
-                configs[label] = result.config
-                flops_ratios[label] = result.achieved_flops / full
-                accuracies[label] = report.test_accuracy
-        except (PruneKitError, MemoryError) as exc:
-            raise PipelineError(stage, f"{where}: {exc}") from exc
+        for epoch, label in zip((0,) + epochs, labels):
+            source = A.Model(arch, None, seed=0)
+            source.load_state(states[epoch])
+            result, report = TR.prune_and_train(
+                source, data, importance, search, schedule,
+                D.derive_seed(seed, "study-gates", str(epoch)),
+                D.derive_seed(seed, "study-scratch", label),
+                record=D.RunRecord({}, seed, __version__),
+                stages=TR.Stages(label, progress))
+            configs[label] = result.config
+            flops_ratios[label] = result.achieved_flops / full
+            accuracies[label] = report.test_accuracy
         # per seed, so a degenerate structure stops the study early
         seed_features = [structure_feature(configs[l], arch, l)
                          for l in labels]

@@ -6,7 +6,9 @@ on the frozen net, bisect to the FLOPS budget, budget-train the found
 structure from scratch), and saves a run record. ``study`` runs the same
 unit from random weights and from trained checkpoints, and compares the
 structures. ``inspect`` prints a saved record. ``train-baseline`` trains
-a full-width model and saves checkpoints.
+a full-width model and saves checkpoints. Their work runs as named
+``train.Stages``, each timed on standard error; a failure ends in one
+``error: stage '<stage>' failed: <label>: ...`` line.
 
 Settings merge in three layers: the config dataclasses' defaults, then
 a JSON config file (--config), then command-line flags, each stored
@@ -22,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-import time
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -35,8 +36,7 @@ from . import data as D
 from . import gates as G
 from . import search as S
 from . import train as TR
-from .errors import (ConfigError, GeometryError, PipelineError,
-                     PruneKitError)
+from .errors import ConfigError, GeometryError, PruneKitError
 
 
 @dataclass
@@ -214,13 +214,6 @@ def _pipeline_arch(cfg: PipelineConfig,
 # ---------------------------------------------------------------------------
 # prune
 
-def _lap(say, seed: int, stage: str, since: float) -> float:
-    """Report ``stage`` done, timed from ``since``; returns the time now."""
-    now = time.perf_counter()
-    say(f"seed {seed}: {stage} done in {now - since:.2f} s")
-    return now
-
-
 def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
                seed: int, say) -> D.RunRecord:
     record = D.RunRecord(config=config_to_dict(cfg), seed=seed,
@@ -228,66 +221,46 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     record_path = out / f"run_s{seed}.pkrun"
-    stage = "expand"
-    t = time.perf_counter()
+    stages = TR.Stages(f"seed {seed}", say)
     trained = {}
-
-    def done(finished, value):
-        # the record fills stage by stage, so a failed one keeps the rest
-        nonlocal stage, t
-        if finished == "gates":
-            record.snapshots, record.gate_blob = G.snapshot_dump(value)
-        elif finished == "search":
-            record.search = S.result_to_dict(value)
-        t = _lap(say, seed, finished, t)
-        stage = {"gates": "search", "search": "train"}.get(finished, "save")
-
     try:
-        arch = A.expand_channels(_pipeline_arch(cfg, data), cfg.expand)
-        full = A.count_flops(arch)
-
-        stage = "init"
-        model = A.Model(arch, None, D.derive_seed(seed, "pipeline-init"))
-
-        stage = "gates"
+        with stages("init"):
+            arch = A.expand_channels(_pipeline_arch(cfg, data), cfg.expand)
+            full = A.count_flops(arch)
+            search = S.SearchConfig(budget=int(round(cfg.budget * full)),
+                                    rel_tolerance=cfg.tolerance,
+                                    max_iters=cfg.max_iters)
+            model = A.Model(arch, None, D.derive_seed(seed, "pipeline-init"))
         result, report = TR.prune_and_train(
-            model, data, cfg.importance,
-            S.SearchConfig(budget=int(round(cfg.budget * full)),
-                           rel_tolerance=cfg.tolerance,
-                           max_iters=cfg.max_iters),
-            cfg.schedule, seed, seed, lottery=cfg.lottery_init, done=done,
+            model, data, cfg.importance, search, cfg.schedule, seed, seed,
+            record=record, stages=stages, lottery=cfg.lottery_init,
             checkpoint_sink=lambda epoch, m: trained.update(model=m))
-        record.train_reports.append(TR.report_to_dict(report))
-
-        weights_path = out / f"run_s{seed}.weights"
-        D.save_weights(trained["model"].state_arrays(), weights_path,
-                       {"seed": seed, "arch": cfg.arch,
-                        "status": "budget-trained"})
-        curve_path = out / f"run_s{seed}_train.csv"
-        D.write_atomic(curve_path, TR.report_csv(report))
-        record.artifacts = [str(weights_path), str(curve_path)]
-        record.status = "completed"
-        D.save_run(record, record_path)
-        _lap(say, seed, "save", t)
+        with stages("save"):
+            weights_path = out / f"run_s{seed}.weights"
+            D.save_weights(trained["model"].state_arrays(), weights_path,
+                           {"seed": seed, "arch": cfg.arch,
+                            "status": "budget-trained"})
+            curve_path = out / f"run_s{seed}_train.csv"
+            D.write_atomic(curve_path, TR.report_csv(report))
+            record.artifacts = [str(weights_path), str(curve_path)]
+            record.status = "completed"
+            D.save_run(record, record_path)
         print(f"seed {seed}: flops ratio {result.achieved_flops / full:.3f} "
               f"(converged={result.converged}), "
               f"test accuracy {report.test_accuracy:.3f}")
         return record
-    except Exception as exc:
-        record.status = f"failed:{stage}"
+    except Exception:
+        record.status = f"failed:{stages.current}"
         record.artifacts = []
         D.save_run(record, record_path)
-        if isinstance(exc, (PruneKitError, MemoryError)):
-            raise PipelineError(stage, str(exc)) from exc
         raise
 
 
 def cmd_prune(cfg: PipelineConfig, progress=None) -> list[D.RunRecord]:
     """Full pipeline per seed; records land in ``cfg.out``. Each stage's
-    wall time (gates, search, train, save) goes to ``progress``."""
+    wall time (init, gates, search, train, save) goes to ``progress``."""
     data = resolve_dataset(cfg)
-    say = progress if progress is not None else (lambda msg: None)
-    return [_prune_one(cfg, data, seed, say) for seed in cfg.seeds]
+    return [_prune_one(cfg, data, seed, progress) for seed in cfg.seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +331,12 @@ def cmd_inspect(record_path, out_dir=None) -> int:
 # ---------------------------------------------------------------------------
 # train-baseline
 
-def cmd_train_baseline(cfg: PipelineConfig) -> list[D.RunRecord]:
+def cmd_train_baseline(cfg: PipelineConfig,
+                       progress=None) -> list[D.RunRecord]:
     """Train each seed's full-width baseline and save its checkpoints,
     which are the study's baseline states when the study's last checkpoint
-    epoch equals the schedule's epochs, as in the default config."""
+    epoch equals the schedule's epochs, as in the default config. Each
+    baseline's wall time goes to ``progress``."""
     last = cfg.schedule.epochs
     wanted = {e for e in cfg.checkpoint_epochs if e > 0}
     late = sorted(e for e in wanted if e > last)
@@ -375,8 +350,9 @@ def cmd_train_baseline(cfg: PipelineConfig) -> list[D.RunRecord]:
     out.mkdir(parents=True, exist_ok=True)
     records = []
     for seed in cfg.seeds:
-        report, states = TR.train_baseline(arch, data, cfg.schedule, seed,
-                                           wanted | {last})
+        with TR.Stages(f"seed {seed}", progress)("baseline"):
+            report, states = TR.train_baseline(arch, data, cfg.schedule,
+                                               seed, wanted | {last})
         artifacts = []
         saves = [(f"e{e}", e) for e in sorted(wanted)] + [("final", last)]
         for name, epoch in saves:
@@ -484,9 +460,9 @@ def main(argv=None) -> int:
         if args.command == "study":
             cmd_study(cfg, progress=_stderr)
             return 0
-        cmd_train_baseline(cfg)
+        cmd_train_baseline(cfg, progress=_stderr)
         return 0
-    except (PruneKitError, OSError) as exc:
+    except (PruneKitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,8 +21,10 @@ from . import blas
 from . import gates as G
 from . import search as S
 from . import tensor as T
-from .data import Dataset, augment_batch, derive_rng, derive_seed
-from .errors import BudgetError, ConfigError, DivergenceError, NonFiniteError
+from .data import (Dataset, RunRecord, augment_batch, derive_rng,
+                   derive_seed)
+from .errors import (BudgetError, ConfigError, DivergenceError,
+                     NonFiniteError, PipelineError, PruneKitError)
 
 OPTIMIZERS = ("sgd",)
 LR_POLICIES = ("step-decay", "cosine")
@@ -237,34 +240,64 @@ def train_from_scratch(arch: A.ArchSpec, config: A.ChannelConfig | None,
     return fit(model, data, schedule, seed, checkpoint_sink=checkpoint_sink)
 
 
+class Stages:
+    """Named stages of one labelled job, ``with stages("gates"): ...``;
+    ``current`` is the last one entered. A finished stage reports
+    ``<label>: <stage> done in X.XX s`` to ``say``; a ``PruneKitError`` or
+    ``MemoryError`` inside one becomes a ``PipelineError`` naming both."""
+
+    def __init__(self, label: str, say=None):
+        self.label = label
+        self.say = say if say is not None else (lambda msg: None)
+        self.current: str | None = None
+
+    @contextmanager
+    def __call__(self, stage: str):
+        self.current = stage
+        t0 = time.perf_counter()
+        try:
+            yield
+        except (PruneKitError, MemoryError) as exc:
+            raise PipelineError(stage, f"{self.label}: {exc}") from exc
+        self.say(f"{self.label}: {stage} done in "
+                 f"{time.perf_counter() - t0:.2f} s")
+
+
 def prune_and_train(source: A.Model, data: dict[str, Dataset],
                     importance: G.ImportanceConfig, search: S.SearchConfig,
                     schedule: TrainSchedule, gate_seed: int, train_seed: int,
-                    *, lottery: bool = False, checkpoint_sink=None,
-                    done=lambda stage, value: None
+                    *, record: RunRecord, stages: Stages,
+                    lottery: bool = False, checkpoint_sink=None
                     ) -> tuple[S.SearchResult, TrainReport]:
     """Learn gates on the frozen full-width ``source``, bisect the best
     snapshot to ``search``'s budget, and train the structure on
     budget-scaled epochs from fresh weights of ``train_seed``, or from
-    ``source``'s slice with ``lottery``. ``done(stage, value)`` fires
-    after "gates", "search" and "train", with what each stage returns."""
-    snaps = G.learn_channel_importance(source, data["train"], data["val"],
-                                       importance, gate_seed)
-    best = G.select_best_gates(snaps, importance.target_sparsity)
-    done("gates", snaps)
-    result = S.search_structure(best, source.arch, search)
-    done("search", result)
-    sched = replace(schedule, effective_epochs=budget_epochs(
-        schedule.base_epochs, A.count_flops(source.arch),
-        result.achieved_flops))
-    if lottery:
-        report = fit(lottery_model(source, result.config), data, sched,
-                     train_seed, checkpoint_sink=checkpoint_sink)
-    else:
-        report = train_from_scratch(source.arch, result.config, data, sched,
-                                    train_seed,
-                                    checkpoint_sink=checkpoint_sink)
-    done("train", report)
+    ``source``'s slice with ``lottery``: ``stages`` "gates", "search" and
+    "train", each filling ``record`` as it finishes, so a failed unit's
+    record keeps what came before. An unconverged search is said too."""
+    full = A.count_flops(source.arch)
+    with stages("gates"):
+        snaps = G.learn_channel_importance(source, data["train"], data["val"],
+                                           importance, gate_seed)
+        best = G.select_best_gates(snaps, importance.target_sparsity)
+        record.snapshots, record.gate_blob = G.snapshot_dump(snaps)
+    with stages("search"):
+        result = S.search_structure(best, source.arch, search)
+        record.search = S.result_to_dict(result)
+        if not result.converged:
+            stages.say(f"{stages.label}: search stopped outside tolerance "
+                       f"at flops ratio {result.achieved_flops / full:.3f}")
+    with stages("train"):
+        sched = replace(schedule, effective_epochs=budget_epochs(
+            schedule.base_epochs, full, result.achieved_flops))
+        if lottery:
+            report = fit(lottery_model(source, result.config), data, sched,
+                         train_seed, checkpoint_sink=checkpoint_sink)
+        else:
+            report = train_from_scratch(source.arch, result.config, data,
+                                        sched, train_seed,
+                                        checkpoint_sink=checkpoint_sink)
+        record.train_reports.append(report_to_dict(report))
     return result, report
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -412,8 +413,9 @@ def test_prune_out_of_memory_is_a_stage_error(tmp_path, capsys,
     monkeypatch.setattr(A, "Model", _raises(MemoryError(
         "Unable to allocate 8.58 GiB for an array")))
     assert CLI.main(_prune_argv(tmp_path)) == 1
-    assert capsys.readouterr().err == ("error: stage 'init' failed: Unable "
-                                       "to allocate 8.58 GiB for an array\n")
+    assert capsys.readouterr().err == ("error: stage 'init' failed: seed 0: "
+                                       "Unable to allocate 8.58 GiB for an "
+                                       "array\n")
     record = D.load_run(tmp_path / "runs" / "run_s0.pkrun")
     assert record.status == "failed:init"
     assert record.artifacts == []
@@ -493,9 +495,46 @@ def test_prune_reports_each_stage(tmp_path, capsys):
     stages = [line.split(" done in ")[0]
               for line in captured.err.splitlines() if " done in " in line]
     assert stages == [f"seed {s}: {stage}" for s in (0, 1)
-                      for stage in ("gates", "search", "train", "save")]
+                      for stage in ("init", "gates", "search", "train",
+                                    "save")]
     assert [line.split(":")[0] for line in captured.out.splitlines()] == [
         "seed 0", "seed 1"]
+
+
+def test_prune_reports_a_search_stopped_outside_tolerance(tmp_path, capsys,
+                                                          monkeypatch):
+    # the study printed this line and prune did not; the unit prints it
+    real_search = S.search_structure
+    monkeypatch.setattr(S, "search_structure", lambda *args: replace(
+        real_search(*args), converged=False))
+    assert CLI.main(_prune_argv(tmp_path, budget=0.5)) == 1
+    err = capsys.readouterr().err.splitlines()
+    stopped = [line for line in err if "outside tolerance" in line]
+    assert len(stopped) == 1
+    assert stopped[0].startswith("seed 0: search stopped outside tolerance "
+                                 "at flops ratio 0.")
+    assert err.index(stopped[0]) < err.index(next(
+        line for line in err if line.startswith("seed 0: search done in ")))
+    record = D.load_run(tmp_path / "runs" / "run_s0.pkrun")
+    assert record.status == "completed"
+    assert record.search["converged"] is False
+
+
+@pytest.mark.parametrize("command", ["prune", "study", "train-baseline"])
+def test_out_of_memory_building_the_dataset_is_one_error_line(
+        tmp_path, capsys, monkeypatch, command):
+    # a huge synth.per_class fails in synth_suite, before any stage; the
+    # MemoryError escaped main as a traceback
+    monkeypatch.setattr(D, "synth_suite", _raises(MemoryError(
+        "Unable to allocate 40.0 GiB for an array")))
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY, out=str(out), seeds=[0, 1],
+                                    checkpoint_epochs=[2])))
+    assert CLI.main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: Unable to allocate 40.0 GiB "
+                                       "for an array\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +831,24 @@ def test_diverging_study_prints_one_error_line(tmp_path, capsys):
                       "values in output of conv2d"]
 
 
+def test_study_reports_each_stage_under_its_label(tmp_path, capsys):
+    # the unit's lines read "seed 0: gates done for s0:rand", untimed,
+    # and the baseline had none
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY, out=str(tmp_path / "study"),
+                                    seeds=[0, 1], checkpoint_epochs=[1])))
+    assert CLI.main(["study", "--config", str(path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" done in ")[0] for line in err
+            if " done in " in line] == [
+        f"{label}: {stage}" for s in (0, 1)
+        for label, stages in ((f"seed {s}", ("baseline",)),
+                              (f"s{s}:rand", ("gates", "search", "train")),
+                              (f"s{s}:e1", ("gates", "search", "train")))
+        for stage in stages]
+    assert all(line.endswith(" s") for line in err if " done in " in line)
+
+
 def _no_training(*args, **kwargs):
     raise AssertionError("trained before rejecting the config")
 
@@ -855,6 +912,37 @@ def test_train_baseline_saves_checkpoints(tmp_path):
     state, meta = D.load_weights(tmp_path / "baseline_s0_e1.weights")
     assert meta["epoch"] == 1
     assert "c1.w" in state or any(k.endswith(".w") for k in state)
+
+
+@pytest.mark.parametrize("overrides, patch, error", [
+    ({"schedule": {"base_epochs": 2, "lr0": 1e10, "batch_size": 12}}, None,
+     "stage 'baseline' failed: seed 0: non-finite values in output of "
+     "conv2d"),
+    ({}, (TR, "train_baseline", MemoryError("Unable to allocate 2.00 GiB")),
+     "stage 'baseline' failed: seed 0: Unable to allocate 2.00 GiB"),
+], ids=["diverges", "out-of-memory"])
+def test_train_baseline_failure_names_its_seed_and_stage(
+        tmp_path, capsys, monkeypatch, overrides, patch, error):
+    # a diverging baseline ended in "error: non-finite values in output of
+    # conv2d", and a MemoryError in a traceback
+    if patch is not None:
+        module, name, exc = patch
+        monkeypatch.setattr(module, name, _raises(exc))
+    out = tmp_path / "base"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY, out=str(out), checkpoint_epochs=[1],
+                                    **overrides)))
+    assert CLI.main(["train-baseline", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_train_baseline_reports_each_seeds_stage(tmp_path, capsys):
+    cfg = tiny_config(tmp_path, seeds=[0, 1], checkpoint_epochs=[1])
+    CLI.cmd_train_baseline(cfg, progress=CLI._stderr)
+    assert [line.split(" done in ")[0]
+            for line in capsys.readouterr().err.splitlines()] == [
+        "seed 0: baseline", "seed 1: baseline"]
 
 
 def _bits(state):
@@ -1017,3 +1105,24 @@ def test_module_entry_point_reports_version():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("command", ["prune", "study", "train-baseline"])
+def test_diverging_run_ends_in_one_stage_error_in_the_shell(tmp_path,
+                                                            command):
+    # what the shell sees of a failed run: exit 1, one stage-named error
+    # line and no traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(
+        TINY, out=str(tmp_path / "out"), seeds=[0, 1], checkpoint_epochs=[2],
+        schedule={"base_epochs": 2, "lr0": 1e10, "batch_size": 12})))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "prunekit", command,
+                           "--config", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert [line for line in proc.stderr.splitlines()
+            if line.startswith("error: stage '")] == [
+        proc.stderr.splitlines()[-1]]
+    assert "Traceback" not in proc.stderr
