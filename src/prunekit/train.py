@@ -246,7 +246,7 @@ class Stages:
     ``<label>: <stage> done in X.XX s`` to ``say``; a ``PruneKitError`` or
     ``MemoryError`` inside one becomes a ``PipelineError`` naming both."""
 
-    def __init__(self, label: str, say=None):
+    def __init__(self, label: str, say):
         self.label = label
         self.say = say if say is not None else (lambda msg: None)
         self.current: str | None = None

@@ -1116,8 +1116,8 @@ def test_diverging_run_ends_in_one_stage_error_in_the_shell(tmp_path,
     path.write_text(json.dumps(dict(
         TINY, out=str(tmp_path / "out"), seeds=[0, 1], checkpoint_epochs=[2],
         schedule={"base_epochs": 2, "lr0": 1e10, "batch_size": 12})))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "prunekit", command,
                            "--config", str(path)],
                           capture_output=True, text=True, env=env, timeout=60)
