@@ -113,16 +113,15 @@ def feature_label(seed: int, epoch: int) -> str:
 
 @dataclass
 class StudyBundle:
-    """Everything one pretraining-effect study produced."""
+    """Everything one pretraining-effect study produced; ``records`` maps
+    each label to the record its unit filled, in unit order."""
+    arch: A.ArchSpec
     checkpoint_epochs: tuple[int, ...]
     seeds: tuple[int, ...]
+    records: dict[str, D.RunRecord]
     features: list[StructureFeature]
-    configs: dict[str, A.ChannelConfig]
-    accuracies: dict[str, float]
-    flops_ratios: dict[str, float]
     per_seed: dict[int, SimilarityMatrix]
     cross: SimilarityMatrix
-    channel_rows: list[tuple[str, str, int, int]]
 
     def labels_for(self, epoch: int) -> list[str]:
         return [feature_label(s, epoch) for s in self.seeds]
@@ -130,11 +129,12 @@ class StudyBundle:
 
 def study_summary(bundle: StudyBundle) -> list[tuple[str, float, float, float]]:
     """(source level, mean acc, std acc, mean FLOPS ratio) across seeds."""
+    full = A.count_flops(bundle.arch)
     rows = []
     for epoch in (0,) + bundle.checkpoint_epochs:
-        labels = bundle.labels_for(epoch)
-        accs = np.array([bundle.accuracies[l] for l in labels])
-        ratios = np.array([bundle.flops_ratios[l] for l in labels])
+        records = [bundle.records[l] for l in bundle.labels_for(epoch)]
+        accs = np.array([r.train_reports[0]["test_accuracy"] for r in records])
+        ratios = np.array([r.search["achieved_flops"] for r in records]) / full
         level = "rand" if epoch == 0 else f"e{epoch}"
         rows.append((level, float(accs.mean()), float(accs.std()),
                      float(ratios.mean())))
@@ -159,7 +159,7 @@ def run_pretrain_effect_study(
     checkpoint, each structure for its budget-scaled epochs.
 
     The baseline is the seed's stage "baseline"; a unit's stages run under
-    its structure label, filling a fresh record the study does not write.
+    its structure label and fill the unit's record in ``records``.
     Stage wall times, and any search stopped outside its tolerance, go to
     ``progress``; a failure is a ``PipelineError`` naming the stage and
     the seed or label.
@@ -186,9 +186,7 @@ def run_pretrain_effect_study(
     full = A.count_flops(arch)
     search = S.SearchConfig(budget=int(round(budget_ratio * full)),
                             max_iters=max_iters, rel_tolerance=tolerance)
-    configs: dict[str, A.ChannelConfig] = {}
-    accuracies: dict[str, float] = {}
-    flops_ratios: dict[str, float] = {}
+    records: dict[str, D.RunRecord] = {}
     features: list[StructureFeature] = []
     per_seed: dict[int, SimilarityMatrix] = {}
 
@@ -203,32 +201,22 @@ def run_pretrain_effect_study(
         for epoch, label in zip((0,) + epochs, labels):
             source = A.Model(arch, None, seed=0)
             source.load_state(states[epoch])
-            result, report = TR.prune_and_train(
+            records[label] = D.RunRecord({}, seed, __version__)
+            TR.prune_and_train(
                 source, data, importance, search, schedule,
                 D.derive_seed(seed, "study-gates", str(epoch)),
                 D.derive_seed(seed, "study-scratch", label),
-                record=D.RunRecord({}, seed, __version__),
-                stages=TR.Stages(label, progress))
-            configs[label] = result.config
-            flops_ratios[label] = result.achieved_flops / full
-            accuracies[label] = report.test_accuracy
+                record=records[label], stages=TR.Stages(label, progress))
         # per seed, so a degenerate structure stops the study early
-        seed_features = [structure_feature(configs[l], arch, l)
-                         for l in labels]
+        seed_features = [structure_feature(A.ChannelConfig(
+            records[l].search["kept_indices"]), arch, l) for l in labels]
         features += seed_features
         if len(seed_features) >= 2:
             per_seed[seed] = correlation_matrix(seed_features)
 
-    widths = A.gated_channel_counts(arch)
-    channel_rows = [(lid, label, kept, orig)
-                    for label, config in configs.items()
-                    for lid, kept, orig in zip(A.place_gates(arch),
-                                               config.kept_counts, widths)]
-    return StudyBundle(checkpoint_epochs=epochs, seeds=seeds,
-                       features=features, configs=configs,
-                       accuracies=accuracies, flops_ratios=flops_ratios,
-                       per_seed=per_seed, cross=correlation_matrix(features),
-                       channel_rows=channel_rows)
+    return StudyBundle(arch=arch, checkpoint_epochs=epochs, seeds=seeds,
+                       records=records, features=features, per_seed=per_seed,
+                       cross=correlation_matrix(features))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +246,11 @@ def emit_report(bundle: StudyBundle, out_dir) -> list[Path]:
 
     path = out / "channels.csv"
     rows = ["layer_id,label,kept,original"]
+    widths = A.gated_channel_counts(bundle.arch)
     rows += [f"{lid},{label},{kept},{orig}"
-             for lid, label, kept, orig in bundle.channel_rows]
+             for label, record in bundle.records.items()
+             for lid, kept, orig in zip(A.place_gates(bundle.arch),
+                                        record.search["kept_counts"], widths)]
     D.write_atomic(path, "\n".join(rows) + "\n")
     files.append(path)
 

@@ -26,6 +26,7 @@ import math
 import sys
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -211,19 +212,33 @@ def _pipeline_arch(cfg: PipelineConfig,
                     num_classes=data["train"].class_count)
 
 
+@contextmanager
+def _seed_run(cfg: PipelineConfig, seed: int, path: Path, say):
+    """The seed's record and ``train.Stages``, timed to ``say``; on any
+    failure the record is saved at ``path`` as ``failed:<stage>``, with
+    no artifacts."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    record = D.RunRecord(config=config_to_dict(cfg), seed=seed,
+                         tool_version=__version__)
+    stages = TR.Stages(f"seed {seed}", say)
+    try:
+        yield record, stages
+    except Exception:
+        record.status = f"failed:{stages.current}"
+        record.artifacts = []
+        D.save_run(record, path)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # prune
 
 def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
                seed: int, say) -> D.RunRecord:
-    record = D.RunRecord(config=config_to_dict(cfg), seed=seed,
-                         tool_version=__version__)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     record_path = out / f"run_s{seed}.pkrun"
-    stages = TR.Stages(f"seed {seed}", say)
     trained = {}
-    try:
+    with _seed_run(cfg, seed, record_path, say) as (record, stages):
         with stages("init"):
             arch = A.expand_channels(_pipeline_arch(cfg, data), cfg.expand)
             full = A.count_flops(arch)
@@ -243,17 +258,11 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
             curve_path = out / f"run_s{seed}_train.csv"
             D.write_atomic(curve_path, TR.report_csv(report))
             record.artifacts = [str(weights_path), str(curve_path)]
-            record.status = "completed"
             D.save_run(record, record_path)
-        print(f"seed {seed}: flops ratio {result.achieved_flops / full:.3f} "
-              f"(converged={result.converged}), "
-              f"test accuracy {report.test_accuracy:.3f}")
-        return record
-    except Exception:
-        record.status = f"failed:{stages.current}"
-        record.artifacts = []
-        D.save_run(record, record_path)
-        raise
+    print(f"seed {seed}: flops ratio {result.achieved_flops / full:.3f} "
+          f"(converged={result.converged}), "
+          f"test accuracy {report.test_accuracy:.3f}")
+    return record
 
 
 def cmd_prune(cfg: PipelineConfig, progress=None) -> list[D.RunRecord]:
@@ -313,7 +322,8 @@ def cmd_inspect(record_path, out_dir=None) -> int:
                                    A.gated_channel_counts(arch),
                                    record.search["kept_counts"]):
             print(f"  {lid}: {kept}/{orig}")
-    print("gate learning trajectory:")
+    if record.snapshots:
+        print("gate learning trajectory:")
     for snap in record.snapshots:
         print(f"  epoch {snap['epoch']}: sparsity {snap['sparsity']:.4f}, "
               f"val accuracy {snap['val_accuracy']:.4f}, "
@@ -336,7 +346,7 @@ def cmd_train_baseline(cfg: PipelineConfig,
     """Train each seed's full-width baseline and save its checkpoints,
     which are the study's baseline states when the study's last checkpoint
     epoch equals the schedule's epochs, as in the default config. Each
-    baseline's wall time goes to ``progress``."""
+    seed's stages, baseline and save, run under ``_seed_run``."""
     last = cfg.schedule.epochs
     wanted = {e for e in cfg.checkpoint_epochs if e > 0}
     late = sorted(e for e in wanted if e > last)
@@ -347,24 +357,22 @@ def cmd_train_baseline(cfg: PipelineConfig,
     data = resolve_dataset(cfg)
     arch = _pipeline_arch(cfg, data)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    saves = [(f"e{e}", e) for e in sorted(wanted)] + [("final", last)]
     records = []
     for seed in cfg.seeds:
-        with TR.Stages(f"seed {seed}", progress)("baseline"):
-            report, states = TR.train_baseline(arch, data, cfg.schedule,
-                                               seed, wanted | {last})
-        artifacts = []
-        saves = [(f"e{e}", e) for e in sorted(wanted)] + [("final", last)]
-        for name, epoch in saves:
-            path = out / f"baseline_s{seed}_{name}.weights"
-            D.save_weights(states[epoch], path,
-                           {"seed": seed, "epoch": epoch, "arch": cfg.arch})
-            artifacts.append(str(path))
-        record = D.RunRecord(config=config_to_dict(cfg), seed=seed,
-                             tool_version=__version__,
-                             train_reports=[TR.report_to_dict(report)],
-                             artifacts=artifacts)
-        D.save_run(record, out / f"baseline_s{seed}.pkrun")
+        record_path = out / f"baseline_s{seed}.pkrun"
+        with _seed_run(cfg, seed, record_path, progress) as (record, stages):
+            with stages("baseline"):
+                report, states = TR.train_baseline(arch, data, cfg.schedule,
+                                                   seed, wanted | {last})
+                record.train_reports.append(TR.report_to_dict(report))
+            with stages("save"):
+                for name, epoch in saves:
+                    path = out / f"baseline_s{seed}_{name}.weights"
+                    D.save_weights(states[epoch], path, {
+                        "seed": seed, "epoch": epoch, "arch": cfg.arch})
+                    record.artifacts.append(str(path))
+                D.save_run(record, record_path)
         records.append(record)
         print(f"seed {seed}: baseline val accuracy "
               f"{report.val_accuracy[-1] if report.val_accuracy else 0.0:.3f}, "

@@ -161,7 +161,7 @@ def test_smallest_study_is_random_only():
     assert [f.label for f in bundle.features] == ["s0:rand", "s1:rand"]
     assert bundle.cross.values.shape == (2, 2)
     assert bundle.per_seed == {}
-    assert set(bundle.accuracies) == {"s0:rand", "s1:rand"}
+    assert list(bundle.records) == ["s0:rand", "s1:rand"]
 
 
 def test_study_rejects_full_budget_before_training(monkeypatch):
@@ -221,12 +221,15 @@ def test_study_bookkeeping(small_bundle):
     assert b.cross.labels == ("s0:rand", "s0:e2", "s1:rand", "s1:e2")
     assert set(b.per_seed) == {0, 1}
     assert b.per_seed[0].labels == ("s0:rand", "s0:e2")
-    gated = len(A.place_gates(A.preset("vgg-small")))
-    assert len(b.channel_rows) == 4 * gated
-    for label, ratio in b.flops_ratios.items():
-        assert 0.0 < ratio <= 0.52, label
-    for label, acc in b.accuracies.items():
-        assert 0.0 <= acc <= 1.0, label
+    # one record per unit, filled by its stages, in unit order
+    assert list(b.records) == ["s0:rand", "s0:e2", "s1:rand", "s1:e2"]
+    full = A.count_flops(b.arch)
+    for label, record in b.records.items():
+        assert record.seed == int(label[1]), label
+        assert record.snapshots and record.gate_blob is not None, label
+        assert 0.0 < record.search["achieved_flops"] / full <= 0.52, label
+        assert len(record.train_reports) == 1, label
+        assert 0.0 <= record.train_reports[0]["test_accuracy"] <= 1.0, label
     rows = AN.study_summary(b)
     assert [r[0] for r in rows] == ["rand", "e2"]
 
@@ -234,8 +237,11 @@ def test_study_bookkeeping(small_bundle):
 def test_study_configs_respect_budget(small_bundle):
     arch = A.preset("vgg-small")
     full = A.count_flops(arch)
-    for label, config in small_bundle.configs.items():
-        assert A.count_flops(arch, config) <= 0.52 * full
+    for label, record in small_bundle.records.items():
+        config = A.ChannelConfig(record.search["kept_indices"])
+        assert config.kept_counts == tuple(record.search["kept_counts"])
+        assert A.count_flops(arch, config) == record.search["achieved_flops"]
+        assert A.count_flops(arch, config) <= 0.52 * full, label
 
 
 def test_report_emission(tmp_path, small_bundle):
@@ -248,10 +254,40 @@ def test_report_emission(tmp_path, small_bundle):
     assert cross == small_bundle.cross
     channels = (tmp_path / "channels.csv").read_text().strip().split("\n")
     assert channels[0] == "layer_id,label,kept,original"
-    assert len(channels) == 1 + len(small_bundle.channel_rows)
+    gated = len(A.place_gates(A.preset("vgg-small")))
+    assert len(channels) == 1 + 4 * gated
     summary = (tmp_path / "summary.csv").read_text().strip().split("\n")
     assert summary[0] == "label,mean_acc,std_acc,flops_ratio"
     assert len(summary) == 3
+
+
+def test_channel_and_summary_csvs_are_recomputed_from_the_records(
+        tmp_path, small_bundle):
+    # a reader of the unit records alone must arrive at the same reports
+    AN.emit_report(small_bundle, tmp_path)
+    arch = A.preset("vgg-small")
+    full = A.count_flops(arch)
+    channels = [line.split(",") for line in
+                (tmp_path / "channels.csv").read_text().splitlines()[1:]]
+    assert channels == [
+        [lid, label, str(len(kept)), str(orig)]
+        for label, record in small_bundle.records.items()
+        for lid, kept, orig in zip(A.place_gates(arch),
+                                   record.search["kept_indices"],
+                                   A.gated_channel_counts(arch))]
+    by_level: dict[str, list] = {}
+    for label, record in small_bundle.records.items():
+        by_level.setdefault(label.split(":")[1], []).append(record)
+    summary = [line.split(",") for line in
+               (tmp_path / "summary.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in summary] == list(by_level) == ["rand", "e2"]
+    for level, acc, std, ratio in summary:
+        accs = np.array([r.train_reports[0]["test_accuracy"]
+                         for r in by_level[level]])
+        ratios = np.array([r.search["achieved_flops"] / full
+                           for r in by_level[level]])
+        assert (float(acc), float(std), float(ratio)) == (
+            accs.mean(), accs.std(), ratios.mean()), level
 
 
 @pytest.mark.parametrize("failing", [

@@ -21,7 +21,8 @@ from prunekit import gates as G
 from prunekit import search as S
 from prunekit import tensor as T
 from prunekit import train as TR
-from prunekit.errors import BudgetError, ConfigError, PipelineError
+from prunekit.errors import (BudgetError, ConfigError, FormatError,
+                             PipelineError)
 
 from helpers import checksummed_container, encode_cifar_batch
 
@@ -485,8 +486,13 @@ def test_prune_and_study_derive_each_seed_as_the_hand_chain(tmp_path):
             lambda c: A.Model(arch, c, D.derive_seed(scratch,
                                                      "scratch-init")),
             scratch)
-        assert bundle.configs[label] == result.config
-        assert bundle.accuracies[label] == report.test_accuracy
+        record = bundle.records[label]
+        assert record.search["kept_indices"] == [
+            list(ix) for ix in result.config.kept_indices]
+        assert record.search["achieved_flops"] == result.achieved_flops
+        assert record.train_reports[0]["test_accuracy"] == \
+            report.test_accuracy
+    assert list(bundle.records) == ["s0:rand", "s0:e2"]
 
 
 def test_prune_reports_each_stage(tmp_path, capsys):
@@ -641,6 +647,7 @@ def test_inspect_round_trip(tmp_path, capsys):
     code = CLI.cmd_inspect(tmp_path / "run_s0.pkrun", tmp_path / "views")
     out = capsys.readouterr().out
     assert code == 0
+    assert "gate learning trajectory:\n  epoch 1: sparsity " in out
     arch = A.expand_channels(A.preset("vgg-small"), 1.25)
     gated = A.place_gates(arch)
     for lid in gated:
@@ -698,6 +705,8 @@ def test_inspect_record_without_search(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("run seed=0 status=completed")
     assert "no structure search" in out
+    # the record holds no gate snapshots, so no empty trajectory header
+    assert "gate learning trajectory" not in out
     curve = (tmp_path / "views" / "baseline_s0_curve0.csv").read_text()
     record = D.load_run(record_path)
     assert curve == TR.report_csv(
@@ -920,11 +929,14 @@ def test_train_baseline_saves_checkpoints(tmp_path):
      "conv2d"),
     ({}, (TR, "train_baseline", MemoryError("Unable to allocate 2.00 GiB")),
      "stage 'baseline' failed: seed 0: Unable to allocate 2.00 GiB"),
-], ids=["diverges", "out-of-memory"])
+    ({}, (D, "save_weights", FormatError("state array 'c1.w' has dtype "
+                                         "float64")),
+     "stage 'save' failed: seed 0: state array 'c1.w' has dtype float64"),
+], ids=["diverges", "out-of-memory", "save-fails"])
 def test_train_baseline_failure_names_its_seed_and_stage(
         tmp_path, capsys, monkeypatch, overrides, patch, error):
     # a diverging baseline ended in "error: non-finite values in output of
-    # conv2d", and a MemoryError in a traceback
+    # conv2d", and a MemoryError in a traceback; both left no record
     if patch is not None:
         module, name, exc = patch
         monkeypatch.setattr(module, name, _raises(exc))
@@ -933,8 +945,44 @@ def test_train_baseline_failure_names_its_seed_and_stage(
     path.write_text(json.dumps(dict(TINY, out=str(out), checkpoint_epochs=[1],
                                     **overrides)))
     assert CLI.main(["train-baseline", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {error}\n"
-    assert list(out.iterdir()) == []
+    stage = error.split("'")[1]
+    *done, last = capsys.readouterr().err.splitlines()
+    assert [line.split(" done in ")[0] for line in done] == (
+        ["seed 0: baseline"] if stage == "save" else [])
+    assert last == f"error: {error}"
+    # the seed's record, and no weights
+    assert [p.name for p in out.iterdir()] == ["baseline_s0.pkrun"]
+    record = D.load_run(out / "baseline_s0.pkrun")
+    assert record.status == f"failed:{stage}"
+    assert record.artifacts == []
+    # what the stages before the failed one produced stays
+    assert len(record.train_reports) == (stage == "save")
+    assert CLI.main(["inspect", str(out / "baseline_s0.pkrun")]) == 1
+    assert f"failed stage: {stage}\n" in capsys.readouterr().out
+
+
+def test_train_baseline_failure_at_a_later_seed_keeps_the_earlier_one(
+        tmp_path, monkeypatch):
+    real_baseline = TR.train_baseline
+
+    def fails_at_seed_1(arch, data, schedule, seed, keep):
+        if seed == 1:
+            raise MemoryError("Unable to allocate 2.00 GiB")
+        return real_baseline(arch, data, schedule, seed, keep)
+
+    monkeypatch.setattr(TR, "train_baseline", fails_at_seed_1)
+    cfg = tiny_config(tmp_path, seeds=[0, 1], checkpoint_epochs=[1])
+    with pytest.raises(PipelineError, match="seed 1: Unable to allocate"):
+        CLI.cmd_train_baseline(cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "baseline_s0.pkrun", "baseline_s0_e1.weights",
+        "baseline_s0_final.weights", "baseline_s1.pkrun"]
+    done = D.load_run(tmp_path / "baseline_s0.pkrun")
+    assert done.status == "completed"
+    assert len(done.artifacts) == 2
+    failed = D.load_run(tmp_path / "baseline_s1.pkrun")
+    assert failed.status == "failed:baseline"
+    assert failed.artifacts == []
 
 
 def test_train_baseline_reports_each_seeds_stage(tmp_path, capsys):
@@ -942,7 +990,8 @@ def test_train_baseline_reports_each_seeds_stage(tmp_path, capsys):
     CLI.cmd_train_baseline(cfg, progress=CLI._stderr)
     assert [line.split(" done in ")[0]
             for line in capsys.readouterr().err.splitlines()] == [
-        "seed 0: baseline", "seed 1: baseline"]
+        "seed 0: baseline", "seed 0: save", "seed 1: baseline",
+        "seed 1: save"]
 
 
 def _bits(state):
