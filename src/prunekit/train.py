@@ -243,8 +243,9 @@ def train_from_scratch(arch: A.ArchSpec, config: A.ChannelConfig | None,
 class Stages:
     """Named stages of one labelled job, ``with stages("gates"): ...``;
     ``current`` is the last one entered. A finished stage reports
-    ``<label>: <stage> done in X.XX s`` to ``say``; a ``PruneKitError`` or
-    ``MemoryError`` inside one becomes a ``PipelineError`` naming both."""
+    ``<label>: <stage> done in X.XX s`` to ``say``; a ``PruneKitError``,
+    ``MemoryError`` or ``OSError`` inside one becomes a ``PipelineError``
+    naming both."""
 
     def __init__(self, label: str, say):
         self.label = label
@@ -257,7 +258,7 @@ class Stages:
         t0 = time.perf_counter()
         try:
             yield
-        except (PruneKitError, MemoryError) as exc:
+        except (PruneKitError, MemoryError, OSError) as exc:
             raise PipelineError(stage, f"{self.label}: {exc}") from exc
         self.say(f"{self.label}: {stage} done in "
                  f"{time.perf_counter() - t0:.2f} s")

@@ -932,11 +932,14 @@ def test_train_baseline_saves_checkpoints(tmp_path):
     ({}, (D, "save_weights", FormatError("state array 'c1.w' has dtype "
                                          "float64")),
      "stage 'save' failed: seed 0: state array 'c1.w' has dtype float64"),
-], ids=["diverges", "out-of-memory", "save-fails"])
+    ({}, (D, "save_weights", OSError(28, "No space left on device")),
+     "stage 'save' failed: seed 0: [Errno 28] No space left on device"),
+], ids=["diverges", "out-of-memory", "save-fails", "disk-full"])
 def test_train_baseline_failure_names_its_seed_and_stage(
         tmp_path, capsys, monkeypatch, overrides, patch, error):
     # a diverging baseline ended in "error: non-finite values in output of
-    # conv2d", and a MemoryError in a traceback; both left no record
+    # conv2d", and a MemoryError in a traceback; both left no record. A
+    # full disk ended in a bare "error: [Errno 28] ..." line
     if patch is not None:
         module, name, exc = patch
         monkeypatch.setattr(module, name, _raises(exc))

@@ -139,31 +139,114 @@ def _same_bytes(results):
             assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("stride,padding,k,groups", [
-    (1, 1, 3, 1), (2, 0, 1, 1), (2, 1, 3, 1), (1, 1, 3, 5), (2, 1, 3, 5),
-], ids=["1-1-3", "2-0-1", "2-1-3", "dw-1-1-3", "dw-2-1-3"])
+@pytest.mark.parametrize("stride,padding,k,groups,hw", [
+    (1, 1, 3, 1, 6), (2, 0, 1, 1, 6), (2, 1, 3, 1, 6), (1, 1, 3, 5, 6),
+    (2, 1, 3, 5, 6),
+    (1, 1, 3, 1, 2),   # a map no larger than the kernel: unrolled weight
+], ids=["1-1-3", "2-0-1", "2-1-3", "dw-1-1-3", "dw-2-1-3", "1-1-3-2x2"])
 def test_conv2d_result_independent_of_input_memory_layout(stride, padding,
-                                                          k, groups):
+                                                          k, groups, hw):
     rng = np.random.default_rng(12)
-    x = rng.standard_normal((2, 5, 6, 6)).astype(np.float32)
+    x = rng.standard_normal((2, 5, hw, hw)).astype(np.float32)
     cout = 5 if groups > 1 else 4
     w = rng.standard_normal((cout, 5 // groups, k, k)).astype(np.float32)
     _same_bytes([_conv_loss_and_grads(xl, w, stride, padding, groups)
                  for xl in _layouts(x)])
 
 
-@pytest.mark.parametrize("groups", [1, 3], ids=["dense", "depthwise"])
-def test_conv2d_output_is_batch_last_in_memory(groups):
+@pytest.mark.parametrize("groups,hw", [(1, 6), (3, 6), (1, 2)],
+                         ids=["dense", "depthwise", "dense-2x2"])
+def test_conv2d_output_is_batch_last_in_memory(groups, hw):
     # the layout contract is batch-last: [N, C, H, W] over [C, H, W, N],
     # from every input layout
     rng = np.random.default_rng(13)
-    x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+    x = rng.standard_normal((2, 3, hw, hw)).astype(np.float32)
     cout = 4 if groups == 1 else 3
     w = rng.standard_normal((cout, 3 // groups, 3, 3)).astype(np.float32)
     for xl in _layouts(x):
         out = T.conv2d(xl, w, padding=1, groups=groups)
-        assert out.shape == (2, cout, 6, 6)
+        assert out.shape == (2, cout, hw, hw)
         assert _is_batch_last(out)
+
+
+# (H, W, k, stride, padding) of dense convs whose map has no more pixels
+# than the kernel has taps: 3x3 pad 1 on vgg-small's 1x1 and 2x2 maps, a
+# 5x5 kernel on a 2x3 map, and a stride-2 conv on a 3x3 map
+_SMALL_MAP_ROWS = [(1, 1, 3, 1, 1), (2, 2, 3, 1, 1), (2, 3, 5, 1, 2),
+                   (3, 3, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("h,w,k,s,p", _SMALL_MAP_ROWS,
+                         ids=["{}x{}-k{}s{}p{}".format(*row)
+                              for row in _SMALL_MAP_ROWS])
+def test_conv2d_on_maps_no_larger_than_the_kernel_matches_oracles(
+        monkeypatch, h, w, k, s, p):
+    assert h * w <= k * k
+    copied = []
+    real_patches = T._patches
+
+    def patches(a, *args, **kwargs):
+        copied.append(a.shape)
+        return real_patches(a, *args, **kwargs)
+
+    monkeypatch.setattr(T, "_patches", patches)
+    T._tap_map.cache_clear()
+    rng = np.random.default_rng(h * 100 + w * 10 + k)
+    with float64_mode():
+        x = rng.standard_normal((3, 4, h, w))
+        weight = rng.standard_normal((5, 4, k, k))
+
+        def loss_fn(tape=None):
+            y = T.conv2d(x, weight, stride=s, padding=p, tape=tape)
+            return T.sum_all(T.relu(y, tape=tape), tape=tape)
+
+        want = conv2d_oracle(x, weight, stride=s, padding=p)
+        got = T.conv2d(x, weight, stride=s, padding=p)
+        assert got.shape == want.shape and rel_err(got, want) < 1e-12
+        tape = T.Tape()
+        gx, gw = tape.backward(loss_fn(tape), [x, weight])
+        assert [node.op for node in tape.nodes] == ["conv2d", "relu",
+                                                    "sum_all"]
+        assert rel_err(gx, numeric_grad(loss_fn, x)) < GRAD_TOL
+        assert rel_err(gw, numeric_grad(loss_fn, weight)) < GRAD_TOL
+    # the one walk over windows was the tap map's: an identity batch of
+    # one image per input pixel, built once per dtype
+    assert copied == [(h * w, 1, h, w)]
+
+
+@pytest.mark.parametrize("cin,cout,hw", [
+    (20, 40, 2), (40, 40, 2), (40, 80, 1), (80, 80, 1),
+], ids=["conv5", "conv6", "conv7", "conv8"])
+def test_conv2d_float32_agrees_on_vgg_small_maps_no_larger_than_the_kernel(
+        cin, cout, hw):
+    # vgg-small x1.25's last four convs at batch 32, against the float64
+    # oracle, and their gradients against the same op in float64
+    rng = np.random.default_rng(cin + cout + hw)
+    x = rng.standard_normal((32, cin, hw, hw))
+    w = rng.standard_normal((cout, cin, 3, 3)) * np.sqrt(2.0 / (9 * cin))
+    x32, w32 = x.astype(np.float32), w.astype(np.float32)
+    got = T.conv2d(x32, w32, padding=1)
+    assert got.dtype == np.float32
+    assert rel_err(got, conv2d_oracle(x, w, padding=1)) < 1e-5
+    for want, got in zip(_conv_loss_and_grads(x, w, 1, 1, 1),
+                         _conv_loss_and_grads(x32, w32, 1, 1, 1)):
+        assert got.dtype == np.float32 and rel_err(got, want) < 1e-5
+
+
+def test_conv2d_taps_that_read_only_padding_get_exactly_zero_gradient():
+    # on a 1x1 map a 3x3 pad-1 conv reads its input through the center
+    # tap alone; the 8 outer taps read padding only
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((4, 3, 1, 1)).astype(np.float32)
+    w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
+    tape = T.Tape()
+    loss = T.sum_all(T.conv2d(x, w, padding=1, tape=tape), tape=tape)
+    [gw] = tape.backward(loss, [w])
+    outer = np.ones((3, 3), dtype=bool)
+    outer[1, 1] = False
+    assert gw.shape == w.shape
+    assert (gw[:, :, outer] == 0.0).all()
+    assert np.abs(gw[:, :, 1, 1]).min() > 0.0
 
 
 @pytest.mark.parametrize("op", ["batchnorm-train", "batchnorm-eval",
@@ -217,6 +300,13 @@ def _sweep_geometries(count=30, seed=19):
 
 
 _SWEEP = _sweep_geometries()
+
+
+def test_sweep_reaches_maps_no_larger_than_the_kernel():
+    # dense convs on such maps run on the unrolled weight and the others
+    # on patches, so the sweep's dense rows cover both
+    assert any(h * w <= k * k for h, w, k, *_ in _SWEEP)
+    assert any(h * w > k * k for h, w, k, *_ in _SWEEP)
 
 
 def test_sweep_reaches_maps_whose_last_rows_no_window_reads():
