@@ -28,8 +28,7 @@ bundle = AN.run_pretrain_effect_study(
     seeds=(0, 1, 2),
     budget_ratio=0.5,
     tolerance=0.02,
-    max_iters=20,
-    progress=print)
+    max_iters=20)
 
 print("\nfrom-scratch test accuracy by gate source:")
 print("source  mean acc  std     flops kept")

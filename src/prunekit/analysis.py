@@ -145,7 +145,7 @@ def run_pretrain_effect_study(
         arch: A.ArchSpec, data: dict[str, D.Dataset],
         importance: G.ImportanceConfig, schedule: TR.TrainSchedule,
         checkpoint_epochs, seeds, budget_ratio: float,
-        tolerance: float, max_iters: int, progress=None) -> StudyBundle:
+        tolerance: float, max_iters: int) -> StudyBundle:
     """Prune from random weights and from checkpoints, then compare.
 
     For every seed: train a baseline (checkpointing at the given epochs),
@@ -161,7 +161,7 @@ def run_pretrain_effect_study(
     The baseline is the seed's stage "baseline"; a unit's stages run under
     its structure label and fill the unit's record in ``records``.
     Stage wall times, and any search stopped outside its tolerance, go to
-    ``progress``; a failure is a ``PipelineError`` naming the stage and
+    standard error; a failure is a ``PipelineError`` naming the stage and
     the seed or label.
     """
     if not 0.0 < budget_ratio < 1.0:
@@ -192,9 +192,8 @@ def run_pretrain_effect_study(
 
     for seed in seeds:
         labels = [feature_label(seed, epoch) for epoch in (0,) + epochs]
-        stages = TR.Stages(f"seed {seed}", progress)
-        stages.say(f"seed {seed}: training baseline "
-                   f"({baseline_schedule.epochs} epochs)")
+        stages = TR.Stages(f"seed {seed}")
+        stages.say(f"training baseline ({baseline_schedule.epochs} epochs)")
         with stages("baseline"):
             _, states = TR.train_baseline(arch, data, baseline_schedule,
                                           seed, {0, *epochs})
@@ -206,7 +205,7 @@ def run_pretrain_effect_study(
                 source, data, importance, search, schedule,
                 D.derive_seed(seed, "study-gates", str(epoch)),
                 D.derive_seed(seed, "study-scratch", label),
-                record=records[label], stages=TR.Stages(label, progress))
+                record=records[label], stages=TR.Stages(label))
         # per seed, so a degenerate structure stops the study early
         seed_features = [structure_feature(A.ChannelConfig(
             records[l].search["kept_indices"]), arch, l) for l in labels]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import types
 import typing
@@ -65,9 +64,12 @@ class PipelineConfig:
         if self.arch not in A.PRESETS:
             raise ConfigError(f"unknown preset {self.arch!r}; choose from "
                               f"{sorted(A.PRESETS)}")
-        if not (math.isfinite(self.expand) and self.expand > 0):
-            raise ConfigError(f"expansion multiplier must be finite and "
-                              f"positive, got {self.expand}")
+        # numpy's largest array dimension is sys.maxsize, its intp's
+        widest = max(l.channels for l in A.preset(self.arch).layers)
+        if not (self.expand > 0 and widest * self.expand < sys.maxsize):
+            raise ConfigError("expansion multiplier must be positive and "
+                              "keep every width within numpy's largest "
+                              f"array dimension, got {self.expand}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) < len(self.seeds):
@@ -213,18 +215,20 @@ def _pipeline_arch(cfg: PipelineConfig,
 
 
 @contextmanager
-def _seed_run(cfg: PipelineConfig, seed: int, path: Path, say):
-    """The seed's record and ``train.Stages``, timed to ``say``; on any
-    failure the record is saved at ``path`` as ``failed:<stage>``, with
-    no artifacts."""
+def _seed_run(cfg: PipelineConfig, seed: int, path: Path):
+    """The seed's record and ``train.Stages``; on any failure the
+    artifacts the record names are deleted, and the record is saved at
+    ``path`` as ``failed:<stage>``, with none."""
     path.parent.mkdir(parents=True, exist_ok=True)
     record = D.RunRecord(config=config_to_dict(cfg), seed=seed,
                          tool_version=__version__)
-    stages = TR.Stages(f"seed {seed}", say)
+    stages = TR.Stages(f"seed {seed}")
     try:
         yield record, stages
     except Exception:
         record.status = f"failed:{stages.current}"
+        for artifact in record.artifacts:
+            Path(artifact).unlink(missing_ok=True)
         record.artifacts = []
         D.save_run(record, path)
         raise
@@ -234,11 +238,10 @@ def _seed_run(cfg: PipelineConfig, seed: int, path: Path, say):
 # prune
 
 def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
-               seed: int, say) -> D.RunRecord:
+               seed: int) -> D.RunRecord:
     out = Path(cfg.out)
     record_path = out / f"run_s{seed}.pkrun"
-    trained = {}
-    with _seed_run(cfg, seed, record_path, say) as (record, stages):
+    with _seed_run(cfg, seed, record_path) as (record, stages):
         with stages("init"):
             arch = A.expand_channels(_pipeline_arch(cfg, data), cfg.expand)
             full = A.count_flops(arch)
@@ -248,16 +251,16 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
             model = A.Model(arch, None, D.derive_seed(seed, "pipeline-init"))
         result, report = TR.prune_and_train(
             model, data, cfg.importance, search, cfg.schedule, seed, seed,
-            record=record, stages=stages, lottery=cfg.lottery_init,
-            checkpoint_sink=lambda epoch, m: trained.update(model=m))
+            record=record, stages=stages, lottery=cfg.lottery_init)
         with stages("save"):
             weights_path = out / f"run_s{seed}.weights"
-            D.save_weights(trained["model"].state_arrays(), weights_path,
-                           {"seed": seed, "arch": cfg.arch,
-                            "status": "budget-trained"})
+            D.save_weights(report.states[len(report.train_loss)],
+                           weights_path, {"seed": seed, "arch": cfg.arch,
+                                          "status": "budget-trained"})
+            record.artifacts.append(str(weights_path))
             curve_path = out / f"run_s{seed}_train.csv"
             D.write_atomic(curve_path, TR.report_csv(report))
-            record.artifacts = [str(weights_path), str(curve_path)]
+            record.artifacts.append(str(curve_path))
             D.save_run(record, record_path)
     print(f"seed {seed}: flops ratio {result.achieved_flops / full:.3f} "
           f"(converged={result.converged}), "
@@ -265,17 +268,17 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
     return record
 
 
-def cmd_prune(cfg: PipelineConfig, progress=None) -> list[D.RunRecord]:
-    """Full pipeline per seed; records land in ``cfg.out``. Each stage's
-    wall time (init, gates, search, train, save) goes to ``progress``."""
+def cmd_prune(cfg: PipelineConfig) -> list[D.RunRecord]:
+    """Full pipeline per seed; records land in ``cfg.out``, and each
+    stage's wall time (init, gates, search, train, save) on stderr."""
     data = resolve_dataset(cfg)
-    return [_prune_one(cfg, data, seed, progress) for seed in cfg.seeds]
+    return [_prune_one(cfg, data, seed) for seed in cfg.seeds]
 
 
 # ---------------------------------------------------------------------------
 # study
 
-def cmd_study(cfg: PipelineConfig, progress=None) -> list[Path]:
+def cmd_study(cfg: PipelineConfig) -> list[Path]:
     """Pretraining-effect study; emits CSV reports into ``cfg.out``."""
     if cfg.lottery_init:
         raise ConfigError("lottery_init applies to prune only: the study "
@@ -284,7 +287,7 @@ def cmd_study(cfg: PipelineConfig, progress=None) -> list[Path]:
     bundle = AN.run_pretrain_effect_study(
         _pipeline_arch(cfg, data), data, cfg.importance, cfg.schedule,
         cfg.checkpoint_epochs, cfg.seeds, cfg.budget, cfg.tolerance,
-        cfg.max_iters, progress=progress)
+        cfg.max_iters)
     files = AN.emit_report(bundle, cfg.out)
     for level, acc, std, ratio in AN.study_summary(bundle):
         print(f"{level}: accuracy {acc:.3f} +/- {std:.3f} "
@@ -341,8 +344,7 @@ def cmd_inspect(record_path, out_dir=None) -> int:
 # ---------------------------------------------------------------------------
 # train-baseline
 
-def cmd_train_baseline(cfg: PipelineConfig,
-                       progress=None) -> list[D.RunRecord]:
+def cmd_train_baseline(cfg: PipelineConfig) -> list[D.RunRecord]:
     """Train each seed's full-width baseline and save its checkpoints,
     which are the study's baseline states when the study's last checkpoint
     epoch equals the schedule's epochs, as in the default config. Each
@@ -361,10 +363,10 @@ def cmd_train_baseline(cfg: PipelineConfig,
     records = []
     for seed in cfg.seeds:
         record_path = out / f"baseline_s{seed}.pkrun"
-        with _seed_run(cfg, seed, record_path, progress) as (record, stages):
+        with _seed_run(cfg, seed, record_path) as (record, stages):
             with stages("baseline"):
                 report, states = TR.train_baseline(arch, data, cfg.schedule,
-                                                   seed, wanted | {last})
+                                                   seed, wanted)
                 record.train_reports.append(TR.report_to_dict(report))
             with stages("save"):
                 for name, epoch in saves:
@@ -450,10 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stderr(msg: str) -> None:
-    print(msg, file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -461,14 +459,14 @@ def main(argv=None) -> int:
             return cmd_inspect(args.record, args.out)
         cfg = resolve_config(args.config, _flag_overrides(args))
         if args.command == "prune":
-            records = cmd_prune(cfg, progress=_stderr)
+            records = cmd_prune(cfg)
             ok = all(r.status == "completed"
                      and r.search["converged"] for r in records)
             return 0 if ok else 1
         if args.command == "study":
-            cmd_study(cfg, progress=_stderr)
+            cmd_study(cfg)
             return 0
-        cmd_train_baseline(cfg, progress=_stderr)
+        cmd_train_baseline(cfg)
         return 0
     except (PruneKitError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

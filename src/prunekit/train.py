@@ -10,9 +10,10 @@ streams.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,13 +89,16 @@ class TrainSchedule:
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Per-epoch metrics plus the one test-set reading taken at the end."""
+    """Per-epoch metrics, the one test-set reading taken at the end, and
+    the weights ``fit`` kept (neither compared nor serialized)."""
     seed: int
     train_loss: tuple[float, ...]
     val_accuracy: tuple[float, ...]
     lr: tuple[float, ...]
     test_accuracy: float
     wall_time: float
+    states: dict[int, dict[str, np.ndarray]] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 def budget_epochs(base_epochs: int, full_flops: int,
@@ -169,12 +173,13 @@ def lottery_model(full_model: A.Model, config: A.ChannelConfig) -> A.Model:
 
 @blas.loop_policy()
 def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
-        seed: int, checkpoint_sink=None) -> TrainReport:
+        seed: int, keep=()) -> TrainReport:
     """Train ``model`` in place and report per-epoch metrics.
 
-    ``checkpoint_sink(epoch, model)`` fires at epoch 0 (initial weights)
-    and after every completed epoch. The test split is evaluated exactly
-    once, after the last epoch.
+    The report's ``states`` maps each epoch in ``keep`` that the run
+    reaches, and always the last, to ``model.state_arrays()`` after that
+    epoch; epoch 0 is the initial weights. The test split is evaluated
+    exactly once, after the last epoch.
     """
     for split in ("train", "val", "test"):
         if split not in data:
@@ -190,8 +195,7 @@ def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
     lrs: list[float] = []
     step = 0
     t0 = time.perf_counter()
-    if checkpoint_sink is not None:
-        checkpoint_sink(0, model)
+    states = {0: model.state_arrays()} if 0 in keep or total == 0 else {}
     for epoch in range(total):
         lr = epoch_lr(schedule, epoch, total)
         order = derive_rng(seed, "scratch-shuffle",
@@ -223,34 +227,36 @@ def fit(model: A.Model, data: dict[str, Dataset], schedule: TrainSchedule,
         losses.append(loss_sum / seen)
         accs.append(A.evaluate_accuracy(model, val.images, val.labels))
         lrs.append(lr)
-        if checkpoint_sink is not None:
-            checkpoint_sink(epoch + 1, model)
+        if epoch + 1 in keep or epoch + 1 == total:
+            states[epoch + 1] = model.state_arrays()
     test_acc = A.evaluate_accuracy(model, test.images, test.labels)
     return TrainReport(seed=seed, train_loss=tuple(losses),
                        val_accuracy=tuple(accs), lr=tuple(lrs),
                        test_accuracy=test_acc,
-                       wall_time=time.perf_counter() - t0)
+                       wall_time=time.perf_counter() - t0, states=states)
 
 
 def train_from_scratch(arch: A.ArchSpec, config: A.ChannelConfig | None,
                        data: dict[str, Dataset], schedule: TrainSchedule,
-                       seed: int, *, checkpoint_sink=None) -> TrainReport:
+                       seed: int) -> TrainReport:
     """Fresh seeded weights for ``config``, then a full ``fit`` run."""
     model = A.Model(arch, config, derive_seed(seed, "scratch-init"))
-    return fit(model, data, schedule, seed, checkpoint_sink=checkpoint_sink)
+    return fit(model, data, schedule, seed)
 
 
 class Stages:
     """Named stages of one labelled job, ``with stages("gates"): ...``;
     ``current`` is the last one entered. A finished stage reports
-    ``<label>: <stage> done in X.XX s`` to ``say``; a ``PruneKitError``,
-    ``MemoryError`` or ``OSError`` inside one becomes a ``PipelineError``
-    naming both."""
+    ``<label>: <stage> done in X.XX s`` to ``say``, on the ``sys.stderr``
+    of the moment; a ``PruneKitError``, ``MemoryError`` or ``OSError``
+    inside one becomes a ``PipelineError`` naming both."""
 
-    def __init__(self, label: str, say):
+    def __init__(self, label: str):
         self.label = label
-        self.say = say if say is not None else (lambda msg: None)
         self.current: str | None = None
+
+    def say(self, msg: str) -> None:
+        print(f"{self.label}: {msg}", file=sys.stderr)
 
     @contextmanager
     def __call__(self, stage: str):
@@ -260,15 +266,14 @@ class Stages:
             yield
         except (PruneKitError, MemoryError, OSError) as exc:
             raise PipelineError(stage, f"{self.label}: {exc}") from exc
-        self.say(f"{self.label}: {stage} done in "
-                 f"{time.perf_counter() - t0:.2f} s")
+        self.say(f"{stage} done in {time.perf_counter() - t0:.2f} s")
 
 
 def prune_and_train(source: A.Model, data: dict[str, Dataset],
                     importance: G.ImportanceConfig, search: S.SearchConfig,
                     schedule: TrainSchedule, gate_seed: int, train_seed: int,
                     *, record: RunRecord, stages: Stages,
-                    lottery: bool = False, checkpoint_sink=None
+                    lottery: bool = False
                     ) -> tuple[S.SearchResult, TrainReport]:
     """Learn gates on the frozen full-width ``source``, bisect the best
     snapshot to ``search``'s budget, and train the structure on
@@ -286,18 +291,17 @@ def prune_and_train(source: A.Model, data: dict[str, Dataset],
         result = S.search_structure(best, source.arch, search)
         record.search = S.result_to_dict(result)
         if not result.converged:
-            stages.say(f"{stages.label}: search stopped outside tolerance "
-                       f"at flops ratio {result.achieved_flops / full:.3f}")
+            stages.say(f"search stopped outside tolerance at flops ratio "
+                       f"{result.achieved_flops / full:.3f}")
     with stages("train"):
         sched = replace(schedule, effective_epochs=budget_epochs(
             schedule.base_epochs, full, result.achieved_flops))
         if lottery:
             report = fit(lottery_model(source, result.config), data, sched,
-                         train_seed, checkpoint_sink=checkpoint_sink)
+                         train_seed)
         else:
             report = train_from_scratch(source.arch, result.config, data,
-                                        sched, train_seed,
-                                        checkpoint_sink=checkpoint_sink)
+                                        sched, train_seed)
         record.train_reports.append(report_to_dict(report))
     return result, report
 
@@ -306,16 +310,12 @@ def train_baseline(arch: A.ArchSpec, data: dict[str, Dataset],
                    schedule: TrainSchedule, seed: int, keep: set[int]
                    ) -> tuple[TrainReport, dict[int, dict[str, np.ndarray]]]:
     """The seed's full-width baseline, trained under ``schedule``; returns
-    the report and ``{epoch: state_arrays()}`` for each epoch in ``keep``
-    that the run reaches (0 is the initial weights)."""
-    states: dict[int, dict[str, np.ndarray]] = {}
-
-    def sink(epoch, model):
-        if epoch in keep:
-            states[epoch] = model.state_arrays()
-
+    the report and its ``states``: ``state_arrays()`` for each epoch in
+    ``keep`` that the run reaches (0 is the initial weights) and for the
+    last."""
     model = A.Model(arch, None, derive_seed(seed, "study-baseline"))
-    return fit(model, data, schedule, seed, checkpoint_sink=sink), states
+    report = fit(model, data, schedule, seed, keep=keep)
+    return report, report.states
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Pipeline subcommands: config layering, prune, study, inspect."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -132,12 +134,14 @@ def test_config_validation():
     {"synth": {"noise": float("inf")}},
     {"importance": {"lr": 0.0}},
     {"importance": {"lr": -0.02}},
+    {"expand": 1e308},
+    {"expand": 1e20},
 ], ids=["gate-batch-0", "per-class-0", "channels-0", "tolerance-0",
         "max-iters-0", "expand-inf", "lr0-inf", "lr0-nan",
         "weight-decay-nan", "tolerance-inf", "gate-epochs-0",
         "decay-factor-nan", "beta1-1", "beta2-nan", "eps-0",
         "image-size-1", "seeds-repeated", "noise-nan", "noise-inf",
-        "gate-lr-0", "gate-lr-negative"])
+        "gate-lr-0", "gate-lr-negative", "expand-1e308", "expand-1e20"])
 def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
                                                 overrides):
     # each used to pass validation and fail or mislead mid-run: sizes of
@@ -150,8 +154,10 @@ def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
     # a study correlated one seed with itself; NaN slipped past the range
     # checks; a NaN or infinite synth noise built the data, then failed
     # the first gate step on a non-finite loss; a gate lr of 0 learned
-    # nothing, and a negative one walked the gates up the loss. Python's
-    # json reads Infinity and NaN.
+    # nothing, and a negative one walked the gates up the loss. An
+    # expansion of 1e308 overflowed to an infinite width and one of 1e20
+    # passed numpy's largest dimension, both in a traceback after the
+    # failed:init record was saved. Python's json reads Infinity and NaN.
     with pytest.raises(ConfigError):
         tiny_config(tmp_path, **overrides)
     path = tmp_path / "cfg.json"
@@ -400,10 +406,65 @@ def test_prune_failure_saves_partial_record(tmp_path):
     assert record.artifacts == []
 
 
-def _raises(exc):
+def _raises(exc, real=None, passes=0):
+    """A stand-in that raises ``exc``, once ``real`` has served its first
+    ``passes`` calls."""
+    calls = []
+
     def fail(*args, **kwargs):
-        raise exc
+        calls.append(args)
+        if len(calls) > passes:
+            raise exc
+        return real(*args, **kwargs)
     return fail
+
+
+def _disk_full_at(name):
+    """``D.write_atomic``, raising ENOSPC for a file called ``name``."""
+    real = D.write_atomic
+
+    def write(path, content):
+        if Path(path).name == name:
+            raise OSError(28, "No space left on device")
+        return real(path, content)
+    return write
+
+
+@pytest.mark.parametrize("name", ["run_s0.weights", "run_s0_train.csv"],
+                         ids=["weights", "curve"])
+def test_prune_failed_save_leaves_only_the_failed_record(
+        tmp_path, capsys, monkeypatch, name):
+    # a failed curve write left run_s0.weights, its metadata saying
+    # "budget-trained", beside the failed:save record
+    monkeypatch.setattr(D, "write_atomic", _disk_full_at(name))
+    assert CLI.main(_prune_argv(tmp_path)) == 1
+    *done, last = capsys.readouterr().err.splitlines()
+    assert [line.split(" done in ")[0] for line in done] == [
+        f"seed 0: {stage}" for stage in ("init", "gates", "search", "train")]
+    assert last == ("error: stage 'save' failed: seed 0: [Errno 28] No "
+                    "space left on device")
+    out = tmp_path / "runs"
+    assert [p.name for p in out.iterdir()] == ["run_s0.pkrun"]
+    record = D.load_run(out / "run_s0.pkrun")
+    assert record.status == "failed:save"
+    assert record.artifacts == []
+    assert len(record.train_reports) == 1
+
+
+def test_prune_output_follows_redirected_streams(tmp_path, capfd):
+    # bench/workloads.py captures a run with contextlib.redirect_stdout and
+    # redirect_stderr, so no line may go to a stream bound before them
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert CLI.main(_prune_argv(tmp_path)) == 0
+    [result] = out.getvalue().splitlines()
+    assert result.startswith("seed 0: flops ratio 1.000 (converged=True), "
+                             "test accuracy ")
+    assert [line.split(" done in ")[0]
+            for line in err.getvalue().splitlines()] == [
+        f"seed 0: {stage}"
+        for stage in ("init", "gates", "search", "train", "save")]
+    assert capfd.readouterr() == ("", "")
 
 
 def test_prune_out_of_memory_is_a_stage_error(tmp_path, capsys,
@@ -774,7 +835,8 @@ def test_study_trains_under_the_config_schedule(tmp_path, monkeypatch):
     assert [s.base_epochs for s in schedules[1:]] == [2, 2]
 
 
-def test_study_searches_under_the_config_tolerance(tmp_path, monkeypatch):
+def test_study_searches_under_the_config_tolerance(tmp_path, capsys,
+                                                  monkeypatch):
     searches = []
     real_search = S.search_structure
 
@@ -785,8 +847,8 @@ def test_study_searches_under_the_config_tolerance(tmp_path, monkeypatch):
     monkeypatch.setattr(S, "search_structure", unconverged_search)
     cfg = tiny_config(tmp_path, seeds=[0], checkpoint_epochs=[1],
                       tolerance=0.2, max_iters=3)
-    messages = []
-    CLI.cmd_study(cfg, progress=messages.append)
+    CLI.cmd_study(cfg)
+    messages = capsys.readouterr().err.splitlines()
     assert [(c.rel_tolerance, c.max_iters) for c in searches] == [(0.2, 3),
                                                                   (0.2, 3)]
     stopped = [m for m in messages if "outside tolerance" in m]
@@ -934,15 +996,20 @@ def test_train_baseline_saves_checkpoints(tmp_path):
      "stage 'save' failed: seed 0: state array 'c1.w' has dtype float64"),
     ({}, (D, "save_weights", OSError(28, "No space left on device")),
      "stage 'save' failed: seed 0: [Errno 28] No space left on device"),
-], ids=["diverges", "out-of-memory", "save-fails", "disk-full"])
+    ({}, (D, "save_weights", OSError(28, "No space left on device"), 1),
+     "stage 'save' failed: seed 0: [Errno 28] No space left on device"),
+], ids=["diverges", "out-of-memory", "save-fails", "disk-full",
+        "disk-full-at-second-checkpoint"])
 def test_train_baseline_failure_names_its_seed_and_stage(
         tmp_path, capsys, monkeypatch, overrides, patch, error):
     # a diverging baseline ended in "error: non-finite values in output of
     # conv2d", and a MemoryError in a traceback; both left no record. A
-    # full disk ended in a bare "error: [Errno 28] ..." line
+    # full disk ended in a bare "error: [Errno 28] ..." line, and one at
+    # the second checkpoint left the first beside the failed record
     if patch is not None:
-        module, name, exc = patch
-        monkeypatch.setattr(module, name, _raises(exc))
+        module, name, exc, *passes = patch
+        monkeypatch.setattr(module, name,
+                            _raises(exc, getattr(module, name), *passes))
     out = tmp_path / "base"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(TINY, out=str(out), checkpoint_epochs=[1],
@@ -990,7 +1057,7 @@ def test_train_baseline_failure_at_a_later_seed_keeps_the_earlier_one(
 
 def test_train_baseline_reports_each_seeds_stage(tmp_path, capsys):
     cfg = tiny_config(tmp_path, seeds=[0, 1], checkpoint_epochs=[1])
-    CLI.cmd_train_baseline(cfg, progress=CLI._stderr)
+    CLI.cmd_train_baseline(cfg)
     assert [line.split(" done in ")[0]
             for line in capsys.readouterr().err.splitlines()] == [
         "seed 0: baseline", "seed 0: save", "seed 1: baseline",
@@ -1050,7 +1117,8 @@ def test_train_baseline_and_study_share_one_baseline_path(tmp_path,
 def test_prune_trains_through_the_benchmark_hooks(tmp_path, monkeypatch,
                                                   lottery):
     # bench/workloads.py wraps train.train_from_scratch, called with five
-    # positional arguments, and bench/tracing.py times train.fit
+    # positional arguments and no keyword, and bench/tracing.py times
+    # train.fit
     scratch, fitted = [], []
     real_scratch, real_fit = TR.train_from_scratch, TR.fit
 
@@ -1072,7 +1140,7 @@ def test_prune_trains_through_the_benchmark_hooks(tmp_path, monkeypatch,
     configs = [A.ChannelConfig(r.search["kept_indices"]) for r in records]
     assert [config for config, _ in fitted] == configs
     if not lottery:
-        assert scratch == [(5, seed, ["checkpoint_sink"]) for seed in (0, 1)]
+        assert scratch == [(5, seed, []) for seed in (0, 1)]
         return
     assert scratch == []
     # the sliced full-width init: weights stay frozen while gates learn

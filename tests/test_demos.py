@@ -2,11 +2,13 @@
 completion against the current library.
 
 ``05_similarity_study.py`` is left out: it trains a three-seed study
-and takes tens of seconds. It is only compiled, and each ``bundle.<name>``
+and takes tens of seconds. It is only compiled, its study call is bound
+to ``run_pretrain_effect_study``'s signature, and each ``bundle.<name>``
 it reads is checked against ``StudyBundle``.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -39,6 +41,12 @@ def test_study_demo_compiles_and_reads_only_bundle_fields():
     path = ROOT / "demos" / "05_similarity_study.py"
     tree = ast.parse(path.read_text(), str(path))
     compile(tree, str(path), "exec")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "run_pretrain_effect_study"]
+    assert len(calls) == 1
+    inspect.signature(AN.run_pretrain_effect_study).bind(
+        *calls[0].args, **{kw.arg: kw.value for kw in calls[0].keywords})
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "bundle"}

@@ -285,14 +285,31 @@ def test_training_is_reproducible():
     assert c.train_loss != a.train_loss
 
 
-def test_checkpoint_sink_sees_every_epoch():
+def _bits(state):
+    return {name: a.tobytes() for name, a in state.items()}
+
+
+def test_fit_keeps_the_states_of_the_requested_epochs():
     data = toy_suite()
-    seen = []
-    sched = TR.TrainSchedule(base_epochs=2, lr0=0.05, batch_size=24)
-    TR.fit(A.Model(A.preset("vgg-small"), None, 0), data, sched, 0,
-           checkpoint_sink=lambda e, m: seen.append((e, m.weight_hash())))
-    assert [e for e, _ in seen] == [0, 1, 2]
-    assert seen[0][1] != seen[-1][1]
+    sched = TR.TrainSchedule(base_epochs=3, lr0=0.05, batch_size=24)
+    model = A.Model(A.preset("vgg-small"), None, 0)
+    initial = model.state_arrays()
+    report = TR.fit(model, data, sched, 0, keep={0, 1, 7})
+    # epochs the run never reaches are not kept; the last always is
+    assert list(report.states) == [0, 1, 3]
+    assert _bits(report.states[0]) == _bits(initial)
+    assert _bits(report.states[3]) == _bits(model.state_arrays())
+    # copies taken after each epoch, not views of the trained weights
+    kept = [_bits(report.states[e]) for e in (0, 1, 3)]
+    assert kept[0] != kept[1] != kept[2] != kept[0]
+    # the states are data for the caller, not part of the report's value
+    assert "states" not in TR.report_to_dict(report)
+    assert "states" not in repr(report)
+    assert TR.report_from_dict(TR.report_to_dict(report)) == report
+    # a run of no epochs keeps its initial weights as the last state
+    untrained = TR.fit(model, data, TR.TrainSchedule(base_epochs=0), 0)
+    assert list(untrained.states) == [0]
+    assert _bits(untrained.states[0]) == _bits(model.state_arrays())
 
 
 def test_fit_rejects_an_empty_train_split():
@@ -323,20 +340,23 @@ def test_divergence_reports_epoch():
     assert err.value.step == 0
 
 
-def test_divergence_reports_optimizer_step():
-    # two steps per epoch; weights poisoned after epoch 1, so the loss
-    # goes non-finite on the first batch of epoch 2 with 2 steps done
+def test_divergence_reports_optimizer_step(monkeypatch):
+    # two steps per epoch; weights poisoned by epoch 1's validation pass,
+    # so the loss goes non-finite on the first batch of epoch 2 with 2
+    # steps done
     data = toy_suite()
     sched = TR.TrainSchedule(base_epochs=2, lr0=0.05, batch_size=36)
+    real_evaluate = A.evaluate_accuracy
 
-    def poison(epoch, model):
-        if epoch == 1:
-            model.params["fc.w"][:] = np.inf
+    def poison(model, *args):
+        accuracy = real_evaluate(model, *args)
+        model.params["fc.w"][:] = np.inf
+        return accuracy
 
+    monkeypatch.setattr(A, "evaluate_accuracy", poison)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(DivergenceError) as err:
-            TR.fit(A.Model(A.preset("vgg-small"), None, 0), data, sched, 0,
-                   checkpoint_sink=poison)
+            TR.fit(A.Model(A.preset("vgg-small"), None, 0), data, sched, 0)
     assert err.value.step == 2
 
 
