@@ -8,11 +8,13 @@ A gate attaches to the group of one batch-norm layer, so pruning a gated
 group consistently narrows every producer and consumer of that group.
 
 Building an ``ArchSpec`` walks its layers once, in order: that walk
-resolves every layer's channel group and output map size, and the blocks
-then place the gates. A malformed spec (bad order or geometry, a join of
-mismatched widths or map sizes, a bad block, no gated layer) is rejected
-right there, before any work; the gate, width and FLOPS functions below
-read what the walk stored.
+resolves every layer's channel group and output map size and each
+activation's last reader, and the blocks then place the gates. A
+malformed spec (bad order or geometry, a join of mismatched widths or
+map sizes, a bad block, no gated layer) is rejected right there, before
+any work; the gate, width and FLOPS functions below read what the walk
+stored, and ``Model.forward`` drops each activation once its last reader
+has run.
 
 FLOPS here means multiply-accumulate count, summed over convolution and
 linear layers only.
@@ -101,7 +103,8 @@ class ArchSpec:
 
         group: dict[str, int] = {}
         size: dict[str, tuple[int, int]] = {}
-        for l in self.layers:
+        reader: dict[str, int] = {}  # index of each activation's last reader
+        for i, l in enumerate(self.layers):
             if l.id in group:
                 raise ArchError(f"{self.name}: duplicate layer id {l.id!r}")
             for ref in l.inputs:
@@ -110,6 +113,7 @@ class ArchSpec:
                         f"{self.name}: layer {l.id!r} references {ref!r} "
                         "before definition (layers must be topologically "
                         "ordered)")
+                reader[ref] = i
             h, w = size[l.inputs[0]] if l.inputs else self.input_shape[1:]
             if l.kind in ("conv", "linear"):
                 g = len(parent)
@@ -154,8 +158,12 @@ class ArchSpec:
                 f"{self.name}: expected a single output layer, "
                 f"found {terminals}")
         group = {lid: find(g) for lid, g in group.items()}
+        last_read = tuple(tuple(ref for ref in dict.fromkeys(l.inputs)
+                                if reader[ref] == i)
+                          for i, l in enumerate(self.layers))
         for name, value in (("_groups", group), ("_widths", width),
-                            ("_sizes", size), ("_output", terminals[0])):
+                            ("_sizes", size), ("_output", terminals[0]),
+                            ("_last_read", last_read)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_gated", self._place_gates())
 
@@ -329,7 +337,7 @@ def prune_by_threshold(gates, tau: float) -> ChannelConfig:
 
 
 # ---------------------------------------------------------------------------
-# FLOPS model
+# FLOPS and parameter counts
 
 def count_flops(arch: ArchSpec, config: ChannelConfig | None = None) -> int:
     """Multiply-accumulate count of conv and linear layers under ``config``."""
@@ -345,6 +353,24 @@ def count_flops(arch: ArchSpec, config: ChannelConfig | None = None) -> int:
         elif l.kind == "linear":
             total += lw.cin * lw.cout
     return int(total)
+
+
+def count_params(arch: ArchSpec) -> int:
+    """Learnable parameter count of the full-width ``Model`` of ``arch``,
+    an exact Python int at any width."""
+    widths = resolve_widths(arch)
+    total = 0
+    for l in arch.layers:
+        lw = widths[l.id]
+        if l.kind == "conv":
+            total += lw.cout * lw.cin * l.kernel * l.kernel
+        elif l.kind == "depthwise-conv":
+            total += lw.cout * l.kernel * l.kernel
+        elif l.kind == "batchnorm":
+            total += 2 * lw.cout
+        elif l.kind == "linear":
+            total += lw.cout * (lw.cin + 1)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +424,9 @@ class Model:
         """Run the network; returns logits [N, num_classes].
 
         ``gates`` maps gated batch-norm layer ids to per-channel vectors
-        applied right after that layer's affine transform.
+        applied right after that layer's affine transform. Each layer's
+        output is dropped once its last reader has run, so a pass without
+        a tape holds only the activations it still reads.
         """
         x = np.asarray(x, dtype=T.default_dtype())
         acts: dict[str, np.ndarray] = {}
@@ -407,7 +435,7 @@ class Model:
             return acts[l.inputs[i]] if l.inputs else x
 
         out = x
-        for l in self.arch.layers:
+        for l, last_read in zip(self.arch.layers, self.arch._last_read):
             if l.kind in ("conv", "depthwise-conv"):
                 w = self.params[f"{l.id}.w"]
                 groups = w.shape[0] if l.kind == "depthwise-conv" else 1
@@ -433,6 +461,8 @@ class Model:
             elif l.kind == "add-join":
                 out = T.add(acts[l.inputs[0]], acts[l.inputs[1]], tape=tape)
             acts[l.id] = out
+            for ref in last_read:
+                del acts[ref]
         return acts[self.arch.output_layer]
 
     # -- parameter access ---------------------------------------------------
@@ -472,7 +502,9 @@ class Model:
 def evaluate_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
                       batch_size: int = 256,
                       gates: dict[str, np.ndarray] | None = None) -> float:
-    """Top-1 accuracy in eval mode, batched to bound memory."""
+    """Top-1 accuracy in eval mode, batched to bound memory: a pass
+    holds one batch's live activations, those a later layer still reads,
+    plus the im2col patches of the op that runs."""
     hits = 0
     for i in range(0, len(images), batch_size):
         logits = model.forward(images[i:i + batch_size], train=False,

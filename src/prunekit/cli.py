@@ -29,12 +29,15 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import analysis as AN
 from . import arch as A
 from . import data as D
 from . import gates as G
 from . import search as S
+from . import tensor as T
 from . import train as TR
 from .errors import ConfigError, GeometryError, PruneKitError
 
@@ -64,12 +67,21 @@ class PipelineConfig:
         if self.arch not in A.PRESETS:
             raise ConfigError(f"unknown preset {self.arch!r}; choose from "
                               f"{sorted(A.PRESETS)}")
-        # numpy's largest array dimension is sys.maxsize, its intp's
-        widest = max(l.channels for l in A.preset(self.arch).layers)
+        # numpy's largest array dimension, and its largest array in
+        # bytes, is sys.maxsize, its intp's
+        base = A.preset(self.arch)
+        widest = max(l.channels for l in base.layers)
         if not (self.expand > 0 and widest * self.expand < sys.maxsize):
             raise ConfigError("expansion multiplier must be positive and "
                               "keep every width within numpy's largest "
                               f"array dimension, got {self.expand}")
+        params = A.count_params(A.expand_channels(base, self.expand))
+        nbytes = params * np.dtype(T.default_dtype()).itemsize
+        if nbytes > sys.maxsize:
+            raise ConfigError(
+                f"expansion multiplier {self.expand} gives {self.arch} "
+                f"{params} parameters, {nbytes} bytes, more than numpy "
+                f"can address ({sys.maxsize} bytes)")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) < len(self.seeds):
@@ -253,14 +265,15 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
             model, data, cfg.importance, search, cfg.schedule, seed, seed,
             record=record, stages=stages, lottery=cfg.lottery_init)
         with stages("save"):
+            # every path is listed before the first write, so a failed
+            # write also deletes the files of an earlier run into ``out``
             weights_path = out / f"run_s{seed}.weights"
+            curve_path = out / f"run_s{seed}_train.csv"
+            record.artifacts += [str(weights_path), str(curve_path)]
             D.save_weights(report.states[len(report.train_loss)],
                            weights_path, {"seed": seed, "arch": cfg.arch,
                                           "status": "budget-trained"})
-            record.artifacts.append(str(weights_path))
-            curve_path = out / f"run_s{seed}_train.csv"
             D.write_atomic(curve_path, TR.report_csv(report))
-            record.artifacts.append(str(curve_path))
             D.save_run(record, record_path)
     print(f"seed {seed}: flops ratio {result.achieved_flops / full:.3f} "
           f"(converged={result.converged}), "
@@ -369,11 +382,13 @@ def cmd_train_baseline(cfg: PipelineConfig) -> list[D.RunRecord]:
                                                    seed, wanted)
                 record.train_reports.append(TR.report_to_dict(report))
             with stages("save"):
-                for name, epoch in saves:
-                    path = out / f"baseline_s{seed}_{name}.weights"
+                # listed before the first write, as in ``prune``
+                paths = [out / f"baseline_s{seed}_{name}.weights"
+                         for name, _ in saves]
+                record.artifacts += map(str, paths)
+                for path, (_, epoch) in zip(paths, saves):
                     D.save_weights(states[epoch], path, {
                         "seed": seed, "epoch": epoch, "arch": cfg.arch})
-                    record.artifacts.append(str(path))
                 D.save_run(record, record_path)
         records.append(record)
         print(f"seed {seed}: baseline val accuracy "

@@ -144,7 +144,8 @@ class Tape:
                     table[key] = table[key] + gin
                 else:
                     table[key] = gin
-        return [table.get(id(t), np.zeros_like(t)) for t in targets]
+        return [table[id(t)] if id(t) in table else np.zeros_like(t)
+                for t in targets]
 
 
 def _emit(tape: Tape | None, op: str, inputs: tuple[np.ndarray, ...],
@@ -343,13 +344,14 @@ def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         if n == 0:
             raise StatsError("batch statistics over an empty batch")
         mu = np.add.reduce(x2, axis=1) / m
-        d = x2 - mu[:, None]
-        var = np.add.reduce(d * d, axis=1) / m
+        xhat = x2 - mu[:, None]  # centred, then scaled in place
+        var = np.add.reduce(xhat * xhat, axis=1) / m
         for run, batch in ((running_mean, mu), (running_var, var)):
-            run += BN_MOMENTUM * (batch.astype(run.dtype) - run)
+            run += BN_MOMENTUM * (batch.astype(run.dtype, copy=False) - run)
         invstd = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = d * invstd[:, None]
-        out = xhat * gamma[:, None] + beta[:, None]
+        xhat *= invstd[:, None]
+        out = xhat * gamma[:, None]
+        out += beta[:, None]
     else:
         # the running statistics as one per-channel scale and shift
         mu = running_mean.astype(x.dtype)
@@ -365,10 +367,14 @@ def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         sgx = np.add.reduce(g2 * xh, axis=1)
         dx = None
         if needs[0]:
+            scale = (gamma * invstd)[:, None]
             if train:
-                g2 = g2 - (sg / m)[:, None] - xh * (sgx / m)[:, None]
-            dx = (g2 * (gamma * invstd)[:, None]).reshape(c, h, w, n)
-            dx = dx.transpose(3, 0, 1, 2)
+                g2 = g2 - (sg / m)[:, None]
+                g2 -= xh * (sgx / m)[:, None]
+                g2 *= scale
+            else:
+                g2 = g2 * scale
+            dx = g2.reshape(c, h, w, n).transpose(3, 0, 1, 2)
         return dx, sgx if needs[1] else None, sg if needs[2] else None
 
     return _emit(tape, "batchnorm", (x, gamma, beta), out, bwd)

@@ -1,6 +1,7 @@
 """Architecture graph, gate placement, FLOPS model, and model generation."""
 
 import pickle
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -336,6 +337,15 @@ def test_count_flops_rejects_inconsistent_config(any_arch):
         A.count_flops(any_arch, wrong_len)
 
 
+def test_count_params_matches_the_model(any_arch):
+    arch = A.expand_channels(any_arch, 1.25)
+    model = A.Model(arch, None, seed=0)
+    assert A.count_params(arch) == sum(p.size for p in model.params.values())
+    # exact at widths no array could hold: the config's size guard reads it
+    huge = A.count_params(A.expand_channels(any_arch, 1e17))
+    assert isinstance(huge, int) and huge > 10 ** 33
+
+
 # ---------------------------------------------------------------------------
 # model generation
 
@@ -457,6 +467,35 @@ def test_train_step_keeps_every_activation_batch_last(any_arch):
     assert {op for op, _ in outs} >= {"conv2d", "batchnorm", "relu"}
     for op, out in outs:
         assert out.transpose(1, 2, 3, 0).flags.c_contiguous, op
+
+
+def test_eval_forward_holds_only_the_activations_it_still_reads(
+        any_arch, monkeypatch):
+    # an eval pass used to keep every layer's output until it returned;
+    # by the classifier, only the pooled features it reads may be alive
+    model = A.Model(any_arch, None, seed=0)
+    gates = {lid: np.full(model.widths[lid].cout, 0.5, np.float32)
+             for lid in model.gated_ids}
+    outputs: list[tuple[str, weakref.ref]] = []
+    alive_at_fc: list[str] = []
+
+    for name in ("conv2d", "batchnorm", "gate_modulate", "relu",
+                 "avg_pool2d", "global_avg_pool", "add", "linear"):
+        def spy(*args, _op=getattr(T, name), _name=name, **kwargs):
+            if _name == "linear":
+                alive_at_fc.extend(
+                    op for op, ref in outputs
+                    if ref() is not None and ref() is not args[0])
+            out = _op(*args, **kwargs)
+            outputs.append((_name, weakref.ref(out)))
+            return out
+        monkeypatch.setattr(T, name, spy)
+    x = np.random.default_rng(0).standard_normal(
+        (4,) + tuple(any_arch.input_shape)).astype(np.float32)
+    logits = model.forward(x, gates=gates)
+    assert logits.shape == (4, any_arch.num_classes)
+    assert len(outputs) > len(any_arch.layers)
+    assert alive_at_fc == []
 
 
 def test_evaluate_accuracy_perfect_and_chance():

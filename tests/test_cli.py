@@ -136,12 +136,15 @@ def test_config_validation():
     {"importance": {"lr": -0.02}},
     {"expand": 1e308},
     {"expand": 1e20},
+    {"expand": 1e17},
+    {"expand": 1e9},
 ], ids=["gate-batch-0", "per-class-0", "channels-0", "tolerance-0",
         "max-iters-0", "expand-inf", "lr0-inf", "lr0-nan",
         "weight-decay-nan", "tolerance-inf", "gate-epochs-0",
         "decay-factor-nan", "beta1-1", "beta2-nan", "eps-0",
         "image-size-1", "seeds-repeated", "noise-nan", "noise-inf",
-        "gate-lr-0", "gate-lr-negative", "expand-1e308", "expand-1e20"])
+        "gate-lr-0", "gate-lr-negative", "expand-1e308", "expand-1e20",
+        "expand-1e17", "expand-1e9"])
 def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
                                                 overrides):
     # each used to pass validation and fail or mislead mid-run: sizes of
@@ -157,7 +160,10 @@ def test_config_rejects_inputs_that_would_crash(tmp_path, capsys,
     # nothing, and a negative one walked the gates up the loss. An
     # expansion of 1e308 overflowed to an infinite width and one of 1e20
     # passed numpy's largest dimension, both in a traceback after the
-    # failed:init record was saved. Python's json reads Infinity and NaN.
+    # failed:init record was saved; one of 1e17 kept every width below
+    # that dimension but not a conv weight's bytes, which ended in numpy's
+    # bare "array is too big" traceback, and one of 1e9 in a MemoryError
+    # at init. Python's json reads Infinity and NaN.
     with pytest.raises(ConfigError):
         tiny_config(tmp_path, **overrides)
     path = tmp_path / "cfg.json"
@@ -430,12 +436,18 @@ def _disk_full_at(name):
     return write
 
 
-@pytest.mark.parametrize("name", ["run_s0.weights", "run_s0_train.csv"],
-                         ids=["weights", "curve"])
+@pytest.mark.parametrize("name, rerun", [
+    ("run_s0.weights", False), ("run_s0_train.csv", False),
+    ("run_s0.weights", True), ("run_s0_train.csv", True),
+], ids=["weights", "curve", "weights-rerun", "curve-rerun"])
 def test_prune_failed_save_leaves_only_the_failed_record(
-        tmp_path, capsys, monkeypatch, name):
+        tmp_path, capsys, monkeypatch, name, rerun):
     # a failed curve write left run_s0.weights, its metadata saying
-    # "budget-trained", beside the failed:save record
+    # "budget-trained", beside the failed:save record; on a rerun into
+    # the same out, a failed write left the earlier run's files
+    if rerun:
+        assert CLI.main(_prune_argv(tmp_path)) == 0
+        capsys.readouterr()
     monkeypatch.setattr(D, "write_atomic", _disk_full_at(name))
     assert CLI.main(_prune_argv(tmp_path)) == 1
     *done, last = capsys.readouterr().err.splitlines()
@@ -471,10 +483,11 @@ def test_prune_out_of_memory_is_a_stage_error(tmp_path, capsys,
                                               monkeypatch):
     # "expand": 1000 asks numpy for 8.58 GiB for one conv weight; the
     # failed:init record was saved, then a bare _ArrayMemoryError ended
-    # the run in a traceback
+    # the run in a traceback. Its bytes are addressable, so the config
+    # takes it and only the allocation fails
     monkeypatch.setattr(A, "Model", _raises(MemoryError(
         "Unable to allocate 8.58 GiB for an array")))
-    assert CLI.main(_prune_argv(tmp_path)) == 1
+    assert CLI.main(_prune_argv(tmp_path, expand=1000)) == 1
     assert capsys.readouterr().err == ("error: stage 'init' failed: seed 0: "
                                        "Unable to allocate 8.58 GiB for an "
                                        "array\n")
@@ -1029,6 +1042,27 @@ def test_train_baseline_failure_names_its_seed_and_stage(
     assert len(record.train_reports) == (stage == "save")
     assert CLI.main(["inspect", str(out / "baseline_s0.pkrun")]) == 1
     assert f"failed stage: {stage}\n" in capsys.readouterr().out
+
+
+def test_train_baseline_failed_save_on_a_rerun_leaves_only_the_failed_record(
+        tmp_path, capsys, monkeypatch):
+    # a full disk at the rerun's first checkpoint left both checkpoints of
+    # the earlier run into the same out beside the failed:save record
+    out = tmp_path / "base"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY, out=str(out),
+                                    checkpoint_epochs=[1])))
+    assert CLI.main(["train-baseline", "--config", str(path)]) == 0
+    monkeypatch.setattr(D, "save_weights", _raises(
+        OSError(28, "No space left on device")))
+    assert CLI.main(["train-baseline", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: stage 'save' failed: seed 0: [Errno 28] No space left on "
+        "device")
+    assert [p.name for p in out.iterdir()] == ["baseline_s0.pkrun"]
+    record = D.load_run(out / "baseline_s0.pkrun")
+    assert record.status == "failed:save"
+    assert record.artifacts == []
 
 
 def test_train_baseline_failure_at_a_later_seed_keeps_the_earlier_one(
