@@ -35,7 +35,6 @@ from .analysis import (
 from .arch import (
     PRESETS,
     ArchSpec,
-    Block,
     ChannelConfig,
     LayerSpec,
     Model,
@@ -95,7 +94,6 @@ from .train import (
 __all__ = [
     "ArchError",
     "ArchSpec",
-    "Block",
     "BudgetError",
     "ChannelConfig",
     "ConfigError",

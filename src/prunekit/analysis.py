@@ -195,8 +195,8 @@ def run_pretrain_effect_study(
         stages = TR.Stages(f"seed {seed}")
         stages.say(f"training baseline ({baseline_schedule.epochs} epochs)")
         with stages("baseline"):
-            _, states = TR.train_baseline(arch, data, baseline_schedule,
-                                          seed, {0, *epochs})
+            states = TR.train_baseline(arch, data, baseline_schedule,
+                                       seed, {0, *epochs}).states
         for epoch, label in zip((0,) + epochs, labels):
             source = A.Model(arch, None, seed=0)
             source.load_state(states[epoch])

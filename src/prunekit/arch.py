@@ -9,12 +9,12 @@ group consistently narrows every producer and consumer of that group.
 
 Building an ``ArchSpec`` walks its layers once, in order: that walk
 resolves every layer's channel group and output map size and each
-activation's last reader, and the blocks then place the gates. A
-malformed spec (bad order or geometry, a join of mismatched widths or
-map sizes, a bad block, no gated layer) is rejected right there, before
-any work; the gate, width and FLOPS functions below read what the walk
-stored, and ``Model.forward`` drops each activation once its last reader
-has run.
+activation's last reader, and collects the batch norms flagged
+``gated``. A malformed spec (bad order or geometry, a join of mismatched
+widths or map sizes, no gated layer, two gates on one group) is rejected
+right there, before any work; the gate, width and FLOPS functions below
+read what the walk stored, and ``Model.forward`` drops each activation
+once its last reader has run.
 
 FLOPS here means multiply-accumulate count, summed over convolution and
 linear layers only.
@@ -33,14 +33,14 @@ from .errors import ArchError, ConfigError, GeometryError
 
 LAYER_KINDS = ("conv", "depthwise-conv", "batchnorm", "relu", "pool",
                "global-pool", "linear", "add-join")
-BLOCK_KINDS = ("plain", "residual", "depthwise")
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     """One layer of the DAG. ``inputs`` name earlier layers; an empty
     tuple means the network input. ``channels`` is the output width for
-    conv/linear and 0 (inherited) everywhere else."""
+    conv/linear and 0 (inherited) everywhere else. A ``gated`` batch norm
+    carries a gate on its channel group."""
     id: str
     kind: str
     inputs: tuple[str, ...] = ()
@@ -48,6 +48,7 @@ class LayerSpec:
     kernel: int = 0
     stride: int = 1
     padding: int = 0
+    gated: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -63,18 +64,9 @@ class LayerSpec:
                             "stride must equal its kernel and padding be 0")
         if self.kind == "add-join" and len(self.inputs) != 2:
             raise ArchError(f"layer {self.id!r}: add-join takes 2 inputs")
-
-
-@dataclass(frozen=True)
-class Block:
-    """Grouping metadata driving gate placement."""
-    kind: str
-    layers: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if self.kind not in BLOCK_KINDS:
-            raise ArchError(f"unrecognized block kind {self.kind!r}")
+        if self.gated and self.kind != "batchnorm":
+            raise ArchError(f"layer {self.id!r}: only a batch norm carries "
+                            f"a gate, not a {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -84,13 +76,11 @@ class ArchSpec:
     hashing, ``repr`` and ``replace`` see only the description."""
     name: str
     layers: tuple[LayerSpec, ...]
-    blocks: tuple[Block, ...]
     input_shape: tuple[int, int, int]
     num_classes: int
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         parent: list[int] = []  # union-find over channel groups
         width: dict[int, int] = {}  # full width per group root
@@ -158,47 +148,18 @@ class ArchSpec:
                 f"{self.name}: expected a single output layer, "
                 f"found {terminals}")
         group = {lid: find(g) for lid, g in group.items()}
+        gated = tuple(l.id for l in self.layers if l.gated)
+        if not gated:
+            raise ArchError(f"{self.name}: no gated layers")
+        if len({group[lid] for lid in gated}) != len(gated):
+            raise ArchError(f"{self.name}: two gates share a channel group")
         last_read = tuple(tuple(ref for ref in dict.fromkeys(l.inputs)
                                 if reader[ref] == i)
                           for i, l in enumerate(self.layers))
         for name, value in (("_groups", group), ("_widths", width),
                             ("_sizes", size), ("_output", terminals[0]),
-                            ("_last_read", last_read)):
+                            ("_last_read", last_read), ("_gated", gated)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_gated", self._place_gates())
-
-    def _place_gates(self) -> tuple[str, ...]:
-        by_id = {l.id: l for l in self.layers}
-        gated: list[str] = []
-        for b in self.blocks:
-            for lid in b.layers:
-                if lid not in by_id:
-                    raise ArchError(f"{self.name}: block references "
-                                    f"unknown layer {lid!r}")
-            bns = [lid for lid in b.layers if by_id[lid].kind == "batchnorm"]
-            if b.kind == "plain":
-                gated.extend(bns)
-            elif b.kind == "residual":
-                joins = [lid for lid in b.layers
-                         if by_id[lid].kind == "add-join"]
-                if len(joins) != 1:
-                    raise ArchError(
-                        f"{self.name}: residual block needs exactly one "
-                        f"add-join, found {len(joins)}")
-                jg = self._groups[joins[0]]
-                gated.extend(lid for lid in bns if self._groups[lid] != jg)
-            elif b.kind == "depthwise":
-                if len(bns) != 2:
-                    raise ArchError(
-                        f"{self.name}: depthwise block needs exactly two "
-                        f"batch norms, found {len(bns)}")
-                gated.append(bns[1])
-        if not gated:
-            raise ArchError(f"{self.name}: no gated layers")
-        gate_groups = [self._groups[lid] for lid in gated]
-        if len(set(gate_groups)) != len(gate_groups):
-            raise ArchError(f"{self.name}: two gates share a channel group")
-        return tuple(gated)
 
     @property
     def output_layer(self) -> str:
@@ -231,14 +192,8 @@ class ChannelConfig:
 # gates and widths
 
 def place_gates(arch: ArchSpec) -> tuple[str, ...]:
-    """Ids of the batch norms that carry a gate, one per prunable
-    channel group.
-
-    Plain blocks gate every batch norm; residual blocks gate only batch
-    norms off the join group (the middle of the block); depthwise blocks
-    gate their second batch norm. Layers outside any block are never
-    gated.
-    """
+    """Ids of the batch norms flagged ``gated``, in layer order, one per
+    prunable channel group."""
     return arch._gated
 
 
@@ -529,16 +484,14 @@ def vgg_small(input_shape=(3, 8, 8), num_classes=3) -> ArchSpec:
     """Eight 3x3 conv stages in four width tiers, pooling between tiers."""
     widths = (8, 8, 16, 16, 32, 32, 64, 64)
     layers: list[LayerSpec] = []
-    blocks: list[Block] = []
     prev: str | None = None
     for i, c in enumerate(widths, start=1):
         ls, prev = _chain(
             prev,
             LayerSpec(f"conv{i}", "conv", channels=c, kernel=3, padding=1),
-            LayerSpec(f"bn{i}", "batchnorm"),
+            LayerSpec(f"bn{i}", "batchnorm", gated=True),
             LayerSpec(f"relu{i}", "relu"))
         layers.extend(ls)
-        blocks.append(Block("plain", (f"conv{i}", f"bn{i}", f"relu{i}")))
         if i in (2, 4, 6):
             p = LayerSpec(f"pool{i // 2}", "pool", inputs=(prev,),
                           kernel=2, stride=2)
@@ -547,38 +500,35 @@ def vgg_small(input_shape=(3, 8, 8), num_classes=3) -> ArchSpec:
     layers.append(LayerSpec("gap", "global-pool", inputs=(prev,)))
     layers.append(LayerSpec("fc", "linear", inputs=("gap",),
                             channels=num_classes))
-    return ArchSpec("vgg-small", tuple(layers), tuple(blocks),
-                    input_shape, num_classes)
+    return ArchSpec("vgg-small", tuple(layers), input_shape, num_classes)
 
 
 def resnet_tiny(input_shape=(3, 8, 8), num_classes=3) -> ArchSpec:
-    """Three stages of two basic residual blocks on an ungated stem."""
+    """Three stages of two basic residual blocks on an ungated stem. Each
+    block gates only its middle batch norm, off the residual stream."""
     layers: list[LayerSpec] = [
         LayerSpec("stem.conv", "conv", channels=8, kernel=3, padding=1),
         LayerSpec("stem.bn", "batchnorm", inputs=("stem.conv",)),
         LayerSpec("stem.relu", "relu", inputs=("stem.bn",)),
     ]
-    blocks: list[Block] = []
     prev = "stem.relu"
     stage_widths = (8, 16, 32)
     for s, c in enumerate(stage_widths, start=1):
         for b in range(1, 3):
             p = f"s{s}b{b}"
             stride = 2 if (s > 1 and b == 1) else 1
-            ids = [f"{p}.conv1", f"{p}.bn1", f"{p}.relu1",
-                   f"{p}.conv2", f"{p}.bn2"]
             layers += [
-                LayerSpec(ids[0], "conv", inputs=(prev,), channels=c,
+                LayerSpec(f"{p}.conv1", "conv", inputs=(prev,), channels=c,
                           kernel=3, stride=stride, padding=1),
-                LayerSpec(ids[1], "batchnorm", inputs=(ids[0],)),
-                LayerSpec(ids[2], "relu", inputs=(ids[1],)),
-                LayerSpec(ids[3], "conv", inputs=(ids[2],), channels=c,
-                          kernel=3, padding=1),
-                LayerSpec(ids[4], "batchnorm", inputs=(ids[3],)),
+                LayerSpec(f"{p}.bn1", "batchnorm", inputs=(f"{p}.conv1",),
+                          gated=True),
+                LayerSpec(f"{p}.relu1", "relu", inputs=(f"{p}.bn1",)),
+                LayerSpec(f"{p}.conv2", "conv", inputs=(f"{p}.relu1",),
+                          channels=c, kernel=3, padding=1),
+                LayerSpec(f"{p}.bn2", "batchnorm", inputs=(f"{p}.conv2",)),
             ]
             if stride != 1:
                 # 1x1 projection matches width and resolution on the skip
-                ids += [f"{p}.proj", f"{p}.projbn"]
                 layers += [
                     LayerSpec(f"{p}.proj", "conv", inputs=(prev,), channels=c,
                               kernel=1, stride=stride),
@@ -592,24 +542,21 @@ def resnet_tiny(input_shape=(3, 8, 8), num_classes=3) -> ArchSpec:
                 LayerSpec(f"{p}.add", "add-join", inputs=(f"{p}.bn2", skip)),
                 LayerSpec(f"{p}.relu2", "relu", inputs=(f"{p}.add",)),
             ]
-            ids += [f"{p}.add", f"{p}.relu2"]
-            blocks.append(Block("residual", tuple(ids)))
             prev = f"{p}.relu2"
     layers.append(LayerSpec("gap", "global-pool", inputs=(prev,)))
     layers.append(LayerSpec("fc", "linear", inputs=("gap",),
                             channels=num_classes))
-    return ArchSpec("resnet-tiny", tuple(layers), tuple(blocks),
-                    input_shape, num_classes)
+    return ArchSpec("resnet-tiny", tuple(layers), input_shape, num_classes)
 
 
 def depthwise_tiny(input_shape=(3, 8, 8), num_classes=3) -> ArchSpec:
-    """Stem conv plus four depthwise-separable blocks."""
+    """Stem conv plus four depthwise-separable blocks, each gating the
+    batch norm after its pointwise conv."""
     layers: list[LayerSpec] = [
         LayerSpec("stem.conv", "conv", channels=8, kernel=3, padding=1),
         LayerSpec("stem.bn", "batchnorm", inputs=("stem.conv",)),
         LayerSpec("stem.relu", "relu", inputs=("stem.bn",)),
     ]
-    blocks: list[Block] = []
     prev = "stem.relu"
     for i, (c, stride) in enumerate(((16, 1), (32, 2), (32, 1), (64, 2)),
                                     start=1):
@@ -622,16 +569,15 @@ def depthwise_tiny(input_shape=(3, 8, 8), num_classes=3) -> ArchSpec:
             LayerSpec(ids[1], "batchnorm", inputs=(ids[0],)),
             LayerSpec(ids[2], "relu", inputs=(ids[1],)),
             LayerSpec(ids[3], "conv", inputs=(ids[2],), channels=c, kernel=1),
-            LayerSpec(ids[4], "batchnorm", inputs=(ids[3],)),
+            LayerSpec(ids[4], "batchnorm", inputs=(ids[3],), gated=True),
             LayerSpec(ids[5], "relu", inputs=(ids[4],)),
         ]
-        blocks.append(Block("depthwise", tuple(ids)))
         prev = ids[5]
     layers.append(LayerSpec("gap", "global-pool", inputs=(prev,)))
     layers.append(LayerSpec("fc", "linear", inputs=("gap",),
                             channels=num_classes))
-    return ArchSpec("depthwise-tiny", tuple(layers), tuple(blocks),
-                    input_shape, num_classes)
+    return ArchSpec("depthwise-tiny", tuple(layers), input_shape,
+                    num_classes)
 
 
 PRESETS = {

@@ -378,8 +378,8 @@ def cmd_train_baseline(cfg: PipelineConfig) -> list[D.RunRecord]:
         record_path = out / f"baseline_s{seed}.pkrun"
         with _seed_run(cfg, seed, record_path) as (record, stages):
             with stages("baseline"):
-                report, states = TR.train_baseline(arch, data, cfg.schedule,
-                                                   seed, wanted)
+                report = TR.train_baseline(arch, data, cfg.schedule, seed,
+                                           wanted)
                 record.train_reports.append(TR.report_to_dict(report))
             with stages("save"):
                 # listed before the first write, as in ``prune``
@@ -387,13 +387,15 @@ def cmd_train_baseline(cfg: PipelineConfig) -> list[D.RunRecord]:
                          for name, _ in saves]
                 record.artifacts += map(str, paths)
                 for path, (_, epoch) in zip(paths, saves):
-                    D.save_weights(states[epoch], path, {
+                    D.save_weights(report.states[epoch], path, {
                         "seed": seed, "epoch": epoch, "arch": cfg.arch})
                 D.save_run(record, record_path)
         records.append(record)
-        print(f"seed {seed}: baseline val accuracy "
-              f"{report.val_accuracy[-1] if report.val_accuracy else 0.0:.3f}, "
-              f"test accuracy {report.test_accuracy:.3f}")
+        # at --epochs 0 no validation pass ran: no val accuracy to print
+        val = (f"val accuracy {report.val_accuracy[-1]:.3f}, "
+               if report.val_accuracy else "")
+        print(f"seed {seed}: baseline {val}test accuracy "
+              f"{report.test_accuracy:.3f}")
     return records
 
 

@@ -308,14 +308,12 @@ def prune_and_train(source: A.Model, data: dict[str, Dataset],
 
 def train_baseline(arch: A.ArchSpec, data: dict[str, Dataset],
                    schedule: TrainSchedule, seed: int, keep: set[int]
-                   ) -> tuple[TrainReport, dict[int, dict[str, np.ndarray]]]:
-    """The seed's full-width baseline, trained under ``schedule``; returns
-    the report and its ``states``: ``state_arrays()`` for each epoch in
-    ``keep`` that the run reaches (0 is the initial weights) and for the
-    last."""
+                   ) -> TrainReport:
+    """The seed's full-width baseline, trained under ``schedule``. Its
+    report's ``states`` hold ``state_arrays()`` for each epoch in ``keep``
+    that the run reaches (0 is the initial weights) and for the last."""
     model = A.Model(arch, None, derive_seed(seed, "study-baseline"))
-    report = fit(model, data, schedule, seed, keep=keep)
-    return report, report.states
+    return fit(model, data, schedule, seed, keep=keep)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def test_arch_rejects_duplicate_ids():
         A.ArchSpec("bad", (
             A.LayerSpec("c", "conv", channels=4, kernel=3),
             A.LayerSpec("c", "relu", inputs=("c",)),
-        ), (), (3, 8, 8), 3)
+        ), (3, 8, 8), 3)
 
 
 def test_arch_rejects_forward_reference():
@@ -39,7 +39,7 @@ def test_arch_rejects_forward_reference():
         A.ArchSpec("bad", (
             A.LayerSpec("r", "relu", inputs=("c",)),
             A.LayerSpec("c", "conv", channels=4, kernel=3),
-        ), (), (3, 8, 8), 3)
+        ), (3, 8, 8), 3)
 
 
 def test_arch_rejects_multiple_outputs():
@@ -48,7 +48,7 @@ def test_arch_rejects_multiple_outputs():
             A.LayerSpec("c1", "conv", channels=4, kernel=3),
             A.LayerSpec("c2", "conv", inputs=("c1",), channels=4, kernel=1),
             A.LayerSpec("c3", "conv", inputs=("c1",), channels=4, kernel=1),
-        ), (), (3, 8, 8), 3)
+        ), (3, 8, 8), 3)
 
 
 def test_arch_rejects_join_width_mismatch():
@@ -57,7 +57,7 @@ def test_arch_rejects_join_width_mismatch():
             A.LayerSpec("c1", "conv", channels=4, kernel=1),
             A.LayerSpec("c2", "conv", inputs=("c1",), channels=6, kernel=1),
             A.LayerSpec("j", "add-join", inputs=("c1", "c2")),
-        ), (), (3, 8, 8), 3)
+        ), (3, 8, 8), 3)
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (3, 0), (2, 1)],
@@ -67,11 +67,6 @@ def test_pool_must_tile_its_map(stride, padding):
     A.LayerSpec("p", "pool", kernel=2, stride=2)
     with pytest.raises(ArchError, match="stride must equal its kernel"):
         A.LayerSpec("p", "pool", kernel=2, stride=stride, padding=padding)
-
-
-def test_unknown_block_kind_rejected():
-    with pytest.raises(ArchError):
-        A.Block("spiral", ("x",))
 
 
 def _head(prev):
@@ -85,23 +80,27 @@ _JOIN = (A.LayerSpec("c1", "conv", channels=4, kernel=1),
          A.LayerSpec("c2", "conv", inputs=("c1",), channels=4, kernel=1,
                      stride=2),
          A.LayerSpec("j", "add-join", inputs=("c1", "c2")),
-         A.LayerSpec("b", "batchnorm", inputs=("j",))) + _head("b")
+         A.LayerSpec("b", "batchnorm", inputs=("j",), gated=True)
+         ) + _head("b")
+_TWO_GATES_ONE_GROUP = (
+    A.LayerSpec("c", "conv", channels=4, kernel=1),
+    A.LayerSpec("b1", "batchnorm", inputs=("c",), gated=True),
+    A.LayerSpec("b2", "batchnorm", inputs=("b1",), gated=True)) + _head("b2")
 
 
 @pytest.mark.parametrize("build,error,match", [
     (lambda: A.preset("vgg-small", (3, 4, 4)), GeometryError,
      "'pool3' output 0x0"),
-    (lambda: A.ArchSpec("bad", _CONV_BN, (A.Block("residual", ("c", "b")),),
-                        (3, 8, 8), 3), ArchError, "exactly one add-join"),
-    (lambda: A.ArchSpec("bad", _CONV_BN, (A.Block("depthwise", ("c", "b")),),
-                        (3, 8, 8), 3), ArchError, "exactly two batch norms"),
-    (lambda: A.ArchSpec("bad", _CONV_BN, (), (3, 8, 8), 3), ArchError,
+    (lambda: A.LayerSpec("c", "conv", channels=4, kernel=1, gated=True),
+     ArchError, "only a batch norm carries a gate, not a conv"),
+    (lambda: A.ArchSpec("bad", _CONV_BN, (3, 8, 8), 3), ArchError,
      "no gated layers"),
-    (lambda: A.ArchSpec("bad", _JOIN, (A.Block("plain", ("b",)),),
-                        (3, 8, 8), 3), GeometryError,
+    (lambda: A.ArchSpec("bad", _TWO_GATES_ONE_GROUP, (3, 8, 8), 3),
+     ArchError, "two gates share a channel group"),
+    (lambda: A.ArchSpec("bad", _JOIN, (3, 8, 8), 3), GeometryError,
      r"'j' operands \(8, 8\) vs \(4, 4\)"),
-], ids=["geometry", "residual-without-join", "depthwise-one-bn",
-        "no-gates", "join-map-sizes"])
+], ids=["geometry", "gated-conv", "no-gates", "shared-group",
+        "join-map-sizes"])
 def test_malformed_spec_rejected_when_built(build, error, match):
     # before any gate, width or FLOPS question is asked of it
     with pytest.raises(error, match=match):
@@ -124,8 +123,10 @@ def test_checked_results_stay_out_of_the_description(any_arch):
     larger = replace(any_arch, input_shape=(3, 16, 16))
     assert A.count_flops(larger) == A.count_flops(
         A.preset(any_arch.name, (3, 16, 16)))
-    assert A.place_gates(replace(any_arch, blocks=any_arch.blocks[:1])) == \
-        A.place_gates(any_arch)[:1]
+    first = A.place_gates(any_arch)[0]
+    ungated = tuple(replace(l, gated=False) if l.gated and l.id != first
+                    else l for l in any_arch.layers)
+    assert A.place_gates(replace(any_arch, layers=ungated)) == (first,)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +138,12 @@ def test_vgg_gates_every_bn():
 
 
 def test_resnet_gates_only_middle_bns():
-    arch = A.preset("resnet-tiny")
-    gated = A.place_gates(arch)
-    assert len(gated) == 6
-    assert all(g.endswith(".bn1") for g in gated)
-    # block-output and projection norms never carry gates
-    assert not any(g.endswith(".bn2") or g.endswith(".projbn")
-                   for g in gated)
+    # the order fixes the gate_blob columns and kept_indices of a record;
+    # block-output and projection norms, on the residual stream, never
+    # carry gates
+    assert A.place_gates(A.preset("resnet-tiny")) == (
+        "s1b1.bn1", "s1b2.bn1", "s2b1.bn1", "s2b2.bn1", "s3b1.bn1",
+        "s3b2.bn1")
 
 
 def test_depthwise_gates_second_bn():
@@ -174,10 +174,10 @@ def test_expand_identity(any_arch):
 def test_expand_rounding(base, mult, want):
     arch = A.ArchSpec("one", (
         A.LayerSpec("c", "conv", channels=base, kernel=3, padding=1),
-        A.LayerSpec("b", "batchnorm", inputs=("c",)),
+        A.LayerSpec("b", "batchnorm", inputs=("c",), gated=True),
         A.LayerSpec("g", "global-pool", inputs=("b",)),
         A.LayerSpec("fc", "linear", inputs=("g",), channels=5),
-    ), (A.Block("plain", ("c", "b")),), (3, 8, 8), 5)
+    ), (3, 8, 8), 5)
     out = A.expand_channels(arch, mult)
     assert layer(out, "c").channels == want
     assert layer(out, "fc").channels == 5  # classifier untouched
@@ -265,10 +265,10 @@ def test_prune_rejects_bad_threshold():
 def test_count_flops_unit_conv():
     arch = A.ArchSpec("unit", (
         A.LayerSpec("c", "conv", channels=1, kernel=1),
-        A.LayerSpec("b", "batchnorm", inputs=("c",)),
+        A.LayerSpec("b", "batchnorm", inputs=("c",), gated=True),
         A.LayerSpec("g", "global-pool", inputs=("b",)),
         A.LayerSpec("fc", "linear", inputs=("g",), channels=1),
-    ), (A.Block("plain", ("c", "b")),), (1, 1, 1), 1)
+    ), (1, 1, 1), 1)
     # 1 MAC for the conv plus 1 for the 1->1 classifier
     assert A.count_flops(arch) == 2
 
@@ -276,10 +276,10 @@ def test_count_flops_unit_conv():
 def test_count_flops_known_conv():
     arch = A.ArchSpec("known32", (
         A.LayerSpec("c", "conv", channels=16, kernel=3, padding=1),
-        A.LayerSpec("b", "batchnorm", inputs=("c",)),
+        A.LayerSpec("b", "batchnorm", inputs=("c",), gated=True),
         A.LayerSpec("g", "global-pool", inputs=("b",)),
         A.LayerSpec("fc", "linear", inputs=("g",), channels=10),
-    ), (A.Block("plain", ("c", "b")),), (3, 32, 32), 10)
+    ), (3, 32, 32), 10)
     # 3*16*3*3*32*32 = 442368 conv MACs, plus 160 classifier MACs
     assert A.count_flops(arch) == 442368 + 160
     cfg = A.ChannelConfig((tuple(range(8)),))
@@ -289,14 +289,13 @@ def test_count_flops_known_conv():
 def test_count_flops_halving_two_conv_chain():
     arch = A.ArchSpec("two", (
         A.LayerSpec("c1", "conv", channels=8, kernel=3, padding=1),
-        A.LayerSpec("b1", "batchnorm", inputs=("c1",)),
+        A.LayerSpec("b1", "batchnorm", inputs=("c1",), gated=True),
         A.LayerSpec("c2", "conv", inputs=("b1",), channels=8, kernel=3,
                     padding=1),
-        A.LayerSpec("b2", "batchnorm", inputs=("c2",)),
+        A.LayerSpec("b2", "batchnorm", inputs=("c2",), gated=True),
         A.LayerSpec("g", "global-pool", inputs=("b2",)),
         A.LayerSpec("fc", "linear", inputs=("g",), channels=2),
-    ), (A.Block("plain", ("c1", "b1")), A.Block("plain", ("c2", "b2"))),
-        (3, 8, 8), 2)
+    ), (3, 8, 8), 2)
     full = A.count_flops(arch)
     half = A.ChannelConfig((tuple(range(4)), tuple(range(4))))
     pruned = A.count_flops(arch, half)

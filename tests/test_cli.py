@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -548,7 +549,7 @@ def test_prune_and_study_derive_each_seed_as_the_hand_chain(tmp_path):
     bundle = AN.run_pretrain_effect_study(
         arch, data, cfg.importance, cfg.schedule, [2], [0], 0.5,
         cfg.tolerance, cfg.max_iters)
-    _, states = TR.train_baseline(arch, data, cfg.schedule, 0, {0, 2})
+    states = TR.train_baseline(arch, data, cfg.schedule, 0, {0, 2}).states
     search = replace(search, budget=int(round(0.5 * A.count_flops(arch))))
     for epoch, label in ((0, "s0:rand"), (2, "s0:e2")):
         source = A.Model(arch, None, seed=0)
@@ -1089,6 +1090,23 @@ def test_train_baseline_failure_at_a_later_seed_keeps_the_earlier_one(
     assert failed.artifacts == []
 
 
+@pytest.mark.parametrize("epochs,printed", [
+    ("2", r"seed 0: baseline val accuracy \d\.\d{3}, "
+          r"test accuracy \d\.\d{3}"),
+    ("0", r"seed 0: baseline test accuracy \d\.\d{3}"),
+], ids=["trained", "no-epoch"])
+def test_train_baseline_prints_val_accuracy_only_after_an_epoch(
+        tmp_path, capsys, epochs, printed):
+    # at --epochs 0 no validation pass runs, yet "val accuracy 0.000" was
+    # printed for it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY, out=str(tmp_path / "base"))))
+    assert CLI.main(["train-baseline", "--config", str(path), "--epochs",
+                     epochs, "--checkpoint-epochs", "0"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(printed, line)
+
+
 def test_train_baseline_reports_each_seeds_stage(tmp_path, capsys):
     cfg = tiny_config(tmp_path, seeds=[0, 1], checkpoint_epochs=[1])
     CLI.cmd_train_baseline(cfg)
@@ -1107,7 +1125,7 @@ def test_train_baseline_weights_read_back_bit_for_bit(tmp_path):
     CLI.cmd_train_baseline(cfg)
     data = CLI.resolve_dataset(cfg)
     arch = CLI._pipeline_arch(cfg, data)
-    _, states = TR.train_baseline(arch, data, cfg.schedule, 0, {1, 2})
+    states = TR.train_baseline(arch, data, cfg.schedule, 0, {1, 2}).states
     for name, epoch in (("e1", 1), ("final", 2)):
         saved, meta = D.load_weights(tmp_path / f"baseline_s0_{name}.weights")
         assert meta == {"seed": 0, "epoch": epoch, "arch": cfg.arch}
@@ -1122,9 +1140,9 @@ def test_train_baseline_and_study_share_one_baseline_path(tmp_path,
     real_baseline, real_scratch = TR.train_baseline, TR.train_from_scratch
 
     def baseline_spy(arch, data, schedule, seed, keep):
-        report, states = real_baseline(arch, data, schedule, seed, keep)
-        baselines.append((seed, set(keep), states))
-        return report, states
+        report = real_baseline(arch, data, schedule, seed, keep)
+        baselines.append((seed, set(keep), report.states))
+        return report
 
     def scratch_spy(arch, config, *args, **kwargs):
         structures.append(config)
@@ -1254,11 +1272,23 @@ def test_readme_lists_each_subcommands_flags():
             # a flag's dest is the config key the table names for it
             assert actions[flag].dest == (key or "config"), flag
 
+
 def test_module_entry_point_reports_version():
     proc = subprocess.run([sys.executable, "-m", "prunekit", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_every_public_name_resolves():
+    # a name deleted from the package but left in __all__ breaks
+    # ``from prunekit import *``
+    import prunekit
+    assert [name for name in prunekit.__all__
+            if not hasattr(prunekit, name)] == []
+    namespace: dict = {}
+    exec("from prunekit import *", namespace)
+    assert set(prunekit.__all__) <= set(namespace)
 
 
 @pytest.mark.parametrize("command", ["prune", "study", "train-baseline"])

@@ -16,16 +16,15 @@ from helpers import (float64_mode, numeric_grad, objective, rel_err,
 def two_conv_arch(c1=4, c2=5, classes=3):
     return A.ArchSpec("toy2", (
         A.LayerSpec("conv1", "conv", channels=c1, kernel=3, padding=1),
-        A.LayerSpec("bn1", "batchnorm", inputs=("conv1",)),
+        A.LayerSpec("bn1", "batchnorm", inputs=("conv1",), gated=True),
         A.LayerSpec("relu1", "relu", inputs=("bn1",)),
         A.LayerSpec("conv2", "conv", inputs=("relu1",), channels=c2,
                     kernel=3, padding=1),
-        A.LayerSpec("bn2", "batchnorm", inputs=("conv2",)),
+        A.LayerSpec("bn2", "batchnorm", inputs=("conv2",), gated=True),
         A.LayerSpec("relu2", "relu", inputs=("bn2",)),
         A.LayerSpec("gap", "global-pool", inputs=("relu2",)),
         A.LayerSpec("fc", "linear", inputs=("gap",), channels=classes),
-    ), (A.Block("plain", ("conv1", "bn1", "relu1")),
-        A.Block("plain", ("conv2", "bn2", "relu2"))), (2, 6, 6), classes)
+    ), (2, 6, 6), classes)
 
 
 # ---------------------------------------------------------------------------

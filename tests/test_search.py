@@ -11,10 +11,10 @@ from prunekit.errors import BudgetError, ConfigError
 def single_conv_arch(cout=4):
     return A.ArchSpec("one", (
         A.LayerSpec("c", "conv", channels=cout, kernel=3, padding=1),
-        A.LayerSpec("b", "batchnorm", inputs=("c",)),
+        A.LayerSpec("b", "batchnorm", inputs=("c",), gated=True),
         A.LayerSpec("g", "global-pool", inputs=("b",)),
         A.LayerSpec("fc", "linear", inputs=("g",), channels=2),
-    ), (A.Block("plain", ("c", "b")),), (3, 8, 8), 2)
+    ), (3, 8, 8), 2)
 
 
 def test_config_validation():

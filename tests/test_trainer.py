@@ -140,16 +140,15 @@ def test_smoothing_matches_formula_oracle():
 def two_conv_arch():
     return A.ArchSpec("pair", (
         A.LayerSpec("c1", "conv", channels=4, kernel=3, padding=1),
-        A.LayerSpec("b1", "batchnorm", inputs=("c1",)),
+        A.LayerSpec("b1", "batchnorm", inputs=("c1",), gated=True),
         A.LayerSpec("r1", "relu", inputs=("b1",)),
         A.LayerSpec("c2", "conv", channels=6, kernel=3, padding=1,
                     inputs=("r1",)),
-        A.LayerSpec("b2", "batchnorm", inputs=("c2",)),
+        A.LayerSpec("b2", "batchnorm", inputs=("c2",), gated=True),
         A.LayerSpec("r2", "relu", inputs=("b2",)),
         A.LayerSpec("gp", "global-pool", inputs=("r2",)),
         A.LayerSpec("fc", "linear", inputs=("gp",), channels=3),
-    ), (A.Block("plain", ("c1", "b1", "r1")),
-        A.Block("plain", ("c2", "b2", "r2"))), (2, 6, 6), 3)
+    ), (2, 6, 6), 3)
 
 
 def test_full_config_slice_is_identity():
