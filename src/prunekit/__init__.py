@@ -20,6 +20,8 @@ autodiff core); this namespace re-exports the high-level API.
 # assigned before the submodule imports: cli reads it back at import time
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from . import tensor
 from .analysis import (
     SimilarityMatrix,
@@ -91,66 +93,7 @@ from .train import (
     train_from_scratch,
 )
 
-__all__ = [
-    "ArchError",
-    "ArchSpec",
-    "BudgetError",
-    "ChannelConfig",
-    "ConfigError",
-    "Dataset",
-    "DegenerateFeatureError",
-    "DivergenceError",
-    "FormatError",
-    "GateSnapshot",
-    "GateState",
-    "ImportanceConfig",
-    "LayerSpec",
-    "Model",
-    "PRESETS",
-    "PipelineConfig",
-    "PipelineError",
-    "PruneKitError",
-    "RunRecord",
-    "SearchConfig",
-    "SearchResult",
-    "SimilarityMatrix",
-    "StructureFeature",
-    "StudyBundle",
-    "SynthSpec",
-    "TrainReport",
-    "TrainSchedule",
-    "budget_epochs",
-    "correlation_matrix",
-    "count_flops",
-    "derive_rng",
-    "derive_seed",
-    "emit_report",
-    "evaluate_accuracy",
-    "expand_channels",
-    "fit",
-    "full_config",
-    "gated_channel_counts",
-    "init_gates",
-    "learn_channel_importance",
-    "load_cifar10",
-    "load_run",
-    "load_weights",
-    "lottery_model",
-    "main",
-    "make_validation_split",
-    "mean_pairwise_correlation",
-    "place_gates",
-    "preset",
-    "prune_by_threshold",
-    "run_pretrain_effect_study",
-    "save_run",
-    "save_weights",
-    "search_structure",
-    "select_best_gates",
-    "sparsity_penalty",
-    "structure_feature",
-    "study_summary",
-    "synth_suite",
-    "tensor",
-    "train_from_scratch",
-]
+# every name imported above is public; of the submodules, only tensor
+__all__ = ["tensor"] + sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -16,13 +16,15 @@ right there, before any work; the gate, width and FLOPS functions below
 read what the walk stored, and ``Model.forward`` drops each activation
 once its last reader has run.
 
-FLOPS here means multiply-accumulate count, summed over convolution and
-linear layers only.
+``layer_arrays`` names the arrays each layer kind owns; model init, the
+parameter and FLOPS counts and lottery slicing all read it. FLOPS here
+means multiply-accumulate count: each weight's size times its output map.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,7 +139,7 @@ class ArchSpec:
                         f"{self.name}: layer {l.id!r} output "
                         f"{ho}x{wo} for input {h}x{w}")
                 h, w = ho, wo
-            elif l.kind == "global-pool":
+            elif l.kind in ("global-pool", "linear"):
                 h, w = 1, 1
             group[l.id] = g
             size[l.id] = (h, w)
@@ -217,6 +219,31 @@ class LayerWidths:
     in_idx: tuple[int, ...] | None
     out_idx: tuple[int, ...] | None
 
+    def shape(self, axes: tuple) -> tuple[int, ...]:
+        """Sizes of ``axes`` from ``layer_arrays`` at these widths."""
+        return tuple(self.cout if a == "out" else self.cin if a == "in"
+                     else a for a in axes)
+
+
+def layer_arrays(l: LayerSpec) -> dict[str, tuple]:
+    """Arrays a layer owns, keyed by name suffix (``conv1.w`` is the ``w``
+    of ``conv1``), each mapped to its axes: ``"out"`` runs along the
+    layer's output channels, ``"in"`` along its input channels, and an int
+    is a fixed size. A ``w`` is the layer's weight; ``running_*`` arrays
+    are batch-norm statistics, not parameters. Relu, pooling and add-join
+    own no arrays."""
+    k = l.kernel
+    if l.kind == "conv":
+        return {"w": ("out", "in", k, k)}
+    if l.kind == "depthwise-conv":
+        return {"w": ("out", 1, k, k)}
+    if l.kind == "linear":
+        return {"w": ("out", "in"), "b": ("out",)}
+    if l.kind == "batchnorm":
+        return dict.fromkeys(("gamma", "beta", "running_mean", "running_var"),
+                             ("out",))
+    return {}
+
 
 def resolve_widths(arch: ArchSpec, config: ChannelConfig | None = None
                    ) -> dict[str, LayerWidths]:
@@ -295,18 +322,15 @@ def prune_by_threshold(gates, tau: float) -> ChannelConfig:
 # FLOPS and parameter counts
 
 def count_flops(arch: ArchSpec, config: ChannelConfig | None = None) -> int:
-    """Multiply-accumulate count of conv and linear layers under ``config``."""
+    """Multiply-accumulate count under ``config``: each weight's size
+    times its layer's output map."""
     widths = resolve_widths(arch, config)
     total = 0
     for l in arch.layers:
-        lw = widths[l.id]
-        ho, wo = arch._sizes[l.id]
-        if l.kind == "conv":
-            total += lw.cin * lw.cout * l.kernel * l.kernel * ho * wo
-        elif l.kind == "depthwise-conv":
-            total += lw.cout * l.kernel * l.kernel * ho * wo
-        elif l.kind == "linear":
-            total += lw.cin * lw.cout
+        axes = layer_arrays(l).get("w")
+        if axes:
+            total += (math.prod(widths[l.id].shape(axes))
+                      * math.prod(arch._sizes[l.id]))
     return int(total)
 
 
@@ -314,18 +338,10 @@ def count_params(arch: ArchSpec) -> int:
     """Learnable parameter count of the full-width ``Model`` of ``arch``,
     an exact Python int at any width."""
     widths = resolve_widths(arch)
-    total = 0
-    for l in arch.layers:
-        lw = widths[l.id]
-        if l.kind == "conv":
-            total += lw.cout * lw.cin * l.kernel * l.kernel
-        elif l.kind == "depthwise-conv":
-            total += lw.cout * l.kernel * l.kernel
-        elif l.kind == "batchnorm":
-            total += 2 * lw.cout
-        elif l.kind == "linear":
-            total += lw.cout * (lw.cin + 1)
-    return total
+    return sum(math.prod(widths[l.id].shape(axes))
+               for l in arch.layers
+               for part, axes in layer_arrays(l).items()
+               if not part.startswith("running_"))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +350,12 @@ def count_params(arch: ArchSpec) -> int:
 class Model:
     """Executable network instantiated from an ArchSpec and a ChannelConfig.
 
-    Weights are freshly drawn from ``seed`` (He-normal for conv/linear,
-    identity affine for batch norm). Batch-norm running statistics live
-    in ``stats``, keyed like ``bn1.running_mean``, apart from the
-    learnable ``params``. Gate vectors are not part of the model; pass
-    them to ``forward`` keyed by the ids in ``gated_ids``.
+    Arrays follow ``layer_arrays``. Each weight ``w`` is drawn from
+    ``seed``, He-normal with its trailing axes as fan-in; ``gamma`` and
+    ``running_var`` start as ones and the rest as zeros. Batch-norm running
+    statistics live in ``stats``, keyed like ``bn1.running_mean``, apart
+    from the learnable ``params``. Gate vectors are not part of the model;
+    pass them to ``forward`` keyed by the ids in ``gated_ids``.
     """
 
     def __init__(self, arch: ArchSpec, config: ChannelConfig | None,
@@ -352,26 +369,18 @@ class Model:
         dt = T.default_dtype()
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         for l in arch.layers:
-            lw = self.widths[l.id]
-            if l.kind == "conv":
-                fan_in = lw.cin * l.kernel * l.kernel
-                w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                               (lw.cout, lw.cin, l.kernel, l.kernel))
-                self.params[f"{l.id}.w"] = w.astype(dt)
-            elif l.kind == "depthwise-conv":
-                fan_in = l.kernel * l.kernel
-                w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                               (lw.cout, 1, l.kernel, l.kernel))
-                self.params[f"{l.id}.w"] = w.astype(dt)
-            elif l.kind == "batchnorm":
-                self.params[f"{l.id}.gamma"] = np.ones(lw.cout, dtype=dt)
-                self.params[f"{l.id}.beta"] = np.zeros(lw.cout, dtype=dt)
-                self.stats[f"{l.id}.running_mean"] = np.zeros(lw.cout, dt)
-                self.stats[f"{l.id}.running_var"] = np.ones(lw.cout, dt)
-            elif l.kind == "linear":
-                w = rng.normal(0.0, np.sqrt(2.0 / lw.cin), (lw.cout, lw.cin))
-                self.params[f"{l.id}.w"] = w.astype(dt)
-                self.params[f"{l.id}.b"] = np.zeros(lw.cout, dtype=dt)
+            for part, axes in layer_arrays(l).items():
+                shape = self.widths[l.id].shape(axes)
+                if part == "w":
+                    a = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])),
+                                   shape).astype(dt)
+                elif part in ("gamma", "running_var"):
+                    a = np.ones(shape, dt)
+                else:
+                    a = np.zeros(shape, dt)
+                store = (self.stats if part.startswith("running_")
+                         else self.params)
+                store[f"{l.id}.{part}"] = a
 
     def forward(self, x, train: bool = False,
                 gates: dict[str, np.ndarray] | None = None,
@@ -386,8 +395,8 @@ class Model:
         x = np.asarray(x, dtype=T.default_dtype())
         acts: dict[str, np.ndarray] = {}
 
-        def inp(l: LayerSpec, i: int = 0) -> np.ndarray:
-            return acts[l.inputs[i]] if l.inputs else x
+        def inp(l: LayerSpec) -> np.ndarray:
+            return acts[l.inputs[0]] if l.inputs else x
 
         out = x
         for l, last_read in zip(self.arch.layers, self.arch._last_read):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import types
 import typing
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -120,24 +119,10 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return json.loads(json.dumps(asdict(cfg)))
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has the type a field is annotated with."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, list) and all(
-            _fits(v, typing.get_args(hint)[0]) for v in value)
-    if hint is bool or isinstance(value, bool):
-        return hint is bool and isinstance(value, bool)
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
 def _checked(key: str, value, hint):
     """``value`` as the field annotated ``hint`` holds it, after checking
     that it has that JSON type."""
-    if not _fits(value, hint):
+    if not D.fits_json(value, hint):
         want = hint.__name__ if isinstance(hint, type) else str(hint)
         raise ConfigError(f"config key '{key}' must be {want}, "
                           f"got {type(value).__name__} {value!r}")

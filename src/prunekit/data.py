@@ -16,8 +16,10 @@ import hashlib
 import json
 import math
 import os
+import types
+import typing
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -379,6 +381,22 @@ def read_container(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
+def fits_json(value, hint) -> bool:
+    """Whether a JSON value has the type ``hint`` annotates: a tuple or
+    list is a JSON list, a float may be an int, and a bool fits only
+    ``bool``."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(fits_json(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) in (tuple, list):
+        return isinstance(value, list) and all(
+            fits_json(v, typing.get_args(hint)[0]) for v in value)
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 # ---------------------------------------------------------------------------
 # run records
 
@@ -415,9 +433,28 @@ class RunRecord:
         return all(getattr(self, k) == getattr(other, k) for k in _RECORD_KEYS)
 
 
-# the fields a record keeps in its metadata; ``gate_blob`` is an array
-_RECORD_KEYS = tuple(f.name for f in fields(RunRecord)
-                     if f.name != "gate_blob")
+# the fields a record keeps in its metadata, with their JSON types
+# (``gate_blob`` is an array), and the nested keys ``inspect`` reads
+_RECORD_KEYS = {name: hint for name, hint
+                in typing.get_type_hints(RunRecord).items()
+                if name != "gate_blob"}
+_SEARCH_KEYS = {"kept_counts": list[int]}
+_SNAPSHOT_KEYS = {"epoch": int, "sparsity": float, "val_accuracy": float,
+                  "train_loss": float}
+_REPORT_KEYS = {"seed": int, "train_loss": list[float],
+                "val_accuracy": list[float], "lr": list[float],
+                "test_accuracy": float, "wall_time": float}
+
+
+def _check_keys(path, where: str, d: dict, hints: dict) -> None:
+    """``FormatError`` unless ``d`` holds every key of ``hints``, each
+    with a JSON value of its hint's type."""
+    for key, hint in hints.items():
+        if key not in d:
+            raise FormatError(f"{path}: record {where} lacks {key!r}")
+        if not fits_json(d[key], hint):
+            raise FormatError(f"{path}: record {where} {key!r} has the "
+                              f"wrong JSON type: {d[key]!r:.60}")
 
 
 def save_run(record: RunRecord, path) -> None:
@@ -438,10 +475,18 @@ def load_run(path) -> RunRecord:
     if meta.get("schema") != RUN_SCHEMA:
         raise MigrationError(
             f"{path}: schema {meta.get('schema')!r}, expected {RUN_SCHEMA!r}")
-    missing = [k for k in _RECORD_KEYS if k not in meta]
-    if missing:
-        raise FormatError(f"{path}: record metadata lacks "
-                          + ", ".join(map(repr, missing)))
+    _check_keys(path, "metadata", meta, _RECORD_KEYS)
+    status = meta["status"]
+    head, _, stage = status.partition(":")
+    if status != "completed" and not (head == "failed" and stage):
+        raise FormatError(f"{path}: record status {status!r} is neither "
+                          "'completed' nor 'failed:<stage>'")
+    if meta["search"] is not None:
+        _check_keys(path, "search", meta["search"], _SEARCH_KEYS)
+    for block, hints in (("snapshots", _SNAPSHOT_KEYS),
+                         ("train_reports", _REPORT_KEYS)):
+        for i, entry in enumerate(meta[block]):
+            _check_keys(path, f"{block}[{i}]", entry, hints)
     stored = meta.get("config_hash")
     rec = RunRecord(gate_blob=arrays.get("gate_blob"),
                     **{k: meta[k] for k in _RECORD_KEYS})

@@ -38,7 +38,7 @@ class DivergenceError(PruneKitError, ArithmeticError):
 
 
 class ArchError(PruneKitError, ValueError):
-    """Malformed architecture description or unrecognized block kind."""
+    """Malformed architecture description or unknown layer kind."""
 
 
 class ConfigError(PruneKitError, ValueError):

@@ -134,9 +134,10 @@ def lottery_slice_init(full_model: A.Model,
                        config: A.ChannelConfig | None) -> dict[str, np.ndarray]:
     """Sub-tensors of a full-width model's state along kept channels.
 
-    Output-channel axes take the layer's kept set, input-channel axes the
-    producing layer's, so connectivity is preserved and the sliced net
-    computes exactly what the gated full net computes under 0/1 gates.
+    Every ``"out"`` axis of ``arch.layer_arrays`` takes the layer's kept
+    set and every ``"in"`` axis the producing layer's, so connectivity is
+    preserved and the sliced net computes exactly what the gated full net
+    computes under 0/1 gates.
     """
     if full_model.config is not None:
         raise ConfigError("lottery slicing starts from a full-width model")
@@ -144,20 +145,13 @@ def lottery_slice_init(full_model: A.Model,
     state = full_model.state_arrays()
     out: dict[str, np.ndarray] = {}
     for l in full_model.arch.layers:
-        lw = widths[l.id]
-        osel = (slice(None) if lw.out_idx is None
-                else np.asarray(lw.out_idx, dtype=np.intp))
-        isel = (slice(None) if lw.in_idx is None
-                else np.asarray(lw.in_idx, dtype=np.intp))
-        if l.kind in ("conv", "linear"):
-            out[f"{l.id}.w"] = state[f"{l.id}.w"][osel][:, isel]
-            if l.kind == "linear":
-                out[f"{l.id}.b"] = state[f"{l.id}.b"][osel]
-        elif l.kind == "depthwise-conv":
-            out[f"{l.id}.w"] = state[f"{l.id}.w"][osel]
-        elif l.kind == "batchnorm":
-            for part in ("gamma", "beta", "running_mean", "running_var"):
-                out[f"{l.id}.{part}"] = state[f"{l.id}.{part}"][osel]
+        kept = {"out": widths[l.id].out_idx, "in": widths[l.id].in_idx}
+        for part, axes in A.layer_arrays(l).items():
+            a = state[f"{l.id}.{part}"]
+            for axis, name in enumerate(axes):
+                if kept.get(name) is not None:
+                    a = np.take(a, kept[name], axis=axis)
+            out[f"{l.id}.{part}"] = a
     return out
 
 

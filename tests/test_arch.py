@@ -9,6 +9,7 @@ import pytest
 
 from prunekit import arch as A
 from prunekit import tensor as T
+from prunekit import train as TR
 from prunekit.errors import ArchError, ConfigError, GeometryError
 
 from helpers import model_flops_oracle, random_config
@@ -343,6 +344,30 @@ def test_count_params_matches_the_model(any_arch):
     # exact at widths no array could hold: the config's size guard reads it
     huge = A.count_params(A.expand_channels(any_arch, 1e17))
     assert isinstance(huge, int) and huge > 10 ** 33
+
+
+def test_lottery_slice_takes_the_kept_channels_of_every_array(any_arch):
+    arch = A.expand_channels(any_arch, 1.25)
+    full = A.Model(arch, None, seed=0)
+    state = full.state_arrays()
+    kinds = {l.id: l.kind for l in arch.layers}
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        config = random_config(A, arch, rng)
+        sliced = TR.lottery_slice_init(full, config)
+        model = A.Model(arch, config, 0).state_arrays()
+        assert ({n: a.shape for n, a in sliced.items()}
+                == {n: a.shape for n, a in model.items()})
+        widths = A.resolve_widths(arch, config)
+        for name, got in sliced.items():
+            lid, part = name.rsplit(".", 1)
+            want, lw = state[name], widths[lid]
+            if lw.out_idx is not None:
+                want = want[list(lw.out_idx)]
+            if (kinds[lid] in ("conv", "linear") and part == "w"
+                    and lw.in_idx is not None):
+                want = want[:, list(lw.in_idx)]
+            assert np.array_equal(got, want), name
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import os
@@ -753,21 +754,83 @@ def test_inspect_missing_file_exits_nonzero(tmp_path):
     (b'{"schema": "prunekit/run/v1", ', ""),
     (b'{"arrays": [{"name": "gate_blob", "shape": [4, 4]}]}', ""),
     (b'{"schema": "prunekit/run/v1"}', "'config'"),
-    ({}, "'schedule'"),
+    ({"config": {}}, "'schedule'"),
+    ({"status": "running"}, "'running'"),
+    ({"search": {}}, "'kept_counts'"),
+    ({"train_reports": [{}]}, "'seed'"),
+    ({"snapshots": [{}]}, "'epoch'"),
 ], ids=["truncated-json", "shape-past-payload", "missing-config",
-        "empty-config"])
+        "empty-config", "unknown-status", "search-without-kept-counts",
+        "report-without-seed", "snapshot-without-epoch"])
 def test_inspect_malformed_record_exits_nonzero(tmp_path, capsys, content,
                                                 named):
     bad = tmp_path / "bad.pkrun"
     if isinstance(content, bytes):
         bad.write_bytes(checksummed_container(D.RUN_MAGIC, content))
-    else:  # a well-formed record whose config is ``content``
-        record = D.RunRecord(config=content, seed=0, tool_version="0")
-        D.save_run(record, bad)
+    else:  # a record with a valid checksum and the fields in ``content``
+        config = CLI.config_to_dict(tiny_config(tmp_path))
+        D.save_run(D.RunRecord(**{"config": config, "seed": 0,
+                                  "tool_version": "0", **content}), bad)
     assert CLI.main(["inspect", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.fixture(scope="module")
+def prune_record(tmp_path_factory):
+    out = tmp_path_factory.mktemp("prune")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        CLI.cmd_prune(tiny_config(out))
+    return out / "run_s0.pkrun"
+
+
+def test_inspect_survives_seeded_record_mutations(prune_record, tmp_path,
+                                                   capsys):
+    # 50 seeded mutations of a completed prune record, each a dropped key
+    # or a value set to None, a string or a list, in the status, the
+    # search, one train report or one snapshot: inspect exits 0, or 1
+    # with one error line, never with a traceback
+    meta, arrays = D.read_container(prune_record, D.RUN_MAGIC)
+    rng = np.random.default_rng(0)
+    values = (None, "x", [], ["x"])
+    seen = set()
+    for case in range(50):
+        m = copy.deepcopy(meta)
+        block = ("status", "search", "train_reports",
+                 "snapshots")[rng.integers(4)]
+        if block == "status":
+            holder, key = m, "status"
+        else:
+            holder = m[block] if block == "search" else m[block][
+                rng.integers(len(m[block]))]
+            key = sorted(holder)[rng.integers(len(holder))]
+        choice = int(rng.integers(len(values) + 1))
+        if choice == len(values):
+            del holder[key]
+            what = f"{block}: drop {key!r}"
+        else:
+            holder[key] = values[choice]
+            what = f"{block}: {key!r} = {values[choice]!r}"
+        path = tmp_path / f"case{case}.pkrun"
+        D.write_container(path, D.RUN_MAGIC, m, arrays)
+        try:
+            code = CLI.main(["inspect", str(path),
+                             "--out", str(tmp_path / "views")])
+        except Exception as exc:
+            pytest.fail(f"{what}: {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1), what
+        if code == 1:
+            assert err.startswith("error:") and err.count("\n") == 1, what
+        else:
+            assert err == "", what
+        seen.add((block, code))
+    # every block was mutated, and both outcomes were reached
+    assert {b for b, _ in seen} == {"status", "search", "train_reports",
+                                    "snapshots"}
+    assert {c for _, c in seen} == {0, 1}
 
 
 def test_inspect_record_without_search(tmp_path, capsys):

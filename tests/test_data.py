@@ -303,14 +303,17 @@ def _sample_record(tmp_path, with_blob=True):
         config={"arch": "vgg-small", "budget": 0.5},
         seed=3,
         tool_version="0.1.0",
-        snapshots=[{"epoch": 0, "sparsity": 1.0, "val_accuracy": 0.33},
-                   {"epoch": 1, "sparsity": 0.61, "val_accuracy": 0.55}],
+        snapshots=[{"epoch": 0, "sparsity": 1.0, "val_accuracy": 0.33,
+                    "train_loss": 1.1},
+                   {"epoch": 1, "sparsity": 0.61, "val_accuracy": 0.55,
+                    "train_loss": 0.9}],
         gate_blob=np.linspace(0, 1, 12, dtype=np.float32).reshape(2, 6)
         if with_blob else None,
         search={"tau_star": 0.43, "converged": True, "iterations": 7,
                 "achieved_flops": 1234, "kept_counts": [3, 3]},
-        train_reports=[{"seed": 3, "final_test_accuracy": 0.81,
-                        "train_loss": [1.0, 0.5], "val_acc": [0.4, 0.7]}],
+        train_reports=[{"seed": 3, "train_loss": [1.0, 0.5],
+                        "val_accuracy": [0.4, 0.7], "lr": [0.05, 0.05],
+                        "test_accuracy": 0.81, "wall_time": 1.5}],
         artifacts=[str(art)],
     )
 
