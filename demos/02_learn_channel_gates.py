@@ -20,8 +20,8 @@ arch = A.preset("vgg-small")
 model = A.Model(arch, None, seed=7)
 
 print("architecture:", arch.name)
-print("gated layers:", list(model.gated_ids))
-print("channels per gated layer:", A.gated_channel_counts(arch))
+print("gated layers:", list(arch.gated_ids))
+print("channels per gated layer:", arch.gated_widths)
 
 before = model.weight_hash()
 # stronger than the defaults, which stop short of r and take the fallback

@@ -17,7 +17,7 @@ print(f"{arch.name}: {full:,} multiply-accumulates at full width")
 
 # gate values as importance learning might leave them
 rng = np.random.default_rng(42)
-gates = [rng.random(c) for c in A.gated_channel_counts(arch)]
+gates = [rng.random(c) for c in arch.gated_widths]
 
 cfg = S.SearchConfig(budget=full // 2, max_iters=20, rel_tolerance=0.02)
 res = S.search_structure(gates, arch, cfg)
@@ -33,9 +33,9 @@ print(f"threshold: {res.tau_star:.5f}")
 print(f"achieved:  {res.achieved_flops:,} "
       f"({res.achieved_flops / full:.1%} of full)")
 
-widths = A.gated_channel_counts(arch)
+widths = arch.gated_widths
 print("\nlayer   kept / original")
-for lid, k, c in zip(A.place_gates(arch), res.config.kept_counts, widths):
+for lid, k, c in zip(arch.gated_ids, res.config.kept_counts, widths):
     bar = "#" * k + "." * (c - k)
     print(f"{lid:>6}  {k:4d} / {c:<4d}  {bar}")
 

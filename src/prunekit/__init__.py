@@ -44,8 +44,6 @@ from .arch import (
     evaluate_accuracy,
     expand_channels,
     full_config,
-    gated_channel_counts,
-    place_gates,
     preset,
     prune_by_threshold,
 )

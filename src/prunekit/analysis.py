@@ -67,8 +67,8 @@ def structure_feature(config: A.ChannelConfig, base: A.ArchSpec,
                       label: str = "") -> StructureFeature:
     """Per-gated-layer keep ratios of ``config`` relative to ``base``."""
     A.resolve_widths(base, config)
-    widths = A.gated_channel_counts(base)
-    ratios = tuple(k / c for k, c in zip(config.kept_counts, widths))
+    ratios = tuple(k / c for k, c in zip(config.kept_counts,
+                                         base.gated_widths))
     return StructureFeature(ratios, label)
 
 
@@ -245,11 +245,11 @@ def emit_report(bundle: StudyBundle, out_dir) -> list[Path]:
 
     path = out / "channels.csv"
     rows = ["layer_id,label,kept,original"]
-    widths = A.gated_channel_counts(bundle.arch)
     rows += [f"{lid},{label},{kept},{orig}"
              for label, record in bundle.records.items()
-             for lid, kept, orig in zip(A.place_gates(bundle.arch),
-                                        record.search["kept_counts"], widths)]
+             for lid, kept, orig in zip(bundle.arch.gated_ids,
+                                        record.search["kept_counts"],
+                                        bundle.arch.gated_widths)]
     D.write_atomic(path, "\n".join(rows) + "\n")
     files.append(path)
 

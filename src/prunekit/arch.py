@@ -3,18 +3,20 @@
 An architecture is a DAG of typed layers. Channel bookkeeping runs on
 "channel groups": a convolution or linear layer opens a new group, shape
 preserving layers (batch norm, relu, pooling, depthwise conv) stay in
-their input's group, and add-joins merge the groups of their operands.
-A gate attaches to the group of one batch-norm layer, so pruning a gated
-group consistently narrows every producer and consumer of that group.
+their input's group, and an add-join merges its operands' groups by
+relabelling every layer of the second to the first. A gate attaches to
+the group of one batch-norm layer, so pruning a gated group consistently
+narrows every producer and consumer of that group.
 
 Building an ``ArchSpec`` walks its layers once, in order: that walk
 resolves every layer's channel group and output map size and each
 activation's last reader, and collects the batch norms flagged
 ``gated``. A malformed spec (bad order or geometry, a join of mismatched
 widths or map sizes, no gated layer, two gates on one group) is rejected
-right there, before any work; the gate, width and FLOPS functions below
-read what the walk stored, and ``Model.forward`` drops each activation
-once its last reader has run.
+right there, before any work. The spec keeps the walk's answers as
+``gated_ids``, ``gated_widths`` and ``output_layer``; the width and
+FLOPS functions below read what the walk stored, and ``Model.forward``
+drops each activation once its last reader has run.
 
 ``layer_arrays`` names the arrays each layer kind owns; model init, the
 parameter and FLOPS counts and lottery slicing all read it. FLOPS here
@@ -73,9 +75,12 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Immutable network description, checked when built. What the walk
-    works out is kept in private attributes, not fields, so equality,
-    hashing, ``repr`` and ``replace`` see only the description."""
+    """Immutable network description, checked when built. The walk's
+    answers are attributes, not fields, so equality, hashing, ``repr``
+    and ``replace`` see only the description: ``gated_ids`` (the gated
+    batch norms, in layer order), ``gated_widths`` (the full width of
+    each) and ``output_layer`` (the one terminal layer). An add-join
+    merges two channel groups by relabelling the second to the first."""
     name: str
     layers: tuple[LayerSpec, ...]
     input_shape: tuple[int, int, int]
@@ -84,15 +89,7 @@ class ArchSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        parent: list[int] = []  # union-find over channel groups
-        width: dict[int, int] = {}  # full width per group root
-
-        def find(g: int) -> int:
-            while parent[g] != g:
-                parent[g] = parent[parent[g]]
-                g = parent[g]
-            return g
-
+        width: dict[int, int] = {}  # per group, keyed by its opening layer
         group: dict[str, int] = {}
         size: dict[str, tuple[int, int]] = {}
         reader: dict[str, int] = {}  # index of each activation's last reader
@@ -108,11 +105,10 @@ class ArchSpec:
                 reader[ref] = i
             h, w = size[l.inputs[0]] if l.inputs else self.input_shape[1:]
             if l.kind in ("conv", "linear"):
-                g = len(parent)
-                parent.append(g)
+                g = i
                 width[g] = l.channels
             elif l.kind == "add-join":
-                a, b = (find(group[ref]) for ref in l.inputs)
+                a, b = (group[ref] for ref in l.inputs)
                 if width[a] != width[b]:
                     raise ArchError(
                         f"{self.name}: add-join {l.id!r} operands have "
@@ -122,7 +118,7 @@ class ArchSpec:
                         f"{self.name}: add-join {l.id!r} operands "
                         f"{(h, w)} vs {size[l.inputs[1]]}")
                 if a != b:
-                    parent[b] = a
+                    group = {k: a if v == b else v for k, v in group.items()}
                     del width[b]
                 g = a
             elif not l.inputs:
@@ -149,7 +145,6 @@ class ArchSpec:
             raise ArchError(
                 f"{self.name}: expected a single output layer, "
                 f"found {terminals}")
-        group = {lid: find(g) for lid, g in group.items()}
         gated = tuple(l.id for l in self.layers if l.gated)
         if not gated:
             raise ArchError(f"{self.name}: no gated layers")
@@ -158,14 +153,12 @@ class ArchSpec:
         last_read = tuple(tuple(ref for ref in dict.fromkeys(l.inputs)
                                 if reader[ref] == i)
                           for i, l in enumerate(self.layers))
-        for name, value in (("_groups", group), ("_widths", width),
-                            ("_sizes", size), ("_output", terminals[0]),
-                            ("_last_read", last_read), ("_gated", gated)):
+        for name, value in (
+                ("_groups", group), ("_widths", width), ("_sizes", size),
+                ("_last_read", last_read), ("gated_ids", gated),
+                ("gated_widths", tuple(width[group[lid]] for lid in gated)),
+                ("output_layer", terminals[0])):
             object.__setattr__(self, name, value)
-
-    @property
-    def output_layer(self) -> str:
-        return self._output
 
 
 @dataclass(frozen=True)
@@ -193,21 +186,9 @@ class ChannelConfig:
 # ---------------------------------------------------------------------------
 # gates and widths
 
-def place_gates(arch: ArchSpec) -> tuple[str, ...]:
-    """Ids of the batch norms flagged ``gated``, in layer order, one per
-    prunable channel group."""
-    return arch._gated
-
-
-def gated_channel_counts(arch: ArchSpec) -> tuple[int, ...]:
-    """Full channel width of each gated layer, in gate order."""
-    return tuple(arch._widths[arch._groups[lid]] for lid in arch._gated)
-
-
 def full_config(arch: ArchSpec) -> ChannelConfig:
     """The keep-everything ChannelConfig."""
-    return ChannelConfig(tuple(tuple(range(c))
-                               for c in gated_channel_counts(arch)))
+    return ChannelConfig(tuple(tuple(range(c)) for c in arch.gated_widths))
 
 
 @dataclass(frozen=True)
@@ -251,11 +232,11 @@ def resolve_widths(arch: ArchSpec, config: ChannelConfig | None = None
     groups, width = arch._groups, arch._widths
     kept: dict[int, tuple[int, ...]] = {}
     if config is not None:
-        if len(config.kept_indices) != len(arch._gated):
+        if len(config.kept_indices) != len(arch.gated_ids):
             raise ConfigError(
                 f"config has {len(config.kept_indices)} entries for "
-                f"{len(arch._gated)} gated layers")
-        for lid, idx in zip(arch._gated, config.kept_indices):
+                f"{len(arch.gated_ids)} gated layers")
+        for lid, idx in zip(arch.gated_ids, config.kept_indices):
             g = groups[lid]
             if idx[-1] >= width[g]:
                 raise ConfigError(
@@ -288,10 +269,9 @@ def expand_channels(arch: ArchSpec, multiplier: float) -> ArchSpec:
     floor 1). The classifier output layer keeps its width."""
     if not multiplier > 0:
         raise ConfigError(f"multiplier must be positive, got {multiplier}")
-    terminal = arch.output_layer
     new_layers = []
     for l in arch.layers:
-        if l.kind in ("conv", "linear") and l.id != terminal:
+        if l.kind in ("conv", "linear") and l.id != arch.output_layer:
             c = max(1, int(np.floor(l.channels * multiplier + 0.5)))
             new_layers.append(replace(l, channels=c))
         else:
@@ -355,14 +335,13 @@ class Model:
     ``running_var`` start as ones and the rest as zeros. Batch-norm running
     statistics live in ``stats``, keyed like ``bn1.running_mean``, apart
     from the learnable ``params``. Gate vectors are not part of the model;
-    pass them to ``forward`` keyed by the ids in ``gated_ids``.
+    pass them to ``forward`` keyed by the ids in ``arch.gated_ids``.
     """
 
     def __init__(self, arch: ArchSpec, config: ChannelConfig | None,
                  seed: int):
         self.arch = arch
         self.config = config
-        self.gated_ids = place_gates(arch)
         self.widths = resolve_widths(arch, config)
         self.params: dict[str, np.ndarray] = {}
         self.stats: dict[str, np.ndarray] = {}
@@ -432,7 +411,8 @@ class Model:
     # -- parameter access ---------------------------------------------------
 
     def trainable(self) -> list[tuple[str, np.ndarray]]:
-        """All learnable parameters in layer order (running stats excluded)."""
+        """All learnable parameters sorted by name, so ``bn1.beta`` comes
+        before ``conv1.w`` (running stats excluded)."""
         return sorted(self.params.items())
 
     def weight_hash(self) -> str:

@@ -38,7 +38,7 @@ from . import gates as G
 from . import search as S
 from . import tensor as T
 from . import train as TR
-from .errors import ConfigError, GeometryError, PruneKitError
+from .errors import ConfigError, FormatError, GeometryError, PruneKitError
 
 
 @dataclass
@@ -246,7 +246,7 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
                                     rel_tolerance=cfg.tolerance,
                                     max_iters=cfg.max_iters)
             model = A.Model(arch, None, D.derive_seed(seed, "pipeline-init"))
-        result, report = TR.prune_and_train(
+        weights = TR.prune_and_train(
             model, data, cfg.importance, search, cfg.schedule, seed, seed,
             record=record, stages=stages, lottery=cfg.lottery_init)
         with stages("save"):
@@ -255,14 +255,14 @@ def _prune_one(cfg: PipelineConfig, data: dict[str, D.Dataset],
             weights_path = out / f"run_s{seed}.weights"
             curve_path = out / f"run_s{seed}_train.csv"
             record.artifacts += [str(weights_path), str(curve_path)]
-            D.save_weights(report.states[len(report.train_loss)],
-                           weights_path, {"seed": seed, "arch": cfg.arch,
-                                          "status": "budget-trained"})
-            D.write_atomic(curve_path, TR.report_csv(report))
+            D.save_weights(weights, weights_path, {
+                "seed": seed, "arch": cfg.arch, "status": "budget-trained"})
+            D.write_atomic(curve_path, TR.report_csv(record.train_reports[0]))
             D.save_run(record, record_path)
-    print(f"seed {seed}: flops ratio {result.achieved_flops / full:.3f} "
-          f"(converged={result.converged}), "
-          f"test accuracy {report.test_accuracy:.3f}")
+    result, report = record.search, record.train_reports[0]
+    print(f"seed {seed}: flops ratio {result['achieved_flops'] / full:.3f} "
+          f"(converged={result['converged']}), "
+          f"test accuracy {report['test_accuracy']:.3f}")
     return record
 
 
@@ -318,10 +318,15 @@ def cmd_inspect(record_path, out_dir=None) -> int:
         print("the record holds no structure search")
     else:
         arch = A.expand_channels(A.preset(cfg.arch), cfg.expand)
+        counts = record.search["kept_counts"]
+        if len(counts) != len(arch.gated_ids):
+            raise FormatError(
+                f"{record_path}: record search 'kept_counts' has "
+                f"{len(counts)} entries for {len(arch.gated_ids)} gated "
+                "layers")
         print("kept channels per gated layer:")
-        for lid, orig, kept in zip(A.place_gates(arch),
-                                   A.gated_channel_counts(arch),
-                                   record.search["kept_counts"]):
+        for lid, orig, kept in zip(arch.gated_ids, arch.gated_widths,
+                                   counts):
             print(f"  {lid}: {kept}/{orig}")
     if record.snapshots:
         print("gate learning trajectory:")
@@ -334,7 +339,7 @@ def cmd_inspect(record_path, out_dir=None) -> int:
     stem = Path(record_path).stem
     for i, rep in enumerate(record.train_reports):
         curve = out / f"{stem}_curve{i}.csv"
-        D.write_atomic(curve, TR.report_csv(TR.report_from_dict(rep)))
+        D.write_atomic(curve, TR.report_csv(rep))
         print(f"wrote {curve}")
     return 0
 

@@ -487,6 +487,12 @@ def load_run(path) -> RunRecord:
                          ("train_reports", _REPORT_KEYS)):
         for i, entry in enumerate(meta[block]):
             _check_keys(path, f"{block}[{i}]", entry, hints)
+    for i, report in enumerate(meta["train_reports"]):
+        lengths = {k: len(report[k])
+                   for k in ("lr", "train_loss", "val_accuracy")}
+        if len(set(lengths.values())) > 1:
+            raise FormatError(f"{path}: record train_reports[{i}] lists "
+                              f"differ in length: {lengths}")
     stored = meta.get("config_hash")
     rec = RunRecord(gate_blob=arrays.get("gate_blob"),
                     **{k: meta[k] for k in _RECORD_KEYS})

@@ -134,7 +134,7 @@ def project_gates(gates: GateState) -> GateState:
 def init_gates(model: Model) -> GateState:
     """All-ones gates (identity modulation) sized to the gated layers."""
     lam = [np.ones(model.widths[lid].cout, dtype=T.default_dtype())
-           for lid in model.gated_ids]
+           for lid in model.arch.gated_ids]
     return GateState(lam)
 
 
@@ -156,7 +156,7 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
         raise ConfigError("importance learning needs a non-empty train split")
     state = init_gates(model)
     # one set of arrays: forward gates, backward targets, updated in place
-    gate_map = dict(zip(model.gated_ids, state.lam))
+    gate_map = dict(zip(model.arch.gated_ids, state.lam))
     m = [np.zeros_like(v) for v in state.lam]
     v2 = [np.zeros_like(v) for v in state.lam]
     snapshots: list[GateSnapshot] = []

@@ -59,7 +59,7 @@ def search_structure(gates, arch: ArchSpec,
     """Find a threshold whose pruned structure meets ``cfg.budget`` MACs.
 
     ``gates`` is a GateState or a sequence of per-layer gate vectors, one
-    per id of ``place_gates(arch)``. A budget equal to the full FLOPS
+    per id of ``arch.gated_ids``. A budget equal to the full FLOPS
     returns the full structure at threshold 0 after no iterations: a gate
     of exactly 0 survives no threshold, so bisection never gets there.
     Deterministic in its inputs.

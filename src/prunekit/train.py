@@ -267,14 +267,15 @@ def prune_and_train(source: A.Model, data: dict[str, Dataset],
                     importance: G.ImportanceConfig, search: S.SearchConfig,
                     schedule: TrainSchedule, gate_seed: int, train_seed: int,
                     *, record: RunRecord, stages: Stages,
-                    lottery: bool = False
-                    ) -> tuple[S.SearchResult, TrainReport]:
+                    lottery: bool = False) -> dict[str, np.ndarray]:
     """Learn gates on the frozen full-width ``source``, bisect the best
     snapshot to ``search``'s budget, and train the structure on
     budget-scaled epochs from fresh weights of ``train_seed``, or from
     ``source``'s slice with ``lottery``: ``stages`` "gates", "search" and
     "train", each filling ``record`` as it finishes, so a failed unit's
-    record keeps what came before. An unconverged search is said too."""
+    record keeps what came before. An unconverged search is said too.
+    Returns the trained weights, the one result the record does not
+    hold."""
     full = A.count_flops(source.arch)
     with stages("gates"):
         snaps = G.learn_channel_importance(source, data["train"], data["val"],
@@ -297,7 +298,7 @@ def prune_and_train(source: A.Model, data: dict[str, Dataset],
             report = train_from_scratch(source.arch, result.config, data,
                                         sched, train_seed)
         record.train_reports.append(report_to_dict(report))
-    return result, report
+    return report.states[len(report.train_loss)]
 
 
 def train_baseline(arch: A.ArchSpec, data: dict[str, Dataset],
@@ -313,10 +314,11 @@ def train_baseline(arch: A.ArchSpec, data: dict[str, Dataset],
 # ---------------------------------------------------------------------------
 # report serialization
 
-def report_csv(report: TrainReport) -> str:
-    """Per-epoch metrics as CSV (repr floats round-trip exactly)."""
+def report_csv(report: dict) -> str:
+    """Per-epoch metrics of a ``report_to_dict`` dict as CSV (repr floats
+    round-trip exactly)."""
     lines = ["epoch,lr,train_loss,val_acc"]
-    rows = zip(report.lr, report.train_loss, report.val_accuracy)
+    rows = zip(report["lr"], report["train_loss"], report["val_accuracy"])
     for e, (lr, tl, va) in enumerate(rows, start=1):
         lines.append(f"{e},{lr!r},{tl!r},{va!r}")
     return "\n".join(lines) + "\n"
@@ -329,12 +331,3 @@ def report_to_dict(report: TrainReport) -> dict:
             "lr": list(report.lr),
             "test_accuracy": report.test_accuracy,
             "wall_time": report.wall_time}
-
-
-def report_from_dict(d: dict) -> TrainReport:
-    return TrainReport(seed=int(d["seed"]),
-                       train_loss=tuple(d["train_loss"]),
-                       val_accuracy=tuple(d["val_accuracy"]),
-                       lr=tuple(d["lr"]),
-                       test_accuracy=float(d["test_accuracy"]),
-                       wall_time=float(d["wall_time"]))

@@ -11,6 +11,7 @@ import zlib
 import numpy as np
 
 from prunekit import analysis as AN
+from prunekit import arch as A
 from prunekit import data as D
 from prunekit import gates as G
 from prunekit import tensor as T
@@ -54,10 +55,10 @@ def numeric_grad(loss_fn, array, h=1e-5):
 def objective(model, images, labels, gates, gamma, r, train=False):
     """Classification loss plus weighted sparsity penalty, as a float.
 
-    ``gates`` holds one vector per gated layer, in ``model.gated_ids``
-    order."""
+    ``gates`` holds one vector per gated layer, in
+    ``model.arch.gated_ids`` order."""
     logits = model.forward(images, train=train,
-                           gates=dict(zip(model.gated_ids, gates)))
+                           gates=dict(zip(model.arch.gated_ids, gates)))
     return (float(T.cross_entropy(logits, labels))
             + gamma * G.sparsity_penalty(gates, r))
 
@@ -190,14 +191,14 @@ def checksummed_container(magic, meta_bytes, payload=b"", meta_len=None):
     return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
 
 
-def random_config(arch_mod, arch, rng):
+def random_config(arch, rng):
     """Random valid ChannelConfig for an architecture."""
     indices = []
-    for c in arch_mod.gated_channel_counts(arch):
+    for c in arch.gated_widths:
         k = int(rng.integers(1, c + 1))
         idx = np.sort(rng.choice(c, size=k, replace=False))
         indices.append(tuple(int(i) for i in idx))
-    return arch_mod.ChannelConfig(tuple(indices))
+    return A.ChannelConfig(tuple(indices))
 
 
 def model_flops_oracle(model, input_shape):

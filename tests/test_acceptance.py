@@ -89,7 +89,7 @@ def test_criterion_01_gate_gradients():
             y = rng.integers(0, 3, 4)
             for _setting in range(10):
                 lam = [rng.random(4), rng.random(5)]
-                gmap = dict(zip(model.gated_ids, lam))
+                gmap = dict(zip(arch.gated_ids, lam))
                 pen = G.sparsity_penalty_grad(lam, r)
                 for train in (False, True):
                     tape = T.Tape()
@@ -142,7 +142,7 @@ def test_criterion_03_search_convergence():
     # halve the bracketing interval around its midpoint probe
     with verdict(3, "threshold search convergence", budget_s=60) as notes:
         arch = A.preset("resnet-tiny")
-        widths = A.gated_channel_counts(arch)
+        widths = arch.gated_widths
         cfg = S.SearchConfig(budget=A.count_flops(arch) // 2,
                              max_iters=20, rel_tolerance=0.02)
         rng = np.random.default_rng(3)
@@ -179,7 +179,7 @@ def test_criterion_04_flops_oracle():
             assert A.count_flops(arch) == model_flops_oracle(
                 A.Model(arch, None, 0), arch.input_shape)
             for _ in range(20):
-                config = random_config(A, arch, rng)
+                config = random_config(arch, rng)
                 assert A.count_flops(arch, config) == model_flops_oracle(
                     A.Model(arch, config, 0), arch.input_shape)
         notes.append(f"exact on 20 random configs x {len(A.PRESETS)} presets")
@@ -193,7 +193,7 @@ def test_criterion_05_masked_equals_sliced():
         for name in sorted(A.PRESETS):
             arch = A.preset(name)
             full = A.Model(arch, None, seed=11)
-            widths = A.gated_channel_counts(arch)
+            widths = arch.gated_widths
             indices = []
             for c in widths:
                 k = int(rng.integers(1, c + 1))
@@ -201,7 +201,7 @@ def test_criterion_05_masked_equals_sliced():
                     rng.choice(c, size=k, replace=False))))
             config = A.ChannelConfig(tuple(indices))
             gates = {}
-            for lid, c, kept in zip(A.place_gates(arch), widths, indices):
+            for lid, c, kept in zip(arch.gated_ids, widths, indices):
                 v = np.zeros(c, dtype=T.default_dtype())
                 v[list(kept)] = 1.0
                 gates[lid] = v

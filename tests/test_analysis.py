@@ -19,13 +19,13 @@ from helpers import DiesMidWrite, parse_matrix_csv, pearson_oracle
 def test_full_config_gives_all_ones():
     arch = A.preset("vgg-small")
     feat = AN.structure_feature(A.full_config(arch), arch, "full")
-    assert feat.ratios == (1.0,) * len(A.gated_channel_counts(arch))
+    assert feat.ratios == (1.0,) * len(arch.gated_widths)
     assert feat.label == "full"
 
 
 def test_uniform_half_pruning():
     arch = A.preset("vgg-small")
-    widths = A.gated_channel_counts(arch)
+    widths = arch.gated_widths
     config = A.ChannelConfig(tuple(tuple(range(c // 2)) for c in widths))
     feat = AN.structure_feature(config, arch)
     assert feat.ratios == (0.5,) * len(widths)
@@ -34,13 +34,13 @@ def test_uniform_half_pruning():
 def test_resnet_feature_length_matches_gated_layers():
     arch = A.preset("resnet-tiny")
     feat = AN.structure_feature(A.full_config(arch), arch)
-    assert len(feat.ratios) == len(A.place_gates(arch))
+    assert len(feat.ratios) == len(arch.gated_ids)
 
 
 def test_threshold_zero_yields_ones():
     arch = A.preset("resnet-tiny")
     rng = np.random.default_rng(0)
-    gates = [rng.uniform(0.1, 1.0, c) for c in A.gated_channel_counts(arch)]
+    gates = [rng.uniform(0.1, 1.0, c) for c in arch.gated_widths]
     config = A.prune_by_threshold(gates, 0.0)
     assert AN.structure_feature(config, arch).ratios == (
         1.0,) * len(gates)
@@ -254,7 +254,7 @@ def test_report_emission(tmp_path, small_bundle):
     assert cross == small_bundle.cross
     channels = (tmp_path / "channels.csv").read_text().strip().split("\n")
     assert channels[0] == "layer_id,label,kept,original"
-    gated = len(A.place_gates(A.preset("vgg-small")))
+    gated = len(A.preset("vgg-small").gated_ids)
     assert len(channels) == 1 + 4 * gated
     summary = (tmp_path / "summary.csv").read_text().strip().split("\n")
     assert summary[0] == "label,mean_acc,std_acc,flops_ratio"
@@ -272,9 +272,9 @@ def test_channel_and_summary_csvs_are_recomputed_from_the_records(
     assert channels == [
         [lid, label, str(len(kept)), str(orig)]
         for label, record in small_bundle.records.items()
-        for lid, kept, orig in zip(A.place_gates(arch),
+        for lid, kept, orig in zip(arch.gated_ids,
                                    record.search["kept_indices"],
-                                   A.gated_channel_counts(arch))]
+                                   arch.gated_widths)]
     by_level: dict[str, list] = {}
     for label, record in small_bundle.records.items():
         by_level.setdefault(label.split(":")[1], []).append(record)

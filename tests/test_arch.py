@@ -83,6 +83,15 @@ _JOIN = (A.LayerSpec("c1", "conv", channels=4, kernel=1),
          A.LayerSpec("j", "add-join", inputs=("c1", "c2")),
          A.LayerSpec("b", "batchnorm", inputs=("j",), gated=True)
          ) + _head("b")
+# three convs tied by two joins; the second relabels the merged group
+_TIED = (A.LayerSpec("c1", "conv", channels=4, kernel=1),
+         A.LayerSpec("b1", "batchnorm", inputs=("c1",)),
+         A.LayerSpec("c2", "conv", inputs=("b1",), channels=4, kernel=1),
+         A.LayerSpec("j1", "add-join", inputs=("b1", "c2")),
+         A.LayerSpec("c3", "conv", inputs=("j1",), channels=4, kernel=1),
+         A.LayerSpec("j2", "add-join", inputs=("c3", "j1")),
+         A.LayerSpec("b", "batchnorm", inputs=("j2",), gated=True)
+         ) + _head("b")
 _TWO_GATES_ONE_GROUP = (
     A.LayerSpec("c", "conv", channels=4, kernel=1),
     A.LayerSpec("b1", "batchnorm", inputs=("c",), gated=True),
@@ -100,12 +109,28 @@ _TWO_GATES_ONE_GROUP = (
      ArchError, "two gates share a channel group"),
     (lambda: A.ArchSpec("bad", _JOIN, (3, 8, 8), 3), GeometryError,
      r"'j' operands \(8, 8\) vs \(4, 4\)"),
+    (lambda: A.ArchSpec("bad", tuple(
+        replace(l, gated=True) if l.id == "b1" else l for l in _TIED),
+        (3, 8, 8), 3), ArchError, "two gates share a channel group"),
 ], ids=["geometry", "gated-conv", "no-gates", "shared-group",
-        "join-map-sizes"])
+        "join-map-sizes", "shared-group-after-two-joins"])
 def test_malformed_spec_rejected_when_built(build, error, match):
     # before any gate, width or FLOPS question is asked of it
     with pytest.raises(error, match=match):
         build()
+
+
+def test_two_joins_tie_three_convs_to_one_gate():
+    arch = A.ArchSpec("tied", _TIED, (3, 8, 8), 3)
+    assert (arch.gated_ids, arch.gated_widths, arch.output_layer) == (
+        ("b",), (4,), "fc")
+    widths = A.resolve_widths(arch, A.ChannelConfig(((0, 2),)))
+    for lid in ("c1", "c2", "c3"):
+        assert (widths[lid].cout, widths[lid].out_idx) == (2, (0, 2))
+    # every consumer of the group reads the two kept channels
+    for lid in ("b1", "c2", "c3", "b", "fc"):
+        assert (widths[lid].cin, widths[lid].in_idx) == (2, (0, 2))
+    assert (widths["c1"].cin, widths["fc"].cout) == (3, 3)
 
 
 def test_checked_results_stay_out_of_the_description(any_arch):
@@ -117,17 +142,19 @@ def test_checked_results_stay_out_of_the_description(any_arch):
     # worker processes receive pickled specs
     back = pickle.loads(pickle.dumps(any_arch))
     assert back == any_arch
-    cfg = random_config(A, any_arch, np.random.default_rng(4))
-    assert A.place_gates(back) == A.place_gates(any_arch)
+    cfg = random_config(any_arch, np.random.default_rng(4))
+    assert ((back.gated_ids, back.gated_widths, back.output_layer)
+            == (any_arch.gated_ids, any_arch.gated_widths,
+                any_arch.output_layer))
     assert A.count_flops(back, cfg) == A.count_flops(any_arch, cfg)
     # replace builds anew, so the walk sees the new fields
     larger = replace(any_arch, input_shape=(3, 16, 16))
     assert A.count_flops(larger) == A.count_flops(
         A.preset(any_arch.name, (3, 16, 16)))
-    first = A.place_gates(any_arch)[0]
+    first = any_arch.gated_ids[0]
     ungated = tuple(replace(l, gated=False) if l.gated and l.id != first
                     else l for l in any_arch.layers)
-    assert A.place_gates(replace(any_arch, layers=ungated)) == (first,)
+    assert replace(any_arch, layers=ungated).gated_ids == (first,)
 
 
 # ---------------------------------------------------------------------------
@@ -135,25 +162,25 @@ def test_checked_results_stay_out_of_the_description(any_arch):
 
 def test_vgg_gates_every_bn():
     arch = A.preset("vgg-small")
-    assert A.place_gates(arch) == tuple(f"bn{i}" for i in range(1, 9))
+    assert arch.gated_ids == tuple(f"bn{i}" for i in range(1, 9))
 
 
 def test_resnet_gates_only_middle_bns():
     # the order fixes the gate_blob columns and kept_indices of a record;
     # block-output and projection norms, on the residual stream, never
     # carry gates
-    assert A.place_gates(A.preset("resnet-tiny")) == (
+    assert A.preset("resnet-tiny").gated_ids == (
         "s1b1.bn1", "s1b2.bn1", "s2b1.bn1", "s2b2.bn1", "s3b1.bn1",
         "s3b2.bn1")
 
 
 def test_depthwise_gates_second_bn():
-    assert A.place_gates(A.preset("depthwise-tiny")) == (
+    assert A.preset("depthwise-tiny").gated_ids == (
         "dw1.bn2", "dw2.bn2", "dw3.bn2", "dw4.bn2")
 
 
 def test_gates_always_point_at_batchnorms(any_arch):
-    gated = A.place_gates(any_arch)
+    gated = any_arch.gated_ids
     assert len(gated) >= 1
     for lid in gated:
         assert layer(any_arch, lid).kind == "batchnorm"
@@ -220,7 +247,7 @@ def test_channel_config_counts_its_indices():
 
 
 def test_prune_keep_all_at_zero(any_arch):
-    widths = A.gated_channel_counts(any_arch)
+    widths = any_arch.gated_widths
     gates = [np.full(c, 0.7) for c in widths]
     cfg = A.prune_by_threshold(gates, 0.0)
     assert cfg == A.full_config(any_arch)
@@ -312,7 +339,7 @@ def test_count_flops_matches_execution_oracle(any_arch):
     assert A.count_flops(any_arch) == model_flops_oracle(
         full_model, any_arch.input_shape)
     for _ in range(5):
-        cfg = random_config(A, any_arch, rng)
+        cfg = random_config(any_arch, rng)
         model = A.Model(any_arch, cfg, seed=0)
         assert A.count_flops(any_arch, cfg) == model_flops_oracle(
             model, any_arch.input_shape)
@@ -320,7 +347,7 @@ def test_count_flops_matches_execution_oracle(any_arch):
 
 def test_count_flops_monotone_under_threshold(any_arch):
     rng = np.random.default_rng(5)
-    gates = [rng.random(c) for c in A.gated_channel_counts(any_arch)]
+    gates = [rng.random(c) for c in any_arch.gated_widths]
     taus = np.linspace(0, 1, 11)
     flops = [A.count_flops(any_arch, A.prune_by_threshold(gates, t))
              for t in taus]
@@ -328,7 +355,7 @@ def test_count_flops_monotone_under_threshold(any_arch):
 
 
 def test_count_flops_rejects_inconsistent_config(any_arch):
-    widths = A.gated_channel_counts(any_arch)
+    widths = any_arch.gated_widths
     too_many = A.ChannelConfig(tuple(tuple(range(c + 1)) for c in widths))
     with pytest.raises(ConfigError):
         A.count_flops(any_arch, too_many)
@@ -353,7 +380,7 @@ def test_lottery_slice_takes_the_kept_channels_of_every_array(any_arch):
     kinds = {l.id: l.kind for l in arch.layers}
     rng = np.random.default_rng(21)
     for _ in range(20):
-        config = random_config(A, arch, rng)
+        config = random_config(arch, rng)
         sliced = TR.lottery_slice_init(full, config)
         model = A.Model(arch, config, 0).state_arrays()
         assert ({n: a.shape for n, a in sliced.items()}
@@ -398,7 +425,7 @@ def test_generate_model_full_config_flops_identity(any_arch):
 
 def test_pruned_model_forward_shape(any_arch):
     rng = np.random.default_rng(9)
-    cfg = random_config(A, any_arch, rng)
+    cfg = random_config(any_arch, rng)
     model = A.Model(any_arch, cfg, seed=1)
     x = rng.standard_normal((2,) + tuple(any_arch.input_shape)).astype(
         np.float32)
@@ -433,16 +460,16 @@ def test_load_state_rejects_wrong_shaped_or_missing_arrays():
 def test_gate_dict_applies_to_forward():
     arch = A.preset("vgg-small")
     model = A.Model(arch, None, seed=2)
-    widths = A.gated_channel_counts(arch)
+    widths = arch.gated_widths
     ones = {lid: np.ones(c, dtype=np.float32)
-            for lid, c in zip(model.gated_ids, widths)}
+            for lid, c in zip(arch.gated_ids, widths)}
     x = np.random.default_rng(2).standard_normal((2, 3, 8, 8)).astype(
         np.float32)
     base = model.forward(x)
     gated = model.forward(x, gates=ones)
     assert np.allclose(base, gated, atol=1e-6)
     zeros = {lid: np.zeros(c, dtype=np.float32)
-             for lid, c in zip(model.gated_ids, widths)}
+             for lid, c in zip(arch.gated_ids, widths)}
     dead = model.forward(x, gates=zeros)
     # killing every gated channel collapses logits to the classifier bias
     assert np.allclose(dead, dead[0], atol=1e-6)
@@ -454,7 +481,7 @@ def test_forward_calls_one_op_per_layer(monkeypatch):
     arch = A.preset("vgg-small")
     model = A.Model(arch, None, seed=0)
     gates = {lid: np.full(model.widths[lid].cout, 0.5, np.float32)
-             for lid in model.gated_ids}
+             for lid in arch.gated_ids}
     calls = {name: 0 for name in ("conv2d", "batchnorm", "gate_modulate",
                                   "relu", "avg_pool2d")}
     for name in calls:
@@ -467,10 +494,10 @@ def test_forward_calls_one_op_per_layer(monkeypatch):
     kinds = [l.kind for l in arch.layers]
     assert calls == {"conv2d": kinds.count("conv"),
                      "batchnorm": kinds.count("batchnorm"),
-                     "gate_modulate": len(model.gated_ids),
+                     "gate_modulate": len(arch.gated_ids),
                      "relu": kinds.count("relu"),
                      "avg_pool2d": kinds.count("pool")}
-    assert len(model.gated_ids) == kinds.count("batchnorm")
+    assert len(arch.gated_ids) == kinds.count("batchnorm")
 
 
 def test_train_step_keeps_every_activation_batch_last(any_arch):
@@ -478,7 +505,7 @@ def test_train_step_keeps_every_activation_batch_last(any_arch):
     # runs; the layout contract is batch-last: [C, H, W, N] memory
     model = A.Model(any_arch, None, seed=0)
     gates = {lid: np.full(model.widths[lid].cout, 0.5, np.float32)
-             for lid in model.gated_ids}
+             for lid in any_arch.gated_ids}
     x = np.random.default_rng(0).standard_normal(
         (4,) + tuple(any_arch.input_shape)).astype(np.float32)
     tape = T.Tape()
@@ -499,7 +526,7 @@ def test_eval_forward_holds_only_the_activations_it_still_reads(
     # by the classifier, only the pooled features it reads may be alive
     model = A.Model(any_arch, None, seed=0)
     gates = {lid: np.full(model.widths[lid].cout, 0.5, np.float32)
-             for lid in model.gated_ids}
+             for lid in any_arch.gated_ids}
     outputs: list[tuple[str, weakref.ref]] = []
     alive_at_fc: list[str] = []
 

@@ -397,7 +397,7 @@ def test_budget_one_keeps_everything(tmp_path):
     cfg = tiny_config(tmp_path, budget=1.0)
     record = CLI.cmd_prune(cfg)[0]
     arch = A.expand_channels(A.preset("vgg-small"), 1.25)
-    assert tuple(record.search["kept_counts"]) == A.gated_channel_counts(arch)
+    assert tuple(record.search["kept_counts"]) == arch.gated_widths
     assert record.search["converged"] is True
     assert record.search["iterations"] == 0
 
@@ -725,7 +725,7 @@ def test_inspect_round_trip(tmp_path, capsys):
     assert code == 0
     assert "gate learning trajectory:\n  epoch 1: sparsity " in out
     arch = A.expand_channels(A.preset("vgg-small"), 1.25)
-    gated = A.place_gates(arch)
+    gated = arch.gated_ids
     for lid in gated:
         assert f"  {lid}: " in out
     curve = (tmp_path / "views" / "run_s0_curve0.csv").read_text()
@@ -759,9 +759,15 @@ def test_inspect_missing_file_exits_nonzero(tmp_path):
     ({"search": {}}, "'kept_counts'"),
     ({"train_reports": [{}]}, "'seed'"),
     ({"snapshots": [{}]}, "'epoch'"),
+    ({"search": {"kept_counts": [1, 2, 3]}}, "3 entries for 8 gated layers"),
+    ({"train_reports": [{"seed": 0, "train_loss": [1.0, 0.5],
+                         "val_accuracy": [0.5, 0.6], "lr": [0.1],
+                         "test_accuracy": 0.6, "wall_time": 1.0}]},
+     "differ in length"),
 ], ids=["truncated-json", "shape-past-payload", "missing-config",
         "empty-config", "unknown-status", "search-without-kept-counts",
-        "report-without-seed", "snapshot-without-epoch"])
+        "report-without-seed", "snapshot-without-epoch",
+        "kept-counts-short-of-the-gates", "report-lists-of-two-lengths"])
 def test_inspect_malformed_record_exits_nonzero(tmp_path, capsys, content,
                                                 named):
     bad = tmp_path / "bad.pkrun"
@@ -790,24 +796,35 @@ def test_inspect_survives_seeded_record_mutations(prune_record, tmp_path,
                                                    capsys):
     # 50 seeded mutations of a completed prune record, each a dropped key
     # or a value set to None, a string or a list, in the status, the
-    # search, one train report or one snapshot: inspect exits 0, or 1
-    # with one error line, never with a traceback
+    # search, one train report or one snapshot, or the search's
+    # kept_counts or one report list cut short: inspect exits 0, or 1
+    # with one error line, never with a traceback; a cut list exits 1
     meta, arrays = D.read_container(prune_record, D.RUN_MAGIC)
     rng = np.random.default_rng(0)
     values = (None, "x", [], ["x"])
     seen = set()
     for case in range(50):
         m = copy.deepcopy(meta)
-        block = ("status", "search", "train_reports",
-                 "snapshots")[rng.integers(4)]
+        choice = int(rng.integers(len(values) + 2))
+        cut = choice == len(values) + 1
+        if cut:
+            key = ("kept_counts", "lr", "train_loss",
+                   "val_accuracy")[rng.integers(4)]
+            block = "search" if key == "kept_counts" else "train_reports"
+        else:
+            block = ("status", "search", "train_reports",
+                     "snapshots")[rng.integers(4)]
         if block == "status":
             holder, key = m, "status"
         else:
             holder = m[block] if block == "search" else m[block][
                 rng.integers(len(m[block]))]
-            key = sorted(holder)[rng.integers(len(holder))]
-        choice = int(rng.integers(len(values) + 1))
-        if choice == len(values):
+            if not cut:
+                key = sorted(holder)[rng.integers(len(holder))]
+        if cut:
+            holder[key] = holder[key][:rng.integers(len(holder[key]))]
+            what = f"{block}: cut {key!r} to {len(holder[key])}"
+        elif choice == len(values):
             del holder[key]
             what = f"{block}: drop {key!r}"
         else:
@@ -825,12 +842,14 @@ def test_inspect_survives_seeded_record_mutations(prune_record, tmp_path,
         if code == 1:
             assert err.startswith("error:") and err.count("\n") == 1, what
         else:
-            assert err == "", what
-        seen.add((block, code))
-    # every block was mutated, and both outcomes were reached
-    assert {b for b, _ in seen} == {"status", "search", "train_reports",
-                                    "snapshots"}
-    assert {c for _, c in seen} == {0, 1}
+            assert err == "" and not cut, what
+        seen.add((block, code, cut))
+    # every block was mutated, a list was cut, and both outcomes were
+    # reached
+    assert {b for b, _, _ in seen} == {"status", "search", "train_reports",
+                                       "snapshots"}
+    assert {c for _, c, _ in seen} == {0, 1}
+    assert any(cut for _, _, cut in seen)
 
 
 def test_inspect_record_without_search(tmp_path, capsys):
@@ -847,8 +866,7 @@ def test_inspect_record_without_search(tmp_path, capsys):
     assert "gate learning trajectory" not in out
     curve = (tmp_path / "views" / "baseline_s0_curve0.csv").read_text()
     record = D.load_run(record_path)
-    assert curve == TR.report_csv(
-        TR.report_from_dict(record.train_reports[0]))
+    assert curve == TR.report_csv(record.train_reports[0])
 
 
 @pytest.mark.parametrize("block", [None, "synth", "importance",

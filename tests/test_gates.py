@@ -132,7 +132,7 @@ def test_gate_gradients_match_finite_differences(train_mode):
         backup = {name: a.copy() for name, a in model.stats.items()}
         for trial in range(3):
             lam = [rng.random(4), rng.random(5)]
-            gmap = dict(zip(model.gated_ids, lam))
+            gmap = dict(zip(arch.gated_ids, lam))
             tape = T.Tape()
             logits = model.forward(x, train=train_mode, gates=gmap,
                                    tape=tape)

@@ -79,7 +79,7 @@ def test_four_channel_enumeration():
 
 def test_converged_satisfies_tolerance_on_recount():
     arch = A.preset("resnet-tiny")
-    widths = A.gated_channel_counts(arch)
+    widths = arch.gated_widths
     budget = A.count_flops(arch) // 2
     cfg = S.SearchConfig(budget=budget, rel_tolerance=0.02, max_iters=20)
     rng = np.random.default_rng(7)
@@ -99,7 +99,7 @@ def test_converged_satisfies_tolerance_on_recount():
 
 def test_interval_halves_each_iteration():
     arch = A.preset("resnet-tiny")
-    widths = A.gated_channel_counts(arch)
+    widths = arch.gated_widths
     gates = [np.random.default_rng(3).random(c) for c in widths]
     res = S.search_structure(
         gates, arch, S.SearchConfig(budget=A.count_flops(arch) // 2))
@@ -127,7 +127,7 @@ def test_degenerate_gates_exhaust_with_diagnostics():
 
 def test_search_deterministic():
     arch = A.preset("vgg-small")
-    widths = A.gated_channel_counts(arch)
+    widths = arch.gated_widths
     gates = [np.random.default_rng(11).random(c) for c in widths]
     cfg = S.SearchConfig(budget=A.count_flops(arch) // 2)
     a = S.search_structure(gates, arch, cfg)
