@@ -33,7 +33,8 @@ import numpy as np
 
 from . import blas
 from . import tensor as T
-from .errors import ArchError, ConfigError, GeometryError
+from .errors import (ArchError, ConfigError, GeometryError, LabelError,
+                     ShapeError)
 
 LAYER_KINDS = ("conv", "depthwise-conv", "batchnorm", "relu", "pool",
                "global-pool", "linear", "add-join")
@@ -153,9 +154,17 @@ class ArchSpec:
         last_read = tuple(tuple(ref for ref in dict.fromkeys(l.inputs)
                                 if reader[ref] == i)
                           for i, l in enumerate(self.layers))
+        # a conv whose one reader is a batch norm folds it in eval mode
+        kinds = {l.id: l.kind for l in self.layers}
+        reads = [ref for l in self.layers for ref in l.inputs]
+        folds = {l.inputs[0]: l.id for l in self.layers
+                 if l.kind == "batchnorm"
+                 and kinds[l.inputs[0]] in ("conv", "depthwise-conv")
+                 and reads.count(l.inputs[0]) == 1}
         for name, value in (
                 ("_groups", group), ("_widths", width), ("_sizes", size),
-                ("_last_read", last_read), ("gated_ids", gated),
+                ("_last_read", last_read), ("_folds", folds),
+                ("gated_ids", gated),
                 ("gated_widths", tuple(width[group[lid]] for lid in gated)),
                 ("output_layer", terminals[0])):
             object.__setattr__(self, name, value)
@@ -369,28 +378,39 @@ class Model:
         ``gates`` maps gated batch-norm layer ids to per-channel vectors
         applied right after that layer's affine transform. Each layer's
         output is dropped once its last reader has run, so a pass without
-        a tape holds only the activations it still reads.
+        a tape holds only the activations it still reads. An eval pass
+        without a tape folds each batch norm that reads a conv, with its
+        gate, into that conv's weight and bias (``T.fold_batchnorm``), so
+        it runs no ``batchnorm`` or ``gate_modulate`` op there.
         """
         x = np.asarray(x, dtype=T.default_dtype())
         acts: dict[str, np.ndarray] = {}
+        folds = self.arch._folds if not train and tape is None else {}
+        gates = gates or {}
 
         def inp(l: LayerSpec) -> np.ndarray:
             return acts[l.inputs[0]] if l.inputs else x
 
+        def bn(lid: str) -> tuple[np.ndarray, ...]:
+            return (self.params[f"{lid}.gamma"], self.params[f"{lid}.beta"],
+                    self.stats[f"{lid}.running_mean"],
+                    self.stats[f"{lid}.running_var"])
+
         out = x
         for l, last_read in zip(self.arch.layers, self.arch._last_read):
             if l.kind in ("conv", "depthwise-conv"):
-                w = self.params[f"{l.id}.w"]
+                w, bias = self.params[f"{l.id}.w"], None
                 groups = w.shape[0] if l.kind == "depthwise-conv" else 1
+                if l.id in folds:
+                    w, bias = T.fold_batchnorm(w, *bn(folds[l.id]),
+                                               gates=gates.get(folds[l.id]))
                 out = T.conv2d(inp(l), w, stride=l.stride, padding=l.padding,
-                               groups=groups, tape=tape)
+                               groups=groups, bias=bias, tape=tape)
+            elif l.kind == "batchnorm" and l.inputs[0] in folds:
+                out = inp(l)  # folded into the conv before it
             elif l.kind == "batchnorm":
-                out = T.batchnorm(inp(l), self.params[f"{l.id}.gamma"],
-                                  self.params[f"{l.id}.beta"],
-                                  self.stats[f"{l.id}.running_mean"],
-                                  self.stats[f"{l.id}.running_var"],
-                                  train=train, tape=tape)
-                if gates is not None and l.id in gates:
+                out = T.batchnorm(inp(l), *bn(l.id), train=train, tape=tape)
+                if l.id in gates:
                     out = T.gate_modulate(out, gates[l.id], tape=tape)
             elif l.kind == "relu":
                 out = T.relu(inp(l), tape=tape)
@@ -448,7 +468,20 @@ def evaluate_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
                       gates: dict[str, np.ndarray] | None = None) -> float:
     """Top-1 accuracy in eval mode, batched to bound memory: a pass
     holds one batch's live activations, those a later layer still reads,
-    plus the im2col patches of the op that runs."""
+    plus the im2col patches of the op that runs. Each pass folds batch
+    norm and gates into the convs (see ``Model.forward``). A
+    ``batch_size`` below 1, labels that are not one per image, and labels
+    outside [0, num_classes) are rejected before any pass."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    labels = np.asarray(labels)
+    if labels.shape != (len(images),):
+        raise ShapeError(f"labels must have shape ({len(images)},), got "
+                         f"{labels.shape}")
+    k = model.arch.num_classes
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise LabelError(f"labels must lie in [0, {k}), got range "
+                         f"[{labels.min()}, {labels.max()}]")
     hits = 0
     for i in range(0, len(images), batch_size):
         logits = model.forward(images[i:i + batch_size], train=False,

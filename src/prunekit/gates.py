@@ -7,6 +7,12 @@ element-wise mean of all gates toward a target ratio, projecting back
 into the box after every step. Weights never enter the gradient target
 set, so they stay bitwise intact; batch-norm running statistics do
 update, since the forward pass runs in training mode.
+
+All gates live in one flat buffer. Its per-layer views are the forward
+gates, the tape's targets and ``GateState.lam``, so Adam and the
+projection each run as one pass over the buffer, while the mean gate is
+still summed per layer in float64. Each snapshot's validation accuracy
+comes from an eval pass that folds batch norm and gates into the convs.
 """
 
 from __future__ import annotations
@@ -154,11 +160,14 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
         raise ConfigError("importance learning must not touch the test split")
     if len(train) == 0:
         raise ConfigError("importance learning needs a non-empty train split")
-    state = init_gates(model)
-    # one set of arrays: forward gates, backward targets, updated in place
+    # one flat buffer of every gate, updated in place; its per-layer views
+    # are the forward gates, the backward targets and ``state.lam``
+    ones = init_gates(model).lam
+    flat = np.concatenate(ones)
+    state = GateState(np.split(flat, np.cumsum([v.size for v in ones])[:-1]))
     gate_map = dict(zip(model.arch.gated_ids, state.lam))
-    m = [np.zeros_like(v) for v in state.lam]
-    v2 = [np.zeros_like(v) for v in state.lam]
+    m = np.zeros_like(flat)
+    v2 = np.zeros_like(flat)
     snapshots: list[GateSnapshot] = []
     n = len(train)
     steps_per_epoch = max(1, (n + cfg.batch_size - 1) // cfg.batch_size)
@@ -191,16 +200,15 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
             epoch_ce[1] += 1
             pen = sparsity_penalty_grad(state, cfg.target_sparsity)
             step += 1
-            for v, mj, vj, gj, pj in zip(state.lam, m, v2, grads, pen):
-                g = gj + cfg.gamma * pj
-                mj *= cfg.beta1
-                mj += (1 - cfg.beta1) * g
-                vj *= cfg.beta2
-                vj += (1 - cfg.beta2) * g * g
-                mhat = mj / (1 - cfg.beta1 ** step)
-                vhat = vj / (1 - cfg.beta2 ** step)
-                v -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
-            project_gates(state)
+            g = np.concatenate(grads) + cfg.gamma * np.concatenate(pen)
+            m *= cfg.beta1
+            m += (1 - cfg.beta1) * g
+            v2 *= cfg.beta2
+            v2 += (1 - cfg.beta2) * g * g
+            mhat = m / (1 - cfg.beta1 ** step)
+            vhat = v2 / (1 - cfg.beta2 ** step)
+            flat -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+            np.clip(flat, 0.0, 1.0, out=flat)
             if cfg.evals_per_epoch > 1 and (b + 1) % eval_every == 0 \
                     and b + 1 < steps_per_epoch:
                 take_snapshot(epoch)

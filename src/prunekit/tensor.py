@@ -14,7 +14,12 @@ the memory layout of the input.
 At 10-80 channels, per-channel work is loop overhead unless a channel
 is one contiguous run: ``_rows`` is the free [C, H*W*N] view of
 batch-last memory, whose rows batch norm, gating and global pooling
-reduce and scale. Windows are walked one way, by im2col: kh*kw slab
+reduce and scale. A sum of products over each row (batch norm's
+variance and its sum of g * xhat, the gate's gradient) is a row dot
+product, ``np.einsum("ij,ij->i", a, b)``, which makes no temporary.
+A conv takes an optional per-channel bias: ``fold_batchnorm`` turns an
+eval-mode batch norm, and the gate after it, into the weight and bias
+of the conv before it. Windows are walked one way, by im2col: kh*kw slab
 copies of a padded batch-last buffer fill [kh*kw*C, Ho*Wo*N] patches,
 which the dense conv contracts in one GEMM and the depthwise conv per
 channel. Every conv's input gradient is the transposed conv, the same
@@ -208,10 +213,11 @@ def _tap_map(h: int, w: int, kh: int, kw: int, stride: tuple[int, int],
 
 def _unrolled_conv(x: np.ndarray, w: np.ndarray, stride: tuple[int, int],
                    pad: tuple[int, int], ho: int, wo: int):
-    """Output and backward of a dense conv as one GEMM against its weight
-    unrolled onto the map, [Cout*P, Cin*Q] over P output and Q input
-    pixels: no patches, no padded buffer, and no tap that reads padding.
-    A tap that reads only padding gets a weight gradient of exactly 0."""
+    """Output rows [Cout, Ho*Wo*N] and backward of a dense conv as one
+    GEMM against its weight unrolled onto the map, [Cout*P, Cin*Q] over
+    P output and Q input pixels: no patches, no padded buffer, and no
+    tap that reads padding. A tap that reads only padding gets a weight
+    gradient of exactly 0."""
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     p, q, t = ho * wo, h * wd, kh * kw
@@ -223,7 +229,7 @@ def _unrolled_conv(x: np.ndarray, w: np.ndarray, stride: tuple[int, int],
                    taps.reshape(t, p, q).transpose(1, 0, 2))
     wf = wf.reshape(cout * p, cin * q)
     xr = _rows(x).reshape(cin * q, n)
-    out = (wf @ xr).reshape(cout, ho, wo, n).transpose(3, 0, 1, 2)
+    out = (wf @ xr).reshape(cout, p * n)
 
     def bwd(gout, needs):
         g2 = _rows(gout).reshape(cout * p, n)
@@ -243,15 +249,17 @@ def _unrolled_conv(x: np.ndarray, w: np.ndarray, stride: tuple[int, int],
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
-           groups: int = 1, tape: Tape | None = None) -> np.ndarray:
-    """2-d cross-correlation of [N,Cin,H,W] with [Cout,Cin/groups,kh,kw].
+           groups: int = 1, bias: np.ndarray | None = None,
+           tape: Tape | None = None) -> np.ndarray:
+    """2-d cross-correlation of [N,Cin,H,W] with [Cout,Cin/groups,kh,kw],
+    plus an optional per-output-channel ``bias`` of shape [Cout].
 
-    Differentiable w.r.t. both input and weight. Two forms exist: dense
+    Differentiable w.r.t. input, weight and bias. Two forms exist: dense
     (``groups == 1``) and depthwise (``groups == Cin == Cout``); any
     other ``groups`` raises ``ShapeError``. A dense conv on a map with no
     more pixels than the kernel has taps (``H*W <= kh*kw``) runs on its
     weight unrolled onto the map; every other conv runs on im2col
-    patches.
+    patches. The bias is added in place to the product's rows.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/weight, got {x.shape}/{w.shape}")
@@ -264,6 +272,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
                          "neither dense nor depthwise")
     if cin_g != cin // groups:
         raise ShapeError(f"weight expects Cin/groups={cin_g}, input gives {cin // groups}")
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (wd + 2 * pw - kw) // sw + 1
     if ho < 1 or wo < 1 or ph >= kh or pw >= kw:
@@ -277,19 +287,38 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
     depthwise = groups > 1
     if not depthwise and h * wd <= kh * kw:
         out, bwd = _unrolled_conv(x, w, (sh, sw), (ph, pw), ho, wo)
-        return _emit(tape, "conv2d", (x, w), out, bwd)
+    else:
+        out, bwd = _patch_conv(x, w, (sh, sw), (ph, pw), ho, wo, depthwise)
+    inputs = (x, w)
+    if bias is not None:
+        out += bias[:, None]
+        inputs, conv_bwd = (x, w, bias), bwd
 
-    # batch-last patches, rows in (kh, kw, Cin) order, against a weight:
-    # one GEMM when dense, one [1, kh*kw] product per channel when
-    # depthwise; either way the output is batch-last
+        def bwd(gout, needs):
+            db = np.add.reduce(_rows(gout), axis=1) if needs[2] else None
+            return conv_bwd(gout, needs) + (db,)
+
+    return _emit(tape, "conv2d", inputs,
+                 out.reshape(cout, ho, wo, n).transpose(3, 0, 1, 2), bwd)
+
+
+def _patch_conv(x: np.ndarray, w: np.ndarray, stride: tuple[int, int],
+                pad: tuple[int, int], ho: int, wo: int, depthwise: bool):
+    """Output rows [Cout, Ho*Wo*N] and backward of a conv on batch-last
+    im2col patches, rows in (kh, kw, Cin) order: one GEMM when dense, one
+    [1, kh*kw] product per channel when depthwise."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    (sh, sw), (ph, pw) = stride, pad
+
     def contract(wt, cols):
         if depthwise:
             rows = cols.reshape(kh * kw, cin, -1).transpose(1, 0, 2)
             return (wt.reshape(cin, 1, -1) @ rows).reshape(cin, -1)
         return wt.transpose(0, 2, 3, 1).reshape(len(wt), -1) @ cols
 
-    cols = _patches(x, kh, kw, (sh, sw), (ph, pw))
-    out = contract(w, cols).reshape(cout, ho, wo, n).transpose(3, 0, 1, 2)
+    cols = _patches(x, kh, kw, stride, pad)
+    out = contract(w, cols)
 
     def bwd(gout, needs):
         g2 = _rows(gout)
@@ -313,7 +342,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
             dw = (cols @ g2.T).reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
         return dx, dw
 
-    return _emit(tape, "conv2d", (x, w), out, bwd)
+    return out, bwd
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +350,13 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+
+
+def _running_stats(running_mean: np.ndarray, running_var: np.ndarray,
+                   dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and 1/std of eval-mode batch norm, in ``dtype``."""
+    return (running_mean.astype(dtype),
+            1.0 / np.sqrt(running_var.astype(dtype) + BN_EPS))
 
 
 def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -331,7 +367,10 @@ def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     Train mode normalizes by biased batch statistics and moves
     ``running_mean`` and ``running_var`` in place one ``BN_MOMENTUM``
     step toward them; eval mode normalizes by the running statistics and
-    leaves them untouched.
+    leaves them untouched. Either way the output is one per-channel
+    scale, gamma/std, and shift of the input's rows. Train mode keeps the
+    centred rows, whose row dot products give the variance and the
+    backward's sum of g * xhat.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm expects 4-d input, got {x.shape}")
@@ -344,40 +383,56 @@ def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         if n == 0:
             raise StatsError("batch statistics over an empty batch")
         mu = np.add.reduce(x2, axis=1) / m
-        xhat = x2 - mu[:, None]  # centred, then scaled in place
-        var = np.add.reduce(xhat * xhat, axis=1) / m
+        xc = x2 - mu[:, None]
+        var = np.einsum("ij,ij->i", xc, xc) / m
         for run, batch in ((running_mean, mu), (running_var, var)):
             run += BN_MOMENTUM * (batch.astype(run.dtype, copy=False) - run)
         invstd = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= invstd[:, None]
-        out = xhat * gamma[:, None]
+        scale = gamma * invstd
+        out = xc * scale[:, None]
         out += beta[:, None]
     else:
-        # the running statistics as one per-channel scale and shift
-        mu = running_mean.astype(x.dtype)
-        invstd = 1.0 / np.sqrt(running_var.astype(x.dtype) + BN_EPS)
+        mu, invstd = _running_stats(running_mean, running_var, x.dtype)
         scale = gamma * invstd
-        out = x2 * scale[:, None] + (beta - mu * scale)[:, None]
+        out = x2 * scale[:, None]
+        out += (beta - mu * scale)[:, None]
     out = out.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
     def bwd(gout, needs):
         g2 = _rows(gout)
-        xh = xhat if train else (x2 - mu[:, None]) * invstd[:, None]
+        centred = xc if train else x2 - mu[:, None]
         sg = np.add.reduce(g2, axis=1)
-        sgx = np.add.reduce(g2 * xh, axis=1)
+        sgx = np.einsum("ij,ij->i", g2, centred) * invstd  # sum of g * xhat
         dx = None
         if needs[0]:
-            scale = (gamma * invstd)[:, None]
-            if train:
-                g2 = g2 - (sg / m)[:, None]
-                g2 -= xh * (sgx / m)[:, None]
-                g2 *= scale
+            if train:  # gamma/std * (g - mean(g) - xhat * mean(g * xhat))
+                dx = centred * (-invstd * sgx / m)[:, None]
+                dx += g2
+                dx -= (sg / m)[:, None]
+                dx *= scale[:, None]
             else:
-                g2 = g2 * scale
-            dx = g2.reshape(c, h, w, n).transpose(3, 0, 1, 2)
+                dx = g2 * scale[:, None]
+            dx = dx.reshape(c, h, w, n).transpose(3, 0, 1, 2)
         return dx, sgx if needs[1] else None, sg if needs[2] else None
 
     return _emit(tape, "batchnorm", (x, gamma, beta), out, bwd)
+
+
+def fold_batchnorm(w: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                   running_mean: np.ndarray, running_var: np.ndarray,
+                   gates: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias of conv ``w`` followed by eval-mode ``batchnorm``
+    and, if given, ``gate_modulate`` by ``gates``: the per-channel scale
+    gamma/std (times the gate) multiplies each output channel's weight,
+    and the shift (times the gate) becomes the conv's bias."""
+    mu, invstd = _running_stats(running_mean, running_var, w.dtype)
+    scale = gamma * invstd
+    shift = beta - mu * scale
+    if gates is not None:
+        scale = scale * gates
+        shift = shift * gates
+    return w * scale[:, None, None, None], shift
 
 
 def gate_modulate(x: np.ndarray, gates: np.ndarray,
@@ -390,7 +445,8 @@ def gate_modulate(x: np.ndarray, gates: np.ndarray,
 
     def bwd(gout, needs):
         dx = gout * gates[None, :, None, None] if needs[0] else None
-        dg = np.add.reduce(_rows(gout * x), axis=1) if needs[1] else None
+        dg = (np.einsum("ij,ij->i", _rows(gout), _rows(x)) if needs[1]
+              else None)
         return dx, dg
 
     return _emit(tape, "gate_modulate", (x, gates), out, bwd)

@@ -10,9 +10,10 @@ import pytest
 from prunekit import arch as A
 from prunekit import tensor as T
 from prunekit import train as TR
-from prunekit.errors import ArchError, ConfigError, GeometryError
+from prunekit.errors import (ArchError, ConfigError, GeometryError,
+                             LabelError, ShapeError)
 
-from helpers import model_flops_oracle, random_config
+from helpers import model_flops_oracle, random_config, rel_err
 
 
 @pytest.fixture(params=["vgg-small", "resnet-tiny", "depthwise-tiny"])
@@ -523,7 +524,9 @@ def test_train_step_keeps_every_activation_batch_last(any_arch):
 def test_eval_forward_holds_only_the_activations_it_still_reads(
         any_arch, monkeypatch):
     # an eval pass used to keep every layer's output until it returned;
-    # by the classifier, only the pooled features it reads may be alive
+    # by the classifier, only the pooled features it reads may be alive.
+    # It runs one op per layer, except the batch norms (and their gates),
+    # which every preset folds into the conv before them
     model = A.Model(any_arch, None, seed=0)
     gates = {lid: np.full(model.widths[lid].cout, 0.5, np.float32)
              for lid in any_arch.gated_ids}
@@ -545,8 +548,80 @@ def test_eval_forward_holds_only_the_activations_it_still_reads(
         (4,) + tuple(any_arch.input_shape)).astype(np.float32)
     logits = model.forward(x, gates=gates)
     assert logits.shape == (4, any_arch.num_classes)
-    assert len(outputs) > len(any_arch.layers)
+    assert len(outputs) == sum(l.kind != "batchnorm"
+                               for l in any_arch.layers)
     assert alive_at_fc == []
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6),
+                                       (np.float64, 1e-14)],
+                         ids=["float32", "float64"])
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+def test_folded_eval_matches_the_taped_eval(any_arch, gated, dtype, tol):
+    # the reference runs batch norm and gate as ops, since a taped pass
+    # does not fold; train-mode passes first move the running statistics
+    old = T.default_dtype()
+    T.set_default_dtype(dtype)
+    try:
+        model = A.Model(any_arch, None, seed=0)
+        rng = np.random.default_rng(1)
+        shape = tuple(any_arch.input_shape)
+        for _ in range(3):
+            model.forward(rng.standard_normal((8,) + shape), train=True)
+        for name, p in model.params.items():
+            if name.endswith((".gamma", ".beta")):
+                p[...] = rng.uniform(-1.5, 1.5, p.shape)
+        gates = ({lid: rng.uniform(0.0, 1.0, model.widths[lid].cout)
+                  .astype(dtype) for lid in any_arch.gated_ids}
+                 if gated else None)
+        x = rng.standard_normal((6,) + shape)
+        folded = model.forward(x, gates=gates)
+        taped = model.forward(x, gates=gates, tape=T.Tape())
+    finally:
+        T.set_default_dtype(old)
+    assert folded.dtype == taped.dtype == dtype
+    assert rel_err(folded, taped) < tol
+
+
+def test_evaluate_accuracy_runs_no_batchnorm_or_gate_op(any_arch,
+                                                        monkeypatch):
+    model = A.Model(any_arch, None, seed=0)
+    gates = {lid: np.full(model.widths[lid].cout, 0.5, np.float32)
+             for lid in any_arch.gated_ids}
+    calls = dict.fromkeys(("conv2d", "batchnorm", "gate_modulate"), 0)
+    for name in calls:
+        def spy(*args, _op=getattr(T, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(T, name, spy)
+    x = np.random.default_rng(0).standard_normal(
+        (10,) + tuple(any_arch.input_shape)).astype(np.float32)
+    A.evaluate_accuracy(model, x, np.arange(10) % any_arch.num_classes,
+                        batch_size=4, gates=gates)
+    convs = sum(l.kind in ("conv", "depthwise-conv") for l in any_arch.layers)
+    assert calls == {"conv2d": 3 * convs, "batchnorm": 0, "gate_modulate": 0}
+
+
+@pytest.mark.parametrize("kwargs,error", [
+    ({"batch_size": 0}, ConfigError),
+    ({"batch_size": -1}, ConfigError),
+    ({"labels": np.zeros(5, int)}, ShapeError),
+    ({"labels": np.zeros((6, 1), int)}, ShapeError),
+    ({"labels": np.array([0, 1, 2, 0, 1, -1])}, LabelError),
+    ({"labels": np.array([0, 1, 2, 0, 1, 3])}, LabelError),
+], ids=["batch-0", "batch-negative", "labels-short", "labels-2d",
+        "label-negative", "label-past-classes"])
+def test_evaluate_accuracy_rejects_bad_input_before_any_pass(
+        kwargs, error, monkeypatch):
+    model = A.Model(A.preset("vgg-small"), None, seed=0)
+
+    def no_pass(*args, **kw):
+        raise AssertionError("forward ran")
+    monkeypatch.setattr(model, "forward", no_pass)
+    call = {"images": np.zeros((6, 3, 8, 8), np.float32),
+            "labels": np.arange(6) % 3} | kwargs
+    with pytest.raises(error):
+        A.evaluate_accuracy(model, **call)
 
 
 def test_evaluate_accuracy_perfect_and_chance():

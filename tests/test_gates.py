@@ -261,6 +261,75 @@ def test_learning_is_deterministic():
     assert outs[0].tobytes() == outs[1].tobytes()
 
 
+def per_layer_adam(model, train, val, cfg, seed):
+    """Gate learning with one gate array and one pair of Adam moments
+    per gated layer, each updated and clipped on its own: the reference
+    that the one flat buffer of ``learn_channel_importance`` must
+    reproduce byte for byte."""
+    lam = [v.copy() for v in G.init_gates(model).lam]
+    gate_map = dict(zip(model.arch.gated_ids, lam))
+    m = [np.zeros_like(v) for v in lam]
+    v2 = [np.zeros_like(v) for v in lam]
+    n = len(train)
+    steps_per_epoch = max(1, (n + cfg.batch_size - 1) // cfg.batch_size)
+    eval_every = max(1, steps_per_epoch // cfg.evals_per_epoch)
+    snaps, step = [], 0
+    for epoch in range(1, cfg.epochs + 1):
+        order = D.derive_rng(seed, "gate-shuffle", str(epoch)).permutation(n)
+        ce_sum = ce_count = 0
+        for b in range(steps_per_epoch):
+            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            tape = T.Tape()
+            logits = model.forward(train.images[idx], train=True,
+                                   gates=gate_map, tape=tape)
+            ce = T.cross_entropy(logits, train.labels[idx], tape=tape)
+            grads = tape.backward(ce, lam)
+            ce_sum, ce_count = ce_sum + float(ce), ce_count + 1
+            pen = G.sparsity_penalty_grad(lam, cfg.target_sparsity)
+            step += 1
+            for v, mj, vj, gj, pj in zip(lam, m, v2, grads, pen):
+                g = gj + cfg.gamma * pj
+                mj *= cfg.beta1
+                mj += (1 - cfg.beta1) * g
+                vj *= cfg.beta2
+                vj += (1 - cfg.beta2) * g * g
+                mhat = mj / (1 - cfg.beta1 ** step)
+                vhat = vj / (1 - cfg.beta2 ** step)
+                v -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+                np.clip(v, 0.0, 1.0, out=v)
+            last = b + 1 == steps_per_epoch
+            if last or (b + 1) % eval_every == 0 and cfg.evals_per_epoch > 1:
+                acc = A.evaluate_accuracy(model, val.images, val.labels,
+                                          gates=gate_map)
+                snaps.append(([v.copy() for v in lam], acc, epoch,
+                              ce_sum / ce_count))
+    return snaps
+
+
+@pytest.mark.parametrize("preset", ["vgg-small", "resnet-tiny"])
+def test_flat_gate_buffer_matches_a_per_layer_adam_reference(preset):
+    spec = D.SynthSpec(classes=3, per_class=16, image_size=8, channels=3,
+                       noise=1.0)
+    suite = D.synth_suite(spec, 0)
+    arch = A.preset(preset)
+    cfg = G.ImportanceConfig(gamma=4.0, epochs=3, batch_size=8, lr=0.05,
+                             evals_per_epoch=2)
+    got = G.learn_channel_importance(A.Model(arch, None, seed=3),
+                                     suite["train"], suite["val"], cfg, 5)
+    want = per_layer_adam(A.Model(arch, None, seed=3), suite["train"],
+                          suite["val"], cfg, 5)
+    assert len(got) == len(want) == 6
+    for snap, (lam, acc, epoch, loss) in zip(got, want):
+        assert [v.tobytes() for v in snap.gates.lam] == [
+            v.tobytes() for v in lam]
+        assert (snap.val_accuracy, snap.epoch, snap.train_loss) == (
+            acc, epoch, loss)
+    # the gates moved, and some were clipped at 1, so the match covers
+    # the update and the projection
+    assert got[-1].sparsity < got[0].sparsity < 1.0
+    assert any((v == 1.0).any() for s in got for v in s.gates.lam)
+
+
 # ---------------------------------------------------------------------------
 # snapshot selection
 

@@ -96,16 +96,18 @@ def test_conv2d_gradients(stride, padding, groups, cin, cout, k):
                          groups=groups, tape=T.Tape())
             return
 
-        def loss_fn(tape=None):
-            y = T.conv2d(x, w, stride=stride, padding=padding,
-                         groups=groups, tape=tape)
-            return T.sum_all(T.relu(y, tape=tape), tape=tape)
+        b = rng.standard_normal(cout)
+        for bias in (None, b):
+            def loss_fn(tape=None):
+                y = T.conv2d(x, w, stride=stride, padding=padding,
+                             groups=groups, bias=bias, tape=tape)
+                return T.sum_all(T.relu(y, tape=tape), tape=tape)
 
-        tape = T.Tape()
-        loss = loss_fn(tape)
-        gx, gw = tape.backward(loss, [x, w])
-        assert rel_err(gx, numeric_grad(loss_fn, x)) < GRAD_TOL
-        assert rel_err(gw, numeric_grad(loss_fn, w)) < GRAD_TOL
+            tape = T.Tape()
+            targets = [x, w] if bias is None else [x, w, bias]
+            grads = tape.backward(loss_fn(tape), targets)
+            for g, t in zip(grads, targets):
+                assert rel_err(g, numeric_grad(loss_fn, t)) < GRAD_TOL
 
 
 def _conv_loss_and_grads(x, w, stride, padding, groups):
@@ -323,19 +325,25 @@ def test_window_ops_match_oracles_over_a_geometry_sweep(h, w, k, s, p, kp):
         x = rng.standard_normal((2, 2, h, w))
         for weight, groups in ((rng.standard_normal((3, 2, k, k)), 1),
                                (rng.standard_normal((2, 1, k, k)), 2)):
+            bias = rng.standard_normal(len(weight))
+
             def conv_loss(tape=None):
                 y = T.conv2d(x, weight, stride=s, padding=p, groups=groups,
-                             tape=tape)
+                             bias=bias, tape=tape)
                 return T.sum_all(T.relu(y, tape=tape), tape=tape)
 
             want = conv2d_oracle(x, weight, stride=s, padding=p,
                                  groups=groups)
             got = T.conv2d(x, weight, stride=s, padding=p, groups=groups)
             assert got.shape == want.shape and rel_err(got, want) < 1e-12
+            got = T.conv2d(x, weight, stride=s, padding=p, groups=groups,
+                           bias=bias)
+            assert rel_err(got, want + bias[:, None, None]) < 1e-12
             tape = T.Tape()
-            gx, gw = tape.backward(conv_loss(tape), [x, weight])
-            assert rel_err(gx, numeric_grad(conv_loss, x)) < GRAD_TOL
-            assert rel_err(gw, numeric_grad(conv_loss, weight)) < GRAD_TOL
+            targets = [x, weight, bias]
+            grads = tape.backward(conv_loss(tape), targets)
+            for g, t in zip(grads, targets):
+                assert rel_err(g, numeric_grad(conv_loss, t)) < GRAD_TOL
 
         def pool_loss(tape=None):
             y = T.avg_pool2d(x, kernel=kp, tape=tape)
@@ -368,6 +376,32 @@ def test_conv2d_rejects_group_mismatch():
         T.conv2d(x, w, groups=2)  # weight says cin/groups=4, input gives 2
     with pytest.raises(ShapeError):
         T.conv2d(x, w, groups=3)  # 3 divides neither 4 nor 6
+
+
+def test_conv2d_rejects_a_bias_of_the_wrong_width():
+    x = np.zeros((1, 4, 8, 8))
+    w = np.zeros((6, 4, 3, 3))
+    with pytest.raises(ShapeError, match="bias"):
+        T.conv2d(x, w, bias=np.zeros(4))
+
+
+@pytest.mark.parametrize("groups", [1, 4])
+@pytest.mark.parametrize("gated", [False, True])
+def test_fold_batchnorm_matches_conv_then_eval_batchnorm(groups, gated):
+    rng = np.random.default_rng(8)
+    with float64_mode():
+        x = rng.standard_normal((3, 4, 6, 5))
+        w = rng.standard_normal((4, 4 // groups, 3, 3))
+        gamma, beta, mean = rng.standard_normal((3, 4))
+        var = rng.uniform(0.5, 2.0, 4)
+        gates = rng.uniform(0.0, 1.0, 4) if gated else None
+        want = T.batchnorm(T.conv2d(x, w, padding=1, groups=groups), gamma,
+                           beta, mean, var, train=False)
+        if gated:
+            want = T.gate_modulate(want, gates)
+        fw, fb = T.fold_batchnorm(w, gamma, beta, mean, var, gates=gates)
+        got = T.conv2d(x, fw, padding=1, groups=groups, bias=fb)
+        assert rel_err(got, want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
