@@ -76,7 +76,6 @@ from .gates import (
     GateSnapshot,
     GateState,
     ImportanceConfig,
-    init_gates,
     learn_channel_importance,
     select_best_gates,
     sparsity_penalty,

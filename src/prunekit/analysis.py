@@ -45,6 +45,7 @@ class SimilarityMatrix:
         n = len(labels)
         if values.shape != (n, n):
             raise ConfigError(f"expected {n}x{n} values, got {values.shape}")
+        _check_unique(labels)
         if not np.array_equal(values, values.T):
             raise ConfigError("similarity matrix must be symmetric")
         if not np.array_equal(np.diag(values), np.ones(n)):
@@ -94,9 +95,20 @@ def correlation_matrix(features: list[StructureFeature]) -> SimilarityMatrix:
     return SimilarityMatrix(tuple(f.label for f in features), vals)
 
 
+def _check_unique(labels) -> None:
+    for i, l in enumerate(labels):
+        if l in labels[:i]:
+            raise ConfigError(f"label {l!r} is repeated")
+
+
 def mean_pairwise_correlation(matrix: SimilarityMatrix,
                               labels: list[str]) -> float:
-    """Mean off-diagonal correlation among the named rows."""
+    """Mean off-diagonal correlation among the named rows, each named
+    once."""
+    _check_unique(labels)
+    for l in labels:
+        if l not in matrix.labels:
+            raise ConfigError(f"label {l!r} is not in the matrix")
     idx = [matrix.labels.index(l) for l in labels]
     if len(idx) < 2:
         raise ConfigError("need at least two labels")

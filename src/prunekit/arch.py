@@ -291,15 +291,17 @@ def expand_channels(arch: ArchSpec, multiplier: float) -> ArchSpec:
 def prune_by_threshold(gates, tau: float) -> ChannelConfig:
     """Keep channel c of gated layer j iff gate value > ``tau``.
 
-    ``gates`` is a GateState or a plain sequence of per-layer vectors.
-    A layer whose every gate falls at or below the threshold keeps its
-    single strongest channel so the structure stays instantiable.
+    ``gates`` is a sequence of per-layer vectors, or a GateState holding
+    one. A layer whose every gate falls at or below the threshold keeps
+    its single strongest channel so the structure stays instantiable.
     """
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"threshold must be in [0, 1], got {tau}")
     indices: list[tuple[int, ...]] = []
-    for v in getattr(gates, "lam", gates):
+    for j, v in enumerate(getattr(gates, "lam", gates)):
         v = np.asarray(v)
+        if v.size == 0:
+            raise ConfigError(f"gated layer {j} has no gates")
         idx = np.flatnonzero(v > tau)
         if idx.size == 0:
             idx = np.array([int(np.argmax(v))])

@@ -8,11 +8,11 @@ into the box after every step. Weights never enter the gradient target
 set, so they stay bitwise intact; batch-norm running statistics do
 update, since the forward pass runs in training mode.
 
-All gates live in one flat buffer. Its per-layer views are the forward
-gates, the tape's targets and ``GateState.lam``, so Adam and the
-projection each run as one pass over the buffer, while the mean gate is
-still summed per layer in float64. Each snapshot's validation accuracy
-comes from an eval pass that folds batch norm and gates into the convs.
+All gates live in one flat buffer, all ones at the start, whose
+per-layer views are the forward gates and the tape's targets: Adam and
+the projection each run as one pass over it, while the mean gate is
+summed per layer in float64. A snapshot keeps views of its own copy of
+the buffer, and its accuracy comes from an eval with folded batch norms.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ class GateState:
     def sparsity(self) -> float:
         """Element-wise mean of all gates across layers."""
         return _mean_gate(self.lam)
-
-    def copy(self) -> "GateState":
-        return GateState([v.copy() for v in self.lam])
 
 
 @dataclass(frozen=True)
@@ -105,43 +102,26 @@ class ImportanceConfig:
                               f"got {self.eps}")
 
 
-def _vectors(gates) -> list[np.ndarray]:
-    return list(getattr(gates, "lam", gates))
-
-
-def _mean_gate(gates) -> float:
+def _mean_gate(vectors: list[np.ndarray]) -> float:
     """Element-wise mean of all gates, accumulated in float64."""
-    vectors = _vectors(gates)
-    total = sum(float(np.sum(v, dtype=np.float64)) for v in vectors)
-    return total / sum(v.size for v in vectors)
+    count = sum(v.size for v in vectors)
+    if count == 0:
+        raise ConfigError("no gate values to average")
+    return sum(float(np.sum(v, dtype=np.float64)) for v in vectors) / count
 
 
-def sparsity_penalty(gates, r: float) -> float:
+def sparsity_penalty(vectors: list[np.ndarray], r: float) -> float:
     """Squared deviation of the mean gate from ``r``, accumulated in
     float64."""
-    return (_mean_gate(gates) - r) ** 2
+    return (_mean_gate(vectors) - r) ** 2
 
 
-def sparsity_penalty_grad(gates, r: float) -> list[np.ndarray]:
+def sparsity_penalty_grad(vectors: list[np.ndarray],
+                          r: float) -> list[np.ndarray]:
     """Gradient of ``sparsity_penalty`` per gate entry: uniform
     2(mean - r)/count."""
-    vectors = _vectors(gates)
     g = 2.0 * (_mean_gate(vectors) - r) / sum(v.size for v in vectors)
     return [np.full_like(v, g) for v in vectors]
-
-
-def project_gates(gates: GateState) -> GateState:
-    """Clamp every gate into [0, 1], in place, and return the state."""
-    for v in gates.lam:
-        np.clip(v, 0.0, 1.0, out=v)
-    return gates
-
-
-def init_gates(model: Model) -> GateState:
-    """All-ones gates (identity modulation) sized to the gated layers."""
-    lam = [np.ones(model.widths[lid].cout, dtype=T.default_dtype())
-           for lid in model.arch.gated_ids]
-    return GateState(lam)
 
 
 @blas.loop_policy()
@@ -153,38 +133,28 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
     The model's weights are left untouched (they are never gradient
     targets); batch-norm running statistics update as a side effect of
     train-mode forward passes. Returns one snapshot per evaluation point,
-    at least one per epoch, each carrying a deep copy of the gates and
-    its validation accuracy.
+    at least one per epoch, each with its own copy of the gates and its
+    validation accuracy.
     """
     if val.split == "test" or train.split == "test":
         raise ConfigError("importance learning must not touch the test split")
     if len(train) == 0:
         raise ConfigError("importance learning needs a non-empty train split")
-    # one flat buffer of every gate, updated in place; its per-layer views
-    # are the forward gates, the backward targets and ``state.lam``
-    ones = init_gates(model).lam
-    flat = np.concatenate(ones)
-    state = GateState(np.split(flat, np.cumsum([v.size for v in ones])[:-1]))
-    gate_map = dict(zip(model.arch.gated_ids, state.lam))
-    m = np.zeros_like(flat)
-    v2 = np.zeros_like(flat)
+    # one flat buffer of every gate, updated in place, split into views
+    widths = [model.widths[lid].cout for lid in model.arch.gated_ids]
+    cuts = np.cumsum(widths)[:-1]
+    flat = np.ones(sum(widths), dtype=T.default_dtype())
+    lam = np.split(flat, cuts)
+    gate_map = dict(zip(model.arch.gated_ids, lam))
+    m, v2 = np.zeros_like(flat), np.zeros_like(flat)
     snapshots: list[GateSnapshot] = []
     n = len(train)
     steps_per_epoch = max(1, (n + cfg.batch_size - 1) // cfg.batch_size)
     eval_every = max(1, steps_per_epoch // cfg.evals_per_epoch)
     step = 0
-
-    epoch_ce = [0.0, 0]  # running (sum, count) of batch losses
-
-    def take_snapshot(epoch: int) -> None:
-        acc = evaluate_accuracy(model, val.images, val.labels,
-                                gates=gate_map)
-        mean_ce = epoch_ce[0] / max(1, epoch_ce[1])
-        snapshots.append(GateSnapshot(state.copy(), acc, epoch, mean_ce))
-
     for epoch in range(1, cfg.epochs + 1):
         order = derive_rng(seed, "gate-shuffle", str(epoch)).permutation(n)
-        epoch_ce = [0.0, 0]
+        ce_sum = 0.0
         for b in range(steps_per_epoch):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             tape = T.Tape()
@@ -192,13 +162,12 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
                 logits = model.forward(train.images[idx], train=True,
                                        gates=gate_map, tape=tape)
                 ce = T.cross_entropy(logits, train.labels[idx], tape=tape)
-                grads = tape.backward(ce, state.lam)
+                grads = tape.backward(ce, lam)
             except NonFiniteError as e:
                 raise DivergenceError(
                     f"non-finite loss at step {step}: {e}", step=step) from e
-            epoch_ce[0] += float(ce)
-            epoch_ce[1] += 1
-            pen = sparsity_penalty_grad(state, cfg.target_sparsity)
+            ce_sum += float(ce)
+            pen = sparsity_penalty_grad(lam, cfg.target_sparsity)
             step += 1
             g = np.concatenate(grads) + cfg.gamma * np.concatenate(pen)
             m *= cfg.beta1
@@ -209,10 +178,12 @@ def learn_channel_importance(model: Model, train: Dataset, val: Dataset,
             vhat = v2 / (1 - cfg.beta2 ** step)
             flat -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
             np.clip(flat, 0.0, 1.0, out=flat)
-            if cfg.evals_per_epoch > 1 and (b + 1) % eval_every == 0 \
-                    and b + 1 < steps_per_epoch:
-                take_snapshot(epoch)
-        take_snapshot(epoch)
+            if (b + 1) % eval_every == 0 or b + 1 == steps_per_epoch:
+                acc = evaluate_accuracy(model, val.images, val.labels,
+                                        gates=gate_map)
+                snapshots.append(GateSnapshot(
+                    GateState(np.split(flat.copy(), cuts)), acc, epoch,
+                    ce_sum / (b + 1)))
     return snapshots
 
 
@@ -239,6 +210,8 @@ def snapshot_dump(snapshots: list[GateSnapshot]) -> tuple[list[dict],
                                                           np.ndarray]:
     """Persistable view: per-snapshot scalars plus a [S, total] gate
     matrix (rows in snapshot order, columns in layer order)."""
+    if not snapshots:
+        raise ConfigError("snapshot list is empty")
     meta = [{"epoch": s.epoch, "sparsity": float(s.sparsity),
              "val_accuracy": float(s.val_accuracy),
              "train_loss": float(s.train_loss)} for s in snapshots]

@@ -430,17 +430,24 @@ def fold_batchnorm(w: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     scale = gamma * invstd
     shift = beta - mu * scale
     if gates is not None:
+        _check_gates(gates, w.shape[0])
         scale = scale * gates
         shift = shift * gates
     return w * scale[:, None, None, None], shift
 
 
+def _check_gates(gates: np.ndarray, channels: int) -> None:
+    if gates.ndim != 1 or gates.shape[0] != channels:
+        raise ShapeError(
+            f"gates of shape {gates.shape} do not match {channels} channels")
+
+
 def gate_modulate(x: np.ndarray, gates: np.ndarray,
                   tape: Tape | None = None) -> np.ndarray:
     """Scale each channel of [N,C,H,W] by the matching entry of ``gates``."""
-    if x.ndim != 4 or gates.ndim != 1 or gates.shape[0] != x.shape[1]:
-        raise ShapeError(
-            f"gates of shape {gates.shape} do not match input channels {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"gate_modulate expects [N,C,H,W], got {x.shape}")
+    _check_gates(gates, x.shape[1])
     out = x * gates[None, :, None, None]
 
     def bwd(gout, needs):

@@ -119,6 +119,8 @@ def test_matrix_constructor_guards():
         AN.SimilarityMatrix(("a", "b"), np.array([[1.0, 1.2], [1.2, 1.0]]))
     with pytest.raises(ConfigError):
         AN.SimilarityMatrix(("a",), np.ones((2, 2)))
+    with pytest.raises(ConfigError, match="'a' is repeated"):
+        AN.SimilarityMatrix(("a", "a"), np.ones((2, 2)))
 
 
 def test_mean_pairwise_correlation():
@@ -130,6 +132,10 @@ def test_mean_pairwise_correlation():
     assert AN.mean_pairwise_correlation(m, ["a", "b", "c"]) == pytest.approx(0.0)
     with pytest.raises(ConfigError):
         AN.mean_pairwise_correlation(m, ["a"])
+    with pytest.raises(ConfigError, match="'d' is not in the matrix"):
+        AN.mean_pairwise_correlation(m, ["a", "d"])
+    with pytest.raises(ConfigError, match="'a' is repeated"):
+        AN.mean_pairwise_correlation(m, ["a", "a"])
 
 
 def test_matrix_csv_round_trip():

@@ -288,6 +288,11 @@ def test_prune_rejects_bad_threshold():
         A.prune_by_threshold([np.array([0.5])], 1.5)
 
 
+def test_prune_rejects_a_layer_without_gates():
+    with pytest.raises(ConfigError, match="layer 1 has no gates"):
+        A.prune_by_threshold([np.array([0.5]), np.array([])], 0.3)
+
+
 # ---------------------------------------------------------------------------
 # FLOPS model
 
@@ -622,6 +627,21 @@ def test_evaluate_accuracy_rejects_bad_input_before_any_pass(
             "labels": np.arange(6) % 3} | kwargs
     with pytest.raises(error):
         A.evaluate_accuracy(model, **call)
+
+
+@pytest.mark.parametrize("path", ["evaluate", "eval", "eval-taped", "train"])
+def test_wrong_gate_shape_is_a_shape_error_on_every_path(path):
+    # vgg-small's gated batch norms are 8 to 64 wide: 3 gates fit none
+    arch = A.preset("vgg-small")
+    model = A.Model(arch, None, seed=0)
+    gates = {lid: np.ones(3, np.float32) for lid in arch.gated_ids}
+    x = np.zeros((2, 3, 8, 8), np.float32)
+    with pytest.raises(ShapeError, match="gates of shape"):
+        if path == "evaluate":
+            A.evaluate_accuracy(model, x, np.zeros(2, int), gates=gates)
+        else:
+            model.forward(x, train=path == "train", gates=gates,
+                          tape=T.Tape() if path != "eval" else None)
 
 
 def test_evaluate_accuracy_perfect_and_chance():

@@ -1,4 +1,4 @@
-"""Sparsity penalty, projection, and channel-importance learning."""
+"""Sparsity penalty, channel-importance learning and snapshot selection."""
 
 import numpy as np
 import pytest
@@ -78,6 +78,15 @@ def test_penalty_grad_matches_finite_differences():
             assert abs(grad[j][i] - fd) < 1e-8
 
 
+@pytest.mark.parametrize("helper", [G.sparsity_penalty,
+                                    G.sparsity_penalty_grad])
+@pytest.mark.parametrize("gates", [[], [np.array([])]],
+                         ids=["no-layers", "empty-layer"])
+def test_penalty_rejects_empty_gates(helper, gates):
+    with pytest.raises(ConfigError, match="no gate values"):
+        helper(gates, 0.5)
+
+
 @pytest.mark.parametrize("field", ["gamma", "lr"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_config_rejects_non_finite_gamma_and_lr(field, value):
@@ -88,33 +97,6 @@ def test_config_rejects_non_finite_gamma_and_lr(field, value):
 def test_config_rejects_penalties_other_than_ratio():
     with pytest.raises(ConfigError, match="penalty"):
         G.ImportanceConfig(penalty="l1")
-
-
-# ---------------------------------------------------------------------------
-# projection
-
-def test_project_identity_in_range():
-    state = G.GateState([np.array([0.0, 0.5, 1.0])])
-    before = state.lam[0].copy()
-    G.project_gates(state)
-    assert np.array_equal(state.lam[0], before)
-
-
-def test_project_clamps_endpoints():
-    state = G.GateState([np.array([1.7, -0.2, 0.3])])
-    G.project_gates(state)
-    assert np.array_equal(state.lam[0], [1.0, 0.0, 0.3])
-
-
-def test_project_after_random_updates():
-    rng = np.random.default_rng(2)
-    state = G.GateState([rng.random(8), rng.random(4)])
-    for _ in range(100):
-        for v in state.lam:
-            v += rng.normal(0, 0.5, v.shape)
-        G.project_gates(state)
-        for v in state.lam:
-            assert v.min() >= 0.0 and v.max() <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +144,6 @@ def toy_setup(noise=0.4, per_class=24, seed=0):
     arch = two_conv_arch()
     model = A.Model(arch, None, seed=seed)
     return model, suite
-
-
-def test_init_gates_all_ones():
-    model, _ = toy_setup()
-    state = G.init_gates(model)
-    assert [v.size for v in state.lam] == [4, 5]
-    assert all(np.all(v == 1.0) for v in state.lam)
-    assert state.sparsity == 1.0
 
 
 def test_learning_keeps_weights_bitwise_frozen():
@@ -266,7 +240,8 @@ def per_layer_adam(model, train, val, cfg, seed):
     per gated layer, each updated and clipped on its own: the reference
     that the one flat buffer of ``learn_channel_importance`` must
     reproduce byte for byte."""
-    lam = [v.copy() for v in G.init_gates(model).lam]
+    lam = [np.ones(model.widths[lid].cout, dtype=T.default_dtype())
+           for lid in model.arch.gated_ids]
     gate_map = dict(zip(model.arch.gated_ids, lam))
     m = [np.zeros_like(v) for v in lam]
     v2 = [np.zeros_like(v) for v in lam]
@@ -306,19 +281,24 @@ def per_layer_adam(model, train, val, cfg, seed):
     return snaps
 
 
-@pytest.mark.parametrize("preset", ["vgg-small", "resnet-tiny"])
-def test_flat_gate_buffer_matches_a_per_layer_adam_reference(preset):
+# six steps per epoch: one, two or six snapshots in each of three epochs
+@pytest.mark.parametrize("preset,evals,count", [
+    pytest.param(p, e, n, id=p if e == 2 else f"{p}-evals{e}")
+    for p in ("vgg-small", "resnet-tiny", "depthwise-tiny")
+    for e, n in ((1, 3), (2, 6), (4, 18))])
+def test_flat_gate_buffer_matches_a_per_layer_adam_reference(preset, evals,
+                                                             count):
     spec = D.SynthSpec(classes=3, per_class=16, image_size=8, channels=3,
                        noise=1.0)
     suite = D.synth_suite(spec, 0)
     arch = A.preset(preset)
     cfg = G.ImportanceConfig(gamma=4.0, epochs=3, batch_size=8, lr=0.05,
-                             evals_per_epoch=2)
+                             evals_per_epoch=evals)
     got = G.learn_channel_importance(A.Model(arch, None, seed=3),
                                      suite["train"], suite["val"], cfg, 5)
     want = per_layer_adam(A.Model(arch, None, seed=3), suite["train"],
                           suite["val"], cfg, 5)
-    assert len(got) == len(want) == 6
+    assert len(got) == len(want) == count
     for snap, (lam, acc, epoch, loss) in zip(got, want):
         assert [v.tobytes() for v in snap.gates.lam] == [
             v.tobytes() for v in lam]
@@ -363,6 +343,11 @@ def test_select_fallback_warns_min_sparsity():
 def test_select_empty_rejected():
     with pytest.raises(ConfigError):
         G.select_best_gates([], 0.5)
+
+
+def test_snapshot_dump_empty_rejected():
+    with pytest.raises(ConfigError, match="empty"):
+        G.snapshot_dump([])
 
 
 def test_select_agrees_with_exhaustive_scan():

@@ -514,6 +514,15 @@ def test_gate_modulate_shape_mismatch():
         T.gate_modulate(np.zeros((1, 3, 2, 2)), np.zeros(4))
 
 
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), (1, 4)],
+                         ids=["short", "long", "column", "row"])
+def test_fold_batchnorm_gate_shape_mismatch(shape):
+    w = np.ones((4, 2, 3, 3))
+    gamma, beta, mean, var = np.ones((4, 4))
+    with pytest.raises(ShapeError, match="gates of shape"):
+        T.fold_batchnorm(w, gamma, beta, mean, var, gates=np.ones(shape))
+
+
 # ---------------------------------------------------------------------------
 # pooling, linear, add, relu
 
